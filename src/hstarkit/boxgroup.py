@@ -9,16 +9,23 @@ coordinate sum of an element is its height; the number of elements of height
 h is exactly the h-th coefficient of the simplex's h*-polynomial, which is
 how everything downstream computes h*.
 
-Elements are stored as integer numerators over a common denominator, which
-keeps the group law in pure integer arithmetic; ``coords`` exposes the exact
-rationals.
+A ``BoxGroup`` stores the whole group as one integer array: row i holds the
+numerators of element i over the group exponent q, next to an array of the
+row heights. h* is a count over the heights. Single elements are
+``BoxPoint`` objects (reduced integer numerators over their own
+denominator, which keeps the group law in pure integer arithmetic; ``coords``
+exposes the exact rationals); a group builds them only when a caller asks
+for its elements.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import linalg
 from .errors import (
@@ -29,6 +36,9 @@ from .errors import (
 from .simplex import LatticeSimplex, homogenize
 
 DEFAULT_VOLUME_CAP = 10**6
+# int64 residue arithmetic is used only while every intermediate value stays
+# below this bound; beyond it the same code runs on Python integers.
+INT64_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -114,14 +124,6 @@ def neg(a: BoxPoint) -> BoxPoint:
     return BoxPoint.from_scaled([(-x) % a.den for x in a.nums], a.den)
 
 
-def height(a: BoxPoint) -> int:
-    return a.height
-
-
-def support(a: BoxPoint) -> tuple[int, ...]:
-    return a.support
-
-
 def support_of_set(points: Iterable[BoxPoint]) -> tuple[int, ...]:
     """Union of the supports, sorted."""
     out: set[int] = set()
@@ -130,19 +132,36 @@ def support_of_set(points: Iterable[BoxPoint]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxGroup:
     """Complete fractional-weight group of a full-dimensional simplex.
 
-    Elements are sorted by (height, coordinates) so that every downstream
-    report is deterministic.
+    ``residues`` is a read-only (order, n+1) integer array: row i holds the
+    numerators of element i over the exponent q. ``heights`` holds the row
+    heights. Rows are sorted by (height, coordinates) so that every
+    downstream report is deterministic. ``elements`` and ``element_set`` are
+    the same group as ``BoxPoint`` objects, built on first use.
     """
 
     simplex: LatticeSimplex
-    elements: tuple[BoxPoint, ...]
     order: int
     invariant_factors: tuple[int, ...]
-    element_set: frozenset[BoxPoint]
+    residues: np.ndarray
+    heights: np.ndarray
+
+    @cached_property
+    def elements(self) -> tuple[BoxPoint, ...]:
+        return self.points(slice(None))
+
+    @cached_property
+    def element_set(self) -> frozenset[BoxPoint]:
+        return frozenset(self.elements)
+
+    def points(self, rows) -> tuple[BoxPoint, ...]:
+        """The elements of the selected rows (a slice, mask or index array),
+        in the group's canonical order."""
+        q = self.exponent
+        return tuple(BoxPoint.from_scaled(r, q) for r in self.residues[rows].tolist())
 
     def __iter__(self) -> Iterator[BoxPoint]:
         return iter(self.elements)
@@ -155,18 +174,15 @@ class BoxGroup:
 
     @property
     def zero(self) -> BoxPoint:
-        return self.elements[0]
+        return BoxPoint.zero(self.residues.shape[1])
 
     @property
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def level_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for p in self.elements:
-            h = p.height
-            counts[h] = counts.get(h, 0) + 1
-        return dict(sorted(counts.items()))
+        counts = np.bincount(self.heights).tolist()
+        return {h: c for h, c in enumerate(counts) if c}
 
 
 def enumerate_box_group(
@@ -178,8 +194,9 @@ def enumerate_box_group(
     homogenized matrix M is walked through the Smith decomposition
     U M W = D: residue tuples y over the invariant factors map to the
     fractional parts of W (y_1/d_1, ..., y_k/d_k), giving each group element
-    once. Cost is O(order * (n+1)) integer operations after the
-    decomposition, independent of coordinate sizes.
+    once. The residue array over q is built by broadcasting, one active
+    invariant factor at a time, at a cost of O(order * (n+1)) integer
+    operations after the decomposition, independent of coordinate sizes.
     """
     matrix = homogenize(simplex)
     dec = linalg.smith_normal_form(matrix)
@@ -189,43 +206,33 @@ def enumerate_box_group(
         raise VolumeTooLargeError(order, volume_cap)
     k = len(factors)
     q = factors[-1]
-    active = [j for j in range(k) if factors[j] > 1]
-    step: dict[int, tuple[int, ...]] = {}
-    reset: dict[int, tuple[int, ...]] = {}
-    for j in active:
-        col = [dec.W.rows[i][j] * (q // factors[j]) % q for i in range(k)]
-        step[j] = tuple(col)
-        reset[j] = tuple((-(factors[j] - 1) * c) % q for c in col)
-    cur = [0] * k
-    counters = [0] * len(active)
-    raw: list[tuple[int, ...]] = []
-    for _ in range(order):
-        raw.append(tuple(cur))
-        pos = len(active) - 1
-        while pos >= 0 and counters[pos] == factors[active[pos]] - 1:
-            counters[pos] = 0
-            r = reset[active[pos]]
-            for i in range(k):
-                cur[i] = (cur[i] + r[i]) % q
-            pos -= 1
-        if pos >= 0:
-            counters[pos] += 1
-            s = step[active[pos]]
-            for i in range(k):
-                cur[i] = (cur[i] + s[i]) % q
-    if len(set(raw)) != order:  # pragma: no cover - guaranteed by unimodularity
+    # Entries stay below q*q + q while building and row sums below k*q.
+    dtype = np.int64 if max(q * q + q, k * q) < INT64_LIMIT else object
+    arr = np.zeros((1, k), dtype=dtype)
+    for j, d in enumerate(factors):
+        if d == 1:
+            continue
+        # W entries can be huge: reduce the step in Python before numpy sees it.
+        step = np.array([dec.W.rows[i][j] * (q // d) % q for i in range(k)], dtype=dtype)
+        multiples = np.arange(d, dtype=dtype)[:, None] * step
+        arr = ((arr[:, None, :] + multiples) % q).reshape(-1, k)
+    sums = arr.sum(axis=1)
+    if (sums % q).any():  # pragma: no cover - the all-ones matrix row forces this
+        raise NonIntegralHeightError("element with non-integral coordinate sum")
+    heights = (sums // q).astype(np.int64)
+    perm = np.lexsort(tuple(arr[:, i] for i in reversed(range(k))) + (heights,))
+    arr, heights = arr[perm], heights[perm]
+    # Sorted rows are duplicate-free iff no two neighbours are equal.
+    if not (arr[1:] != arr[:-1]).any(axis=1).all():  # pragma: no cover - unimodularity
         raise NonIntegralHeightError("enumeration produced duplicate elements")
-    for t in raw:
-        if sum(t) % q:  # pragma: no cover - the all-ones matrix row forces this
-            raise NonIntegralHeightError("element with non-integral coordinate sum")
-    raw.sort(key=lambda t: (sum(t) // q, t))
-    elements = tuple(BoxPoint.from_scaled(t, q) for t in raw)
+    arr.flags.writeable = False
+    heights.flags.writeable = False
     return BoxGroup(
         simplex=simplex,
-        elements=elements,
         order=order,
         invariant_factors=factors,
-        element_set=frozenset(elements),
+        residues=arr,
+        heights=heights,
     )
 
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import families, verify
-from .boxgroup import BoxGroup, BoxPoint, DEFAULT_VOLUME_CAP, enumerate_box_group
+from .boxgroup import BoxPoint, DEFAULT_VOLUME_CAP, enumerate_box_group
 from .errors import (
     DocumentError,
     HstarkitError,
@@ -68,7 +68,7 @@ def _hstar_json(h: HStarVector) -> list:
     return [encode_int(c) for c in h.coeffs]
 
 
-def _base_report(command: str, doc: SimplexDocument, group: BoxGroup, h: HStarVector) -> dict:
+def _base_report(command: str, doc: SimplexDocument, order: int, h: HStarVector) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -76,7 +76,7 @@ def _base_report(command: str, doc: SimplexDocument, group: BoxGroup, h: HStarVe
         "hstar": _hstar_json(h),
         "degree": h.degree,
         "volume": str(h.normalized_volume),
-        "box_group_order": encode_int(group.order),
+        "box_group_order": encode_int(order),
     }
 
 
@@ -116,7 +116,7 @@ def cmd_hstar(args) -> int:
     doc, full = _load_full(args.file)
     group = enumerate_box_group(full, volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
-    _emit(_base_report("hstar", doc, group, h))
+    _emit(_base_report("hstar", doc, group.order, h))
     return EXIT_OK
 
 
@@ -124,7 +124,7 @@ def cmd_box_group(args) -> int:
     doc, full = _load_full(args.file)
     group = enumerate_box_group(full, volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
-    report = _base_report("box-group", doc, group, h)
+    report = _base_report("box-group", doc, group.order, h)
     report["invariant_factors"] = [encode_int(f) for f in group.invariant_factors]
     report["level_counts"] = {str(k): v for k, v in group.level_counts().items()}
     if group.order <= _ELEMENT_DUMP_LIMIT:
@@ -137,7 +137,7 @@ def cmd_ehrhart(args) -> int:
     doc, full = _load_full(args.file)
     group = enumerate_box_group(full, volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
-    report = _base_report("ehrhart", doc, group, h)
+    report = _base_report("ehrhart", doc, group.order, h)
     report["n"] = args.n
     report["count"] = encode_int(ehrhart_from_hstar(h, full.dimension, args.n))
     _emit(report)
@@ -147,8 +147,7 @@ def cmd_ehrhart(args) -> int:
 def cmd_oracle_verify(args) -> int:
     doc, full = _load_full(args.file)
     cv = cross_validate(full, volume_cap=args.volume_cap, scan_cap=args.scan_cap)
-    group = enumerate_box_group(full, volume_cap=args.volume_cap)
-    report = _base_report("oracle-verify", doc, group, cv.box_hstar)
+    report = _base_report("oracle-verify", doc, cv.box_hstar.normalized_volume, cv.box_hstar)
     report["oracle_hstar"] = _hstar_json(cv.oracle_hstar)
     report["match"] = cv.match
     report["heldout_ok"] = cv.heldout_ok

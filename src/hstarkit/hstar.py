@@ -80,14 +80,6 @@ def hstar_from_box_group(group: BoxGroup) -> HStarVector:
     return HStarVector.of(out, dim_context=group.simplex.dimension)
 
 
-def degree(h: HStarVector) -> int:
-    return h.degree
-
-
-def normalized_volume(h: HStarVector) -> int:
-    return h.normalized_volume
-
-
 def ehrhart_from_hstar(h: HStarVector, d: int, n: int) -> int:
     """Lattice-point count of the n-th dilate: sum_i h_i * C(n+d-i, d)."""
     if n < 0:

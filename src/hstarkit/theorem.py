@@ -58,7 +58,7 @@ def check_zero_window(h: HStarVector, k: int) -> bool:
 def low_subgroup(group: BoxGroup, k: int) -> tuple[BoxPoint, ...]:
     """All elements of height <= k, in the group's canonical order."""
     ZeroWindowQuery(k)
-    return tuple(p for p in group.elements if p.height <= k)
+    return group.points(group.heights <= k)
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,11 @@ def verify_lemma31(group: BoxGroup, k: int) -> SupportBoundVerdict:
     proved fact, so a reported violation means the implementation is broken.
     """
     _require_window(group, k)
-    checked = 0
-    for p in group.elements:
-        h = p.height
-        if h > k:
-            continue
-        checked += 1
-        if p.support_size > k + h:
+    low = low_subgroup(group, k)
+    for checked, p in enumerate(low, start=1):
+        if p.support_size > k + p.height:
             return SupportBoundVerdict(False, checked, p)
-    return SupportBoundVerdict(True, checked)
+    return SupportBoundVerdict(True, len(low))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,10 @@ from hstarkit.errors import (
     VolumeTooLargeError,
 )
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
-from hstarkit.simplex import all_faces, from_vertices, normalized_volume
+from hstarkit.hstar import hstar_from_box_group
+from hstarkit.linalg import smith_normal_form
+from hstarkit.simplex import all_faces, from_vertices, homogenize, normalized_volume
+from hstarkit.theorem import low_subgroup
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
 
@@ -100,7 +106,7 @@ class TestEnumeration:
 
     def test_elements_sorted_and_zero_first(self):
         g = enumerate_box_group(prop43_instance(3, 4))
-        assert g.zero.is_zero()
+        assert g.zero.is_zero() and g.elements[0] == g.zero
         keys = [(p.height, p.coords) for p in g.elements]
         assert keys == sorted(keys)
 
@@ -130,6 +136,106 @@ class TestEnumeration:
             join(delta_cm(1, 1), delta_cm(2, 1)),
         ):
             assert enumerate_by_box_scan(s) == enumerate_box_group(s).elements
+
+
+def huge_unimodular_image(simplex):
+    """The simplex under two shears and a translation with 100+-digit
+    entries. Unimodular maps keep barycentric weights, so the group's
+    elements are unchanged."""
+    big, other = 10**120 + 7, 3 * 10**105 + 1
+    shift = [10**110 + i for i in range(simplex.ambient_dim)]
+    verts = []
+    for v in simplex.vertices:
+        x = list(v)
+        x[0] += big * x[1]
+        x[1] += other * x[0]
+        verts.append(tuple(a + t for a, t in zip(x, shift)))
+    return from_vertices(simplex.ambient_dim, verts)
+
+
+def reference_residues(simplex):
+    """Residue rows by an explicit loop over the Smith residue tuples,
+    sorted by (height, residues)."""
+    dec = smith_normal_form(homogenize(simplex))
+    factors = dec.invariant_factors
+    k, q = len(factors), factors[-1]
+    rows = set()
+    for ys in product(*(range(d) for d in factors)):
+        rows.add(tuple(
+            sum(dec.W.rows[i][j] * (q // d) * y for j, (d, y) in enumerate(zip(factors, ys))) % q
+            for i in range(k)
+        ))
+    return sorted(rows, key=lambda t: (sum(t) // q, t))
+
+
+NON_CYCLIC = join(delta_cm(4, 3), delta_cm(4, 2))
+
+
+class TestArrayRepresentation:
+    def test_non_cyclic_fixture(self):
+        factors = enumerate_box_group(NON_CYCLIC).invariant_factors
+        assert sum(1 for d in factors if d > 1) >= 2
+
+    @pytest.mark.parametrize(
+        "simplex",
+        [TRI_VOL2, prop43_instance(3, 4), delta_cm(6, 3), remark44_simplex(2), NON_CYCLIC],
+        ids=["tri", "explicit5", "d63", "r44k2", "join"],
+    )
+    def test_residues_match_reference_loop(self, simplex):
+        g = enumerate_box_group(simplex)
+        q = g.exponent
+        assert g.residues.tolist() == [list(t) for t in reference_residues(simplex)]
+        assert g.heights.tolist() == [sum(r) // q for r in g.residues.tolist()]
+
+    @pytest.mark.parametrize(
+        "simplex",
+        [delta_cm(50, 3), NON_CYCLIC, huge_unimodular_image(prop43_instance(3, 4))],
+        ids=["delta_cm", "join", "huge-image"],
+    )
+    def test_object_path_matches_int64_path(self, simplex, monkeypatch):
+        fast = enumerate_box_group(simplex)
+        assert fast.residues.dtype == np.int64
+        monkeypatch.setattr(boxgroup, "INT64_LIMIT", 0)
+        exact = enumerate_box_group(simplex)
+        assert exact.residues.dtype == object
+        assert exact.residues.tolist() == fast.residues.tolist()
+        assert exact.heights.tolist() == fast.heights.tolist()
+        assert exact.elements == fast.elements
+        assert hstar_from_box_group(exact) == hstar_from_box_group(fast)
+
+    def test_huge_image_keeps_the_elements(self):
+        base = prop43_instance(3, 4)
+        assert enumerate_box_group(huge_unimodular_image(base)).elements == (
+            enumerate_box_group(base).elements
+        )
+
+    def test_hstar_builds_no_points(self):
+        g = enumerate_box_group(delta_cm(99999, 3))
+        assert hstar_from_box_group(g).coeffs == (1, 0, 0, 99999)
+        assert "elements" not in g.__dict__
+        assert "element_set" not in g.__dict__
+
+    @pytest.mark.parametrize(
+        "simplex",
+        [prop43_instance(3, 4), remark44_simplex(3), NON_CYCLIC, join(delta_cm(2, 3), unit_simplex(0))],
+        ids=["explicit5", "r44k3", "join", "join-point"],
+    )
+    def test_low_subgroup_matches_element_filter(self, simplex):
+        g = enumerate_box_group(simplex)
+        for k in range(1, 7):
+            assert low_subgroup(g, k) == tuple(p for p in g.elements if p.height <= k)
+
+    def test_level_counts_are_python_ints(self):
+        for s in (prop43_instance(3, 4), NON_CYCLIC):
+            counts = enumerate_box_group(s).level_counts()
+            assert all(type(h) is int and type(c) is int for h, c in counts.items())
+
+    def test_arrays_are_read_only(self):
+        g = enumerate_box_group(TRI_VOL2)
+        with pytest.raises(ValueError):
+            g.residues[0, 0] = 1
+        with pytest.raises(ValueError):
+            g.heights[0] = 1
 
 
 class TestGroupLaws:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -147,6 +148,40 @@ class TestReportCommands:
 
     def test_missing_file_exit_code(self, run_cli):
         assert run_cli("hstar", "/nonexistent/x.json").returncode == 2
+
+
+# sha256 of `hstarkit box-group <doc>` stdout for every corpus document. The
+# bytes pin the element order and the JSON encoding of the whole report.
+BOX_GROUP_STDOUT_SHA256 = {
+    "delta-cm-c1-m1.json": "75404db87d622dcf4d3b307e6f455f5f70b47fe05bd281badeefe85b19fe76b6",
+    "delta-cm-c2-m2.json": "8c657c60dcaae5521c0a39ca62c3276d06463c3cc31f5ad66015364dd368dc07",
+    "delta-cm-c2-m3.json": "5db49625d30022403ed14d63c7d7bf317428a069c0f597c93c72584991239ffa",
+    "delta-cm-c9-m2.json": "acc2573df3ebfb7dbd0a8f183f24c45a4fab4db2180969260373f4d36787675a",
+    "join-delta23-delta17.json": "47d38983b9d3cdb0e6613cd1126a95a520150584e4c5b31ff277fc0e31a993db",
+    "join-delta23-point.json": "0a311eafb24cdab423dd6381519b95a14bf645b7b67d23c656053f57039322eb",
+    "join-seg2-seg3.json": "9d82a2d086304da883c0ca4dd6f71606ab65d0af65e160540e10082cd00c52ba",
+    "prop43-k3-j4.json": "8741eadd0c8a8cf9d92ecbabfcdc6985013fc9a1f447da5e2850903a8b62690c",
+    "prop43-k3-j5-p5.json": "2f1ae14b036756db7c02b9e3a17478e0b51825e58769ddf413beee866ef0b8f5",
+    "prop43-k4-j5-p5.json": "c077c34f634cb4cfd2a88ddc214b58a7460d287ea854fe8c2098ada83f901e30",
+    "remark44-k2.json": "23e82254ff73764a0e500a4419fdd641ae6b7da3e8a5044952d55ecd87333abc",
+    "remark44-k3.json": "f3c1327caee549e02e7fec352e820f3f669e8010a459a392111eebef167abb25",
+    "tri-scott-71.json": "be83885ba6f21768adfb41ec40eb0cbf2f26d4d9795d77314e85b7d655843995",
+    "tri-vol2.json": "83798de3c6225fb94ff812a6be2b4374f517f2d8f729b9bcf40465bf67e9a75f",
+    "unit-d4.json": "94b39d8ba76f970867c88570c4cdd95899c415a3bd952100ba7ac60a19cdaae0",
+    "unit-triangle.json": "0905da4cebd920ebc228156b54841bbe49d235dabe4aee271f42b373ac943915",
+}
+
+
+class TestBoxGroupGolden:
+    def test_pins_cover_the_corpus(self, corpus_dir):
+        assert sorted(BOX_GROUP_STDOUT_SHA256) == sorted(p.name for p in corpus_dir.glob("*.json"))
+
+    @pytest.mark.parametrize("name", sorted(BOX_GROUP_STDOUT_SHA256))
+    def test_stdout_bytes(self, run_cli, corpus_dir, name):
+        res = run_cli("box-group", str(corpus_dir / name))
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        assert digest == BOX_GROUP_STDOUT_SHA256[name]
 
 
 class TestExtractFaceCommand:
