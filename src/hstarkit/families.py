@@ -14,6 +14,7 @@ from typing import Iterator
 
 from .errors import InvalidParametersError
 from .simplex import LatticeSimplex, from_vertices, normalized_volume
+from .theorem import is_prime
 
 
 def unit_simplex(dim: int) -> LatticeSimplex:
@@ -84,11 +85,11 @@ def prop43_instance(k: int, j: int, p: int = 5) -> LatticeSimplex:
     if k < 3 or not (k + 1 <= j <= 2 * k - 1):
         raise InvalidParametersError("need k >= 3 and k+1 <= j <= 2k-1")
     if j >= k + 2:
-        if p < 5 or not _prime(p):
+        if p < 5 or not is_prime(p):
             raise InvalidParametersError("p must be a prime >= 5")
         return lemma41_simplex(1, p - 2, j - k, k)
     if k >= 4:
-        if p < 5 or not _prime(p):
+        if p < 5 or not is_prime(p):
             raise InvalidParametersError("p must be a prime >= 5")
         return lemma41_simplex(1, p - 2, 2, k - 1)
     return from_vertices(
@@ -119,17 +120,6 @@ def remark44_simplex(k: int) -> LatticeSimplex:
         verts.append(tuple(int(j == i) for j in range(d)))
     verts.append(tuple([2] * (d - 1) + [3]))
     return from_vertices(d, verts)
-
-
-def _prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def zero_window_family() -> Iterator[tuple[str, LatticeSimplex, int]]:

@@ -114,7 +114,6 @@ class FactReport:
 
 def structural_facts(
     simplex: LatticeSimplex,
-    group: BoxGroup,
     h: HStarVector,
     scan_cap: int | None = None,
 ) -> FactReport:

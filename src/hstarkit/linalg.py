@@ -303,10 +303,12 @@ def rank(matrix: IntMatrix) -> int:
     return r
 
 
-def _solve_columns(
+def solve_columns(
     matrix: IntMatrix, columns: Sequence[Sequence[int | Fraction]]
 ) -> list[tuple[Fraction, ...]]:
-    """Exact solutions of M x = b for several right-hand sides at once."""
+    """Exact solutions x of M x = b, one per right-hand side b, from a
+    single elimination over the augmented matrix; raises
+    SingularMatrixError when det M == 0."""
     if not matrix.is_square:
         raise DimensionMismatchError("solve requires a square matrix")
     n = matrix.nrows
@@ -335,16 +337,16 @@ def _solve_columns(
 
 def solve_rational(matrix: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
     """Exact x with M x = b; raises SingularMatrixError when det M == 0."""
-    return _solve_columns(matrix, [list(b)])[0]
+    return solve_columns(matrix, [list(b)])[0]
 
 
 def inverse_rational(matrix: IntMatrix) -> list[tuple[Fraction, ...]]:
     """Rows of M^-1 as exact rationals."""
     n = matrix.nrows
-    cols = _solve_columns(
+    cols = solve_columns(
         matrix, [[int(i == j) for i in range(n)] for j in range(n)]
     )
-    # _solve_columns returns inverse columns; transpose into rows.
+    # solve_columns returns inverse columns; transpose into rows.
     return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
 
 

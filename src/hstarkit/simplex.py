@@ -128,8 +128,7 @@ def restrict_to_affine_lattice(simplex: LatticeSimplex) -> LatticeSimplex:
         list(basis.rows) + list(ortho.rows), ncols=big_d
     ).transpose()
     new_verts = [(0,) * n]
-    for dv in diffs:
-        sol = linalg.solve_rational(stacked, dv)
+    for sol in linalg.solve_columns(stacked, diffs):
         coords = []
         for i, val in enumerate(sol):
             if i < n:

@@ -12,25 +12,18 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .boxgroup import (
-    BoxGroup,
-    BoxPoint,
-    enumerate_box_group,
-    support_of_set,
-)
+import numpy as np
+
+from .boxgroup import BoxGroup, BoxPoint, enumerate_box_group
 from .errors import (
     HypothesisNotMetError,
     InternalCheckError,
     InvalidParametersError,
     PreconditionNotMetError,
-    VolumeTooLargeError,
 )
 from .hstar import HStarVector, hstar_from_box_group
 from .simplex import FaceSelector, LatticeSimplex, face, restrict_to_affine_lattice
-
-DEFAULT_CLOSURE_PAIR_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -74,36 +67,48 @@ class ClosureResult:
         return self.zero_ok and self.neg_ok and self.add_ok
 
 
-def _closure_check(
-    points: Sequence[BoxPoint], group: BoxGroup, pair_budget: int
-) -> ClosureResult:
-    """Is the given subset a subgroup?
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
 
-    Addition closure is checked pairwise over scaled integer tuples. When
-    the subset is the whole group, addition closure holds by construction of
-    the enumeration and the pair sweep is skipped; a proper subset whose
-    pair count exceeds the budget is refused rather than sampled.
+
+def _closure_check(rows: np.ndarray, group: BoxGroup) -> ClosureResult:
+    """Is the set S of the given residue rows (distinct elements of the
+    group, over its exponent) a subgroup?
+
+    Negation and translation are injective, so -S and S + g lie in S
+    exactly when their sorted rows equal those of S. Addition is checked
+    through generators picked greedily from S in row order: a row not yet
+    in the span H of the earlier generators becomes the next one, once
+    S + g equals S. Every row then lies in the final H, so S + S lies in
+    S + H = S; a failure yields a witness pair (a, g) of S with a + g
+    outside S. Checking before growing keeps H inside S, and each generator
+    at least doubles H, so at most 2 + log2 |S| sorts of |S| rows replace a
+    sweep over all |S|^2 pairs. When S is the whole group, addition closure
+    holds by construction of the enumeration and is not checked.
     """
     q = group.exponent
-    table = {p.scaled_nums(q) for p in points}
-    zero_ok = (0,) * len(group.zero) in table
-    neg_ok = all(tuple((-x) % q for x in t) in table for t in table)
-    if len(points) == group.order:
+    ordered = _lex_sorted(rows)
+    zero_ok = bool((rows == 0).all(axis=1).any())
+    neg_ok = np.array_equal(_lex_sorted((-rows) % q), ordered)
+    if len(rows) == group.order:
         return ClosureResult(zero_ok, neg_ok, True, exhaustive=False)
-    if len(points) ** 2 > pair_budget:
-        raise VolumeTooLargeError(len(points) ** 2, pair_budget)
-    scaled = sorted(table)
-    for a in scaled:
-        for b in scaled:
-            s = tuple((x + y) % q for x, y in zip(a, b))
-            if s not in table:
-                return ClosureResult(
-                    zero_ok,
-                    neg_ok,
-                    False,
-                    exhaustive=True,
-                    witness=(BoxPoint.from_scaled(a, q), BoxPoint.from_scaled(b, q)),
-                )
+    span = {(0,) * rows.shape[1]}
+    for g in map(tuple, rows.tolist()):
+        if g in span:
+            continue
+        shift = np.array(g, dtype=rows.dtype)
+        shifted = (rows + shift) % q
+        if not np.array_equal(_lex_sorted(shifted), ordered):
+            members = set(map(tuple, rows.tolist()))
+            a = next(a for a, s in zip(rows.tolist(), shifted.tolist()) if tuple(s) not in members)
+            witness = (BoxPoint.from_scaled(a, q), BoxPoint.from_scaled(g, q))
+            return ClosureResult(zero_ok, neg_ok, False, exhaustive=True, witness=witness)
+        # H + <g> is the union of the cosets H + m*g up to the first m*g in H.
+        base = np.array(list(span), dtype=rows.dtype)
+        step = shift
+        while tuple(step.tolist()) not in span:
+            span.update(map(tuple, ((base + step) % q).tolist()))
+            step = (step + shift) % q
     return ClosureResult(zero_ok, neg_ok, True, exhaustive=True)
 
 
@@ -125,6 +130,17 @@ def _require_window(group: BoxGroup, k: int) -> HStarVector:
     return h
 
 
+def _support_bound(group: BoxGroup, k: int) -> SupportBoundVerdict:
+    """Lemma 3.1's bound, checked on every row of height at most k."""
+    low = np.flatnonzero(group.heights <= k)
+    sizes = (group.residues[low] > 0).sum(axis=1)
+    bad = np.flatnonzero(sizes > k + group.heights[low])
+    if bad.size:
+        first = int(bad[0])
+        return SupportBoundVerdict(False, first + 1, group.points(low[first : first + 1])[0])
+    return SupportBoundVerdict(True, len(low))
+
+
 def verify_lemma31(group: BoxGroup, k: int) -> SupportBoundVerdict:
     """Support bound for every element of height at most k.
 
@@ -132,11 +148,7 @@ def verify_lemma31(group: BoxGroup, k: int) -> SupportBoundVerdict:
     proved fact, so a reported violation means the implementation is broken.
     """
     _require_window(group, k)
-    low = low_subgroup(group, k)
-    for checked, p in enumerate(low, start=1):
-        if p.support_size > k + p.height:
-            return SupportBoundVerdict(False, checked, p)
-    return SupportBoundVerdict(True, len(low))
+    return _support_bound(group, k)
 
 
 @dataclass(frozen=True)
@@ -152,20 +164,14 @@ class LowSubgroupVerdict:
     sharp_bound_ok: bool
 
 
-def verify_lemma32(
-    group: BoxGroup, k: int, pair_budget: int = DEFAULT_CLOSURE_PAIR_BUDGET
-) -> LowSubgroupVerdict:
-    """Subgroup and support-size bounds for the height-<=k elements.
-
-    Checks closure under addition and negation, the bound
-    |supp| <= 4k - 1, and the sharper bound 4s - 1 where s is the largest
-    height occurring among the low elements.
-    """
-    _require_window(group, k)
-    low = low_subgroup(group, k)
-    closure = _closure_check(low, group, pair_budget)
-    supp = support_of_set(low)
-    s = max((p.height for p in low), default=0)
+def _low_subgroup_verdict(group: BoxGroup, k: int) -> LowSubgroupVerdict:
+    """Lemma 3.2's subgroup and support-size bounds on the rows of height
+    at most k."""
+    low = group.heights <= k
+    rows = group.residues[low]
+    closure = _closure_check(rows, group)
+    supp = tuple(np.flatnonzero((rows > 0).any(axis=0)).tolist())
+    s = int(group.heights[low].max(initial=0))
     return LowSubgroupVerdict(
         subgroup_ok=closure.ok,
         closure_exhaustive=closure.exhaustive,
@@ -177,6 +183,17 @@ def verify_lemma32(
         sharp_bound=4 * s - 1,
         sharp_bound_ok=len(supp) <= 4 * s - 1 or not supp,
     )
+
+
+def verify_lemma32(group: BoxGroup, k: int) -> LowSubgroupVerdict:
+    """Subgroup and support-size bounds for the height-<=k elements.
+
+    Checks closure under addition and negation, the bound
+    |supp| <= 4k - 1, and the sharper bound 4s - 1 where s is the largest
+    height occurring among the low elements.
+    """
+    _require_window(group, k)
+    return _low_subgroup_verdict(group, k)
 
 
 @dataclass(frozen=True)
@@ -210,7 +227,6 @@ def extract_face(
     k: int,
     strict: bool = False,
     volume_cap: int | None = None,
-    pair_budget: int = DEFAULT_CLOSURE_PAIR_BUDGET,
 ) -> ExtractionCertificate:
     """Extract the face spanned by the support of the height-<=k elements.
 
@@ -239,8 +255,9 @@ def extract_face(
             f"k={k} with h*={h.coeffs}: zero window "
             f"{'holds but k < 3' if window_ok else 'fails'}"
         )
-    low = low_subgroup(group, k)
-    supp = support_of_set(low)
+    lemma31 = _support_bound(group, k)
+    lemma32 = _low_subgroup_verdict(group, k)
+    supp = lemma32.support
     selector = FaceSelector.of(supp if supp else (0,), full.n_vertices)
     face_simplex = face(full, selector)
     if volume_cap is None:
@@ -249,9 +266,6 @@ def extract_face(
         face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
     face_h = hstar_from_box_group(face_group)
     truncation = h.truncated(k)
-    lemma31_ok = all(p.support_size <= k + p.height for p in low)
-    closure = _closure_check(low, group, pair_budget)
-    support_bound_ok = len(supp) <= 4 * k - 1
     hstar_match = face_h.coeffs == truncation.coeffs
     certificate = ExtractionCertificate(
         k=k,
@@ -259,18 +273,18 @@ def extract_face(
         window_ok=window_ok,
         hypothesis_met=hypothesis_met,
         hstar=h,
-        lambda_prime=low,
+        lambda_prime=low_subgroup(group, k),
         support=supp,
         face_selector=selector,
         face_hstar=face_h,
         truncation=truncation,
-        lemma31_ok=lemma31_ok,
-        subgroup_ok=closure.ok,
-        support_bound_ok=support_bound_ok,
+        lemma31_ok=lemma31.ok,
+        subgroup_ok=lemma32.subgroup_ok,
+        support_bound_ok=lemma32.support_bound_ok,
         hstar_match=hstar_match,
     )
     if hypothesis_met and not (
-        hstar_match and closure.ok and support_bound_ok and lemma31_ok
+        hstar_match and lemma32.subgroup_ok and lemma32.support_bound_ok and lemma31.ok
     ):
         raise InternalCheckError(
             f"face extraction failed under a true hypothesis: {certificate}"
@@ -323,7 +337,8 @@ def check_scott(h: HStarVector, mode: str) -> ScottVerdict:
     return ScottVerdict(mode, via, h1, h2)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Primality by trial division; False for every n < 2."""
     if n < 2:
         return False
     if n < 4:
@@ -364,7 +379,7 @@ def check_lemma_hhh(h: HStarVector) -> HhhVerdict:
     if i < 2 or h.coefficient(i) != 1:
         return HhhVerdict("INCONCLUSIVE")
     p = h.normalized_volume
-    if h.coefficient(j) != p - 2 or p < 5 or not _is_prime(p):
+    if h.coefficient(j) != p - 2 or p < 5 or not is_prime(p):
         return HhhVerdict("INCONCLUSIVE")
     return HhhVerdict("NOT_REALIZABLE", i=i, j=j, p=p)
 
@@ -404,7 +419,7 @@ def prime_volume_obstruction(h: HStarVector) -> PrimeVolumeVerdict:
     the vector is not the h*-polynomial of any lattice polytope.
     """
     p = h.normalized_volume
-    if h.coefficient(1) != 0 or h.degree < 1 or not _is_prime(p):
+    if h.coefficient(1) != 0 or h.degree < 1 or not is_prime(p):
         return PrimeVolumeVerdict("NOT_APPLICABLE", p)
     deg = h.degree
     for center in range(deg + 1, 2 * deg + 1):
@@ -494,7 +509,7 @@ def condition_report(
             )
         )
 
-    if support_size is not None and _is_prime(h.normalized_volume):
+    if support_size is not None and is_prime(h.normalized_volume):
         status = (
             "holds"
             if all(

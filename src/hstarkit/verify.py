@@ -22,7 +22,7 @@ from .errors import HstarkitError, ScanTooLargeError, VolumeTooLargeError
 from .hstar import hstar_from_box_group, structural_facts
 from .io import SimplexDocument, load_simplex_document
 from .simplex import LatticeSimplex, all_faces, normalized_volume, restrict_to_affine_lattice
-from .theorem import _is_prime, check_zero_window, extract_face
+from .theorem import check_zero_window, extract_face, is_prime
 
 SUBGROUP_ORDER_GATE = 500
 AXIOM_ORDER_GATE = 200
@@ -183,14 +183,14 @@ def _instance_records(
         yield _skip(name, "heldout-count", "dimension or volume above gate")
 
     try:
-        facts = structural_facts(full, group, h, scan_cap=scan_cap)
+        facts = structural_facts(full, h, scan_cap=scan_cap)
         skipped = [c.name for c in facts.checks if c.skipped]
         yield _ok(name, "structural-facts", facts.ok, {"skipped": skipped})
     except HstarkitError as exc:
         yield Record(name, "structural-facts", "fail", {"error": str(exc)})
 
     supp_size = len({i for p in group.elements for i in p.support})
-    if _is_prime(group.order):
+    if is_prime(group.order):
         sym = all(
             h.coefficient(i) == h.coefficient(supp_size - i) for i in range(1, supp_size)
         )

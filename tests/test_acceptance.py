@@ -176,7 +176,7 @@ def test_criterion_8_structural_facts_on_corpus(corpus_dir: Path):
         full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
         group = enumerate_box_group(full)
         h = hstar_from_box_group(group)
-        report = structural_facts(full, group, h)
+        report = structural_facts(full, h)
         if not report.ok:  # pragma: no cover - structural_facts raises instead
             failures.append(path.name)
     assert not failures

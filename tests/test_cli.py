@@ -184,6 +184,74 @@ class TestBoxGroupGolden:
         assert digest == BOX_GROUP_STDOUT_SHA256[name]
 
 
+# sha256 of `hstarkit extract-face <doc> --k k` stdout for every corpus
+# document and k = 1, 2, 3; every one of these runs exits 0. The bytes pin
+# the whole certificate, lambda_prime elements included.
+EXTRACT_FACE_STDOUT_SHA256 = {
+    ("delta-cm-c1-m1.json", 1): "6cff13199e9faf1685ab384bc1fdb13e31be4e6f965dc5b63acd8b7288477f9a",
+    ("delta-cm-c1-m1.json", 2): "7d63fd0c7591a99ba4f2541c3cb741eee4bc211219d16bc6b94613aa90b83257",
+    ("delta-cm-c1-m1.json", 3): "0e7283d841d4cab0e3174fa4893aa5e8befed536d8a6bf3e2d27419aff8ddda5",
+    ("delta-cm-c2-m2.json", 1): "46a4ccd65f2b400a8f5f94ffa70efdd677f59897c83e9f2d00a196b725ab1e1f",
+    ("delta-cm-c2-m2.json", 2): "d829fc45764ef4fe481e9c06a78f8ce7b917cb4b052e925494d800da63094d39",
+    ("delta-cm-c2-m2.json", 3): "7763dd00986d3eb17a2048dd6b4f0fa61a9e0c839d0f1c0f25ba80b1dbd8cc43",
+    ("delta-cm-c2-m3.json", 1): "e8734e4ebdba24747bcbe75607e806993f15b9607079a8872946edeeddcee424",
+    ("delta-cm-c2-m3.json", 2): "b10537930f757a8573d597eee984b982e1b08c65ded4543edb728fe899823a9d",
+    ("delta-cm-c2-m3.json", 3): "579d2f3891d5a02473eb8e8bf56f51b518c011e5d7f6b1e01d3c96e02c66ac43",
+    ("delta-cm-c9-m2.json", 1): "ff684b2923f2034daaf2e85d57684a55b63c65d0466a9fe5b7b4f1618ce013d9",
+    ("delta-cm-c9-m2.json", 2): "3861b8d058dfdc3eecb243c13de06f97df40c14a9b269d186f32e1105b136d76",
+    ("delta-cm-c9-m2.json", 3): "7ae8240b33d02b3908c4bfd1ae4c7608611890ce4a2f00e6eda6da34d8666d67",
+    ("join-delta23-delta17.json", 1): "3272b3300ea12c4cee8317fd6b56425927f75e29c3bb97cf2cf412a9e6396103",
+    ("join-delta23-delta17.json", 2): "fb074e008a831649978e91a0efd8e8aa1caaffbe1c539ed18c2ba6e10734002c",
+    ("join-delta23-delta17.json", 3): "75d944a1a2cef0b72d3f40c781c5acf594fb37d5d632b7adf63ee258c82ebf38",
+    ("join-delta23-point.json", 1): "ff19ef84ece5f282a35d56f081832dd14c096c68063052da1de33345b58bbb18",
+    ("join-delta23-point.json", 2): "dd97b5c6b2ea2569b1f3fbe4ad6a2af64e082bbe5526c62d9fc0095b66a2a83c",
+    ("join-delta23-point.json", 3): "4ea3f6dcb93104c21b2467baa62933a9379d7d453e7c71b2231feb1d1bab2b0b",
+    ("join-seg2-seg3.json", 1): "5cc28d758d8c22d42a8b3fd3335f48d63e54c1774d4d8b398a80f6df19f1e6c4",
+    ("join-seg2-seg3.json", 2): "1f0e9e806804b1bb26829b6acd093be7de4365f19b64436aafcb8cf7a32fddd4",
+    ("join-seg2-seg3.json", 3): "ffdf02c5b9804e3eb6b461b5365ac9a157b490dd01231ce8ea58f6cdd95909fd",
+    ("prop43-k3-j4.json", 1): "03798d8abd0851ea722f48e4f9a4c1849732218c498f64db30d95798f7ce8548",
+    ("prop43-k3-j4.json", 2): "59267be14e368694607ae124e55c72b84a93c5dca0462820ae980e8b9cb85ae6",
+    ("prop43-k3-j4.json", 3): "7fb33495eb8026c4e3e70bb5f59254c43bb896598d685e066fbe8cf69e84c079",
+    ("prop43-k3-j5-p5.json", 1): "5afc9ac6fab550e70d27cc012bda1d265addba44c71f0aed70780e799439774d",
+    ("prop43-k3-j5-p5.json", 2): "bfb68d22856e9efd69dbfc65d19112cf26793c08a9c8118ed150b2ed20814ce8",
+    ("prop43-k3-j5-p5.json", 3): "84bf7c0dc2d0a87edf860224e5358ae348fa44aa8807b4f54a85fb396d12c67b",
+    ("prop43-k4-j5-p5.json", 1): "0506fd4ee8118f667253169fd794c34a5c617b90d69cf013a2f508dafe3f9364",
+    ("prop43-k4-j5-p5.json", 2): "d1b3575e6f47d7eb061f62f01ad508b92f4acb234c7e0b267de7db6c614e8fdb",
+    ("prop43-k4-j5-p5.json", 3): "d3b9f5ce6a4c47f0189f060566c229cb088d7d662b41b919921c263c985c12a1",
+    ("remark44-k2.json", 1): "e0b5dc0da61496f30557f2c1c3e2bed4197c9df022ce90b0c90d81176a651d2b",
+    ("remark44-k2.json", 2): "1f680ffd1b89700a2f2628e7cee7471b2e440ddeb2d745675c42daa9355f8812",
+    ("remark44-k2.json", 3): "916c30a02c93009498aaf648604f4e7eac8a3ea92b3ce8c2d95c5d79af1385f6",
+    ("remark44-k3.json", 1): "a23ec0bb30067cf289989d231fd504335f6a92a7914e563b5aa72966178bacdb",
+    ("remark44-k3.json", 2): "30c7a5c500db4cee1b8703038494d759dee474c68a002824a9501e2c8d7a2b21",
+    ("remark44-k3.json", 3): "607e0dd46a3148eed19a393d2bdf9491c6fd923514a5d5abff7c1037b9818a62",
+    ("tri-scott-71.json", 1): "70770a4566c527160c7cfa08c22f3e9ed3b98d18ba5b6a360ad3296384521a7f",
+    ("tri-scott-71.json", 2): "1363e1144d851a343062be2b84a8fde51a729220ec8b2712d2195b3ab1a09d19",
+    ("tri-scott-71.json", 3): "274788b93665691b105d6e3b2780c049423098ee74eab0bea6f8dcc7184ee7bc",
+    ("tri-vol2.json", 1): "d4e492e5c9f213a4629d8a52aa1291028f12b9beaea86f6dd1806dd088b470ad",
+    ("tri-vol2.json", 2): "5d7d125fe7798b82c79a2aff3bcdd4333aaccb2d8fe9699b282e48c75cd096f3",
+    ("tri-vol2.json", 3): "90140fac39886927a37e2dc491ed5424aa6d5cc95d81ab72f2bb2578ff2367c7",
+    ("unit-d4.json", 1): "ae0d744ac39f429ddac4e5b3e96c8b9d2f92448f91ce6fc8bda2de7b41456b81",
+    ("unit-d4.json", 2): "6412b66aa356fc7b6472277068df106c230363a7d5494ce64b8801b7b7a7bb7f",
+    ("unit-d4.json", 3): "966f9e3c34e92355dd916d7327218d571c211882cb1a5a443c9081998b191bf8",
+    ("unit-triangle.json", 1): "a3477a9a3979f74448e424de53593dcf8873adb234108a8d38816f669878b275",
+    ("unit-triangle.json", 2): "00ecd1cc40fa3ae5ae797cc00bc80ab4e8208cc2651984f860a578156cb366e5",
+    ("unit-triangle.json", 3): "47d57f4d45d025d04383a4d271c4b0b13f55d637bd852f8fb34a7402e7ce1b00",
+}
+
+
+class TestExtractFaceGolden:
+    def test_pins_cover_the_corpus(self, corpus_dir):
+        names = sorted(p.name for p in corpus_dir.glob("*.json"))
+        assert sorted(EXTRACT_FACE_STDOUT_SHA256) == [(n, k) for n in names for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize("name,k", sorted(EXTRACT_FACE_STDOUT_SHA256))
+    def test_stdout_bytes(self, run_cli, corpus_dir, name, k):
+        res = run_cli("extract-face", str(corpus_dir / name), "--k", str(k))
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        assert digest == EXTRACT_FACE_STDOUT_SHA256[(name, k)]
+
+
 class TestExtractFaceCommand:
     def test_join_fixture(self, run_cli, corpus_dir):
         res = run_cli("extract-face", str(corpus_dir / "join-delta23-point.json"), "--k", "3")

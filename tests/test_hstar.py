@@ -132,7 +132,7 @@ class TestStructuralFacts:
     def test_unit_triangle(self):
         s = unit_simplex(2)
         g = enumerate_box_group(s)
-        report = structural_facts(s, g, hstar_from_box_group(g))
+        report = structural_facts(s, hstar_from_box_group(g))
         assert report.ok
         names = {c.name for c in report.checks}
         assert "point-count-minus-vertices" in names
@@ -140,13 +140,13 @@ class TestStructuralFacts:
 
     def test_triangle_vol2(self):
         g = enumerate_box_group(TRI_VOL2)
-        report = structural_facts(TRI_VOL2, g, hstar_from_box_group(g))
+        report = structural_facts(TRI_VOL2, hstar_from_box_group(g))
         assert report.ok
 
     def test_explicit_5dim(self):
         s = prop43_instance(3, 4)
         g = enumerate_box_group(s)
-        report = structural_facts(s, g, hstar_from_box_group(g))
+        report = structural_facts(s, hstar_from_box_group(g))
         assert report.ok
         by_name = {c.name: c for c in report.checks}
         # top coefficient equals the interior count of the first dilate: zero
@@ -154,13 +154,12 @@ class TestStructuralFacts:
 
     def test_wrong_vector_aborts(self):
         s = unit_simplex(2)
-        g = enumerate_box_group(s)
         with pytest.raises(InternalCheckError):
-            structural_facts(s, g, HStarVector.of([1, 3]))
+            structural_facts(s, HStarVector.of([1, 3]))
 
     def test_scan_cap_records_skip(self):
         s = prop43_instance(3, 4)
         g = enumerate_box_group(s)
-        report = structural_facts(s, g, hstar_from_box_group(g), scan_cap=10)
+        report = structural_facts(s, hstar_from_box_group(g), scan_cap=10)
         assert report.ok
         assert any(c.skipped for c in report.checks)

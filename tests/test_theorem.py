@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hstarkit.boxgroup import enumerate_box_group
+from hstarkit import theorem
+from hstarkit.boxgroup import add, enumerate_box_group, neg
 from hstarkit.errors import (
     HypothesisNotMetError,
     InvalidParametersError,
@@ -11,6 +15,9 @@ from hstarkit.errors import (
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import HStarVector
 from hstarkit.theorem import (
+    _closure_check,
+    _low_subgroup_verdict,
+    _support_bound,
     check_lemma_hhh,
     check_prime_symmetry,
     check_scott,
@@ -18,6 +25,7 @@ from hstarkit.theorem import (
     check_zero_window,
     condition_report,
     extract_face,
+    is_prime,
     low_subgroup,
     prime_volume_obstruction,
     verify_lemma31,
@@ -104,6 +112,112 @@ class TestLowSubgroupVerdict:
             verify_lemma32(g, 2)
 
 
+LEMMA_SIMPLICES = [
+    remark44_simplex(2),
+    prop43_instance(3, 4),
+    join(delta_cm(3, 3), delta_cm(2, 7)),
+    join(delta_cm(4, 3), delta_cm(4, 2)),
+    join(delta_cm(2, 3), unit_simplex(0)),
+]
+
+
+class TestLemmaHelpersMatchElementLoops:
+    """The array checks against the per-element definitions, with and without
+    the zero window (the helpers run in permissive extraction too)."""
+
+    @pytest.mark.parametrize("simplex", LEMMA_SIMPLICES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_support_bound(self, simplex, k):
+        g = enumerate_box_group(simplex)
+        low = [p for p in g.elements if p.height <= k]
+        bad = [i for i, p in enumerate(low) if p.support_size > k + p.height]
+        verdict = _support_bound(g, k)
+        assert verdict.ok == (not bad)
+        if bad:
+            assert verdict.checked == bad[0] + 1
+            assert verdict.first_violation == low[bad[0]]
+        else:
+            assert verdict.checked == len(low) and verdict.first_violation is None
+
+    @pytest.mark.parametrize("simplex", LEMMA_SIMPLICES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_low_subgroup_verdict(self, simplex, k):
+        g = enumerate_box_group(simplex)
+        low = set(p for p in g.elements if p.height <= k)
+        closed = all(add(a, b) in low for a in low for b in low)
+        supp = tuple(sorted({i for p in low for i in p.support}))
+        v = _low_subgroup_verdict(g, k)
+        assert v.subgroup_ok == (closed and all(neg(a) in low for a in low))
+        assert v.closure_exhaustive == (len(low) < g.order)
+        assert v.support == supp and v.support_size == len(supp)
+        assert v.max_height == max(p.height for p in low)
+
+
+def _generated(points, zero):
+    span = {zero}
+    while True:
+        grown = span | {add(a, g) for a in span for g in points}
+        if grown == span:
+            return span
+        span = grown
+
+
+CLOSURE_GROUPS = [
+    enumerate_box_group(s)
+    for s in (
+        delta_cm(59, 3),  # cyclic of order 60
+        join(delta_cm(5, 2), delta_cm(9, 3)),  # Z_2 x Z_30
+        join(delta_cm(4, 3), delta_cm(4, 2)),  # Z_5 x Z_5
+        join(delta_cm(1, 1), join(delta_cm(1, 2), delta_cm(3, 2))),  # Z_2 x Z_2 x Z_4
+        remark44_simplex(2),
+        unit_simplex(2),
+    )
+]
+# The same groups on exact Python integers, the path huge exponents take.
+CLOSURE_GROUPS += [
+    dataclasses.replace(g, residues=g.residues.astype(object)) for g in CLOSURE_GROUPS[:3]
+]
+
+
+def test_closure_groups_cover_non_cyclic_and_object_rows():
+    assert all(g.order <= 60 for g in CLOSURE_GROUPS)
+    assert sorted(sum(1 for d in g.invariant_factors if d > 1) for g in CLOSURE_GROUPS)[-1] == 3
+    assert any(g.residues.dtype == object for g in CLOSURE_GROUPS)
+
+
+def test_closure_check_sorts_once_per_generator(monkeypatch):
+    g = enumerate_box_group(join(delta_cm(2999, 3), delta_cm(1, 7)))
+    rows = g.residues[g.heights <= 3]
+    sorts = []
+    real = theorem._lex_sorted
+    monkeypatch.setattr(theorem, "_lex_sorted", lambda a: sorts.append(len(a)) or real(a))
+    assert _closure_check(rows, g).ok
+    # S and -S, then one S + g per generator; each generator doubles the span
+    assert len(rows) == 3000 and len(sorts) <= 2 + math.log2(3000)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_closure_check_matches_pair_sweep(data):
+    group = data.draw(st.sampled_from(CLOSURE_GROUPS))
+    elements = group.elements
+    picked = {elements[i] for i in data.draw(st.sets(st.integers(0, group.order - 1)))}
+    if data.draw(st.booleans()):
+        picked = _generated(picked, group.zero)
+    rows = data.draw(st.permutations([i for i, p in enumerate(elements) if p in picked]))
+    result = _closure_check(group.residues[rows], group)
+    add_ok = all(add(a, b) in picked for a in picked for b in picked)
+    assert result.add_ok == add_ok
+    assert result.zero_ok == (group.zero in picked)
+    assert result.neg_ok == all(neg(a) in picked for a in picked)
+    assert result.ok == (result.add_ok and result.zero_ok and result.neg_ok)
+    if add_ok:
+        assert result.witness is None
+    else:
+        a, g = result.witness
+        assert a in picked and g in picked and add(a, g) not in picked
+
+
 class TestExtractFace:
     def test_unit_simplex_single_vertex(self):
         cert = extract_face(unit_simplex(4), 3)
@@ -148,6 +262,13 @@ class TestExtractFace:
         cert = extract_face(s, 5)
         assert cert.window_ok and cert.hstar_match
         assert cert.face_hstar.coeffs == (1, 0, 1, 0, 1)
+
+    def test_low_subgroup_beyond_the_old_pair_budget(self):
+        # |L'| = 3000: a pairwise sweep would test 9 * 10^6 pairs
+        cert = extract_face(join(delta_cm(2999, 3), delta_cm(1, 7)), 3)
+        assert cert.hypothesis_met and cert.subgroup_ok and cert.hstar_match
+        assert len(cert.lambda_prime) == 3000
+        assert cert.face_hstar.coeffs == (1, 0, 0, 2999)
 
     def test_lower_dimensional_input(self):
         from hstarkit.simplex import from_vertices
@@ -206,6 +327,11 @@ def sieve(limit):
                 flags[j] = False
         i += 1
     return flags
+
+
+def test_is_prime_matches_sieve():
+    flags = sieve(2000)
+    assert [n for n in range(-3, 2001) if is_prime(n)] == [n for n in range(2001) if flags[n]]
 
 
 class TestHhh:
