@@ -138,7 +138,7 @@ def cmd_ehrhart(args) -> int:
     group = enumerate_box_group(full, volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
     report = _base_report("ehrhart", doc, group.order, h)
-    report["n"] = args.n
+    report["n"] = encode_int(args.n)
     report["count"] = encode_int(ehrhart_from_hstar(h, full.dimension, args.n))
     _emit(report)
     return EXIT_OK

@@ -8,6 +8,7 @@ order, compact separators, newline-terminated UTF-8.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -18,21 +19,52 @@ SCHEMA_VERSION = "1"
 _SAFE = 2**53 - 1
 
 
+# Pieces this short pass any digit limit the interpreter allows (>= 640).
+_PIECE = 10**600
+_ECHO_CHARS = 40
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal string of a computed integer of any size, converted in
+    pieces so that the digit limit meant for untrusted input does not apply."""
+    if value < 0:
+        return "-" + _decimal(-value)
+    if value < _PIECE:
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).rjust(half, "0")
+
+
 def encode_int(value: int) -> int | str:
-    return value if -_SAFE <= value <= _SAFE else str(value)
+    return value if -_SAFE <= value <= _SAFE else _decimal(value)
+
+
+def _echo(value: Any) -> str:
+    """The repr of a rejected input value, cut after its first characters."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def decode_int(value: Any) -> int:
     if isinstance(value, bool):
-        raise DocumentError(f"expected integer, got {value!r}")
+        raise DocumentError(f"expected integer, got {_echo(value)}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError as exc:
-            raise DocumentError(f"not an integer string: {value!r}") from exc
-    raise DocumentError(f"expected integer, got {value!r}")
+            # The limit stays: it guards untrusted JSON against slow conversion.
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and len(value) > limit:
+                raise DocumentError(
+                    f"integer string longer than the {limit}-digit limit: {_echo(value)}"
+                ) from exc
+            raise DocumentError(f"not an integer string: {_echo(value)}") from exc
+    raise DocumentError(f"expected integer, got {_echo(value)}")
 
 
 def canonical_dumps(obj: Any) -> str:

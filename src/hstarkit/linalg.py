@@ -1,17 +1,19 @@
 """Exact dense integer linear algebra on small matrices.
 
-Everything runs over Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere. The normal-form
-routines pick minimal-absolute-value pivots to limit entry growth, and
-determinants use fraction-free Bareiss elimination.
+Everything runs over Python's arbitrary-precision integers, and no
+floating point is used anywhere; ``fractions.Fraction`` is used only for
+solve results. The normal-form routines pick minimal-absolute-value pivots
+to limit entry growth. Determinants, ranks, solves and adjugates all come
+from one fraction-free (Bareiss) elimination.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, InternalCheckError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -256,83 +258,73 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _eliminate(
+    matrix: IntMatrix, columns: Sequence[Sequence[int]] = ()
+) -> tuple[list[list[int]], int, int]:
+    """Fraction-free Gauss-Jordan elimination of [M | b_1 ... b_k].
+
+    Returns the reduced rows, the rank of M and the signed pivot
+    determinant. Each step replaces every non-pivot row by
+    (pivot * row - factor * pivot_row) / previous_pivot, a division that is
+    exact because every entry stays a minor of the input (Bareiss 1968).
+    A row swap negates the row moved down, so no step changes the
+    determinant: for square nonsingular M the last pivot is det M, the left
+    block ends as det(M) * I and the right block as adj(M) @ [b_1 ... b_k].
+    """
+    m, n = matrix.nrows, matrix.ncols
+    a = [
+        list(row) + [operator.index(b[i]) for b in columns]
+        for i, row in enumerate(matrix.rows)
+    ]
+    r, prev = 0, 1
+    for col in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], [-x for x in a[r]]
+        pivot_row = a[r]
+        p = pivot_row[col]
+        for i in range(m):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+        r += 1
+    return a, r, prev
+
+
 def det(matrix: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant, the last pivot of the fraction-free elimination."""
     if not matrix.is_square:
         raise DimensionMismatchError("determinant requires a square matrix")
-    n = matrix.nrows
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    _, r, d = _eliminate(matrix)
+    return d if r == matrix.nrows else 0
 
 
 def rank(matrix: IntMatrix) -> int:
     """Rank over the rationals (exact)."""
-    a = [[Fraction(x) for x in row] for row in matrix.rows]
-    m, n = matrix.nrows, matrix.ncols
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return _eliminate(matrix)[1]
 
 
 def solve_columns(
-    matrix: IntMatrix, columns: Sequence[Sequence[int | Fraction]]
+    matrix: IntMatrix, columns: Sequence[Sequence[int]]
 ) -> list[tuple[Fraction, ...]]:
-    """Exact solutions x of M x = b, one per right-hand side b, from a
-    single elimination over the augmented matrix; raises
+    """Exact solutions x of M x = b, one per integer right-hand side b, from
+    a single elimination over the augmented matrix; raises
     SingularMatrixError when det M == 0."""
     if not matrix.is_square:
         raise DimensionMismatchError("solve requires a square matrix")
     n = matrix.nrows
-    k = len(columns)
     for b in columns:
         if len(b) != n:
             raise DimensionMismatchError("right-hand side length mismatch")
-    aug = [
-        [Fraction(matrix.rows[i][j]) for j in range(n)]
-        + [Fraction(columns[c][i]) for c in range(k)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [tuple(aug[i][n + c] for i in range(n)) for c in range(k)]
+    a, r, d = _eliminate(matrix, columns)
+    if r < n:
+        raise SingularMatrixError("matrix is singular")
+    return [tuple(Fraction(a[i][n + c], d) for i in range(n)) for c in range(len(columns))]
 
 
 def solve_rational(matrix: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
@@ -340,29 +332,12 @@ def solve_rational(matrix: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
     return solve_columns(matrix, [list(b)])[0]
 
 
-def inverse_rational(matrix: IntMatrix) -> list[tuple[Fraction, ...]]:
-    """Rows of M^-1 as exact rationals."""
-    n = matrix.nrows
-    cols = solve_columns(
-        matrix, [[int(i == j) for i in range(n)] for j in range(n)]
-    )
-    # solve_columns returns inverse columns; transpose into rows.
-    return [tuple(cols[j][i] for j in range(n)) for i in range(n)]
-
-
 def adjugate(matrix: IntMatrix) -> tuple[IntMatrix, int]:
-    """(adj M, det M) with adj M = det(M) * M^-1, entries exactly integral."""
-    d = det(matrix)
-    if d == 0:
+    """(adj M, det M): the right block of the elimination of [M | I]."""
+    if not matrix.is_square:
+        raise DimensionMismatchError("adjugate requires a square matrix")
+    n = matrix.nrows
+    a, r, d = _eliminate(matrix, IntMatrix.identity(n).rows)
+    if r < n:
         raise SingularMatrixError("adjugate of a singular matrix is not supported")
-    inv = inverse_rational(matrix)
-    rows = []
-    for row in inv:
-        out = []
-        for x in row:
-            v = x * d
-            if v.denominator != 1:  # pragma: no cover - impossible by Cramer
-                raise InternalCheckError("adjugate entry not integral")
-            out.append(int(v))
-        rows.append(out)
-    return IntMatrix.from_rows(rows, ncols=matrix.ncols), d
+    return IntMatrix.from_rows((row[n:] for row in a), ncols=n), d

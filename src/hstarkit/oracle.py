@@ -19,7 +19,7 @@ from math import prod
 import numpy as np
 
 from . import linalg
-from .boxgroup import enumerate_box_group
+from .boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
 from .errors import InternalCheckError, ScanTooLargeError
 from .hstar import HStarVector, binomial, ehrhart_from_hstar, hstar_from_box_group
 from .simplex import LatticeSimplex, homogenize, restrict_to_affine_lattice
@@ -199,15 +199,12 @@ def heldout_count_matches(
 
 def cross_validate(
     simplex: LatticeSimplex,
-    volume_cap: int | None = None,
+    volume_cap: int = DEFAULT_VOLUME_CAP,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> CrossValidation:
     """Group-enumeration h* against interpolation h*, plus the held-out count."""
     full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    if volume_cap is None:
-        group = enumerate_box_group(full)
-    else:
-        group = enumerate_box_group(full, volume_cap=volume_cap)
+    group = enumerate_box_group(full, volume_cap=volume_cap)
     box_h = hstar_from_box_group(group)
     oracle_h = hstar_by_interpolation(full, scan_cap)
     match = box_h.coeffs == oracle_h.coeffs

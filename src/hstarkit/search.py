@@ -104,13 +104,16 @@ def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
         c.append(int(val))
     # Complete the primitive vector c to a unimodular matrix with c as the
     # last row: reduce c (as a column) to e_last by row operations U, then
-    # transpose the integer inverse of U.
+    # transpose the integer inverse of U, which is det(U) * adj(U) with
+    # det(U) = +-1.
     c_col = linalg.IntMatrix.from_rows([[x] for x in c], ncols=1)
     reduced, u = linalg.hermite_normal_form(c_col)
     if reduced.rows[-1][0] != 1:  # pragma: no cover - gcd(c) is 1
         raise InternalCheckError("all-ones coordinates are not primitive")
-    inv_u = [[int(x) for x in row] for row in linalg.inverse_rational(u)]
-    r_mat = linalg.IntMatrix.from_rows(list(zip(*inv_u)), ncols=length)
+    adj_u, det_u = linalg.adjugate(u)
+    r_mat = linalg.IntMatrix.from_rows(
+        [[det_u * x for x in col] for col in zip(*adj_u.rows)], ncols=length
+    )
     matrix = r_mat @ basis
     if list(matrix.rows[-1]) != ones:  # pragma: no cover - construction
         raise InternalCheckError("homogenizing row is not all ones")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxgroup import BoxGroup, BoxPoint, enumerate_box_group
+from .boxgroup import DEFAULT_VOLUME_CAP, BoxGroup, BoxPoint, enumerate_box_group
 from .errors import (
     HypothesisNotMetError,
     InternalCheckError,
@@ -226,7 +226,7 @@ def extract_face(
     simplex: LatticeSimplex,
     k: int,
     strict: bool = False,
-    volume_cap: int | None = None,
+    volume_cap: int = DEFAULT_VOLUME_CAP,
 ) -> ExtractionCertificate:
     """Extract the face spanned by the support of the height-<=k elements.
 
@@ -243,10 +243,7 @@ def extract_face(
     """
     query = ZeroWindowQuery(k)
     full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    if volume_cap is None:
-        group = enumerate_box_group(full)
-    else:
-        group = enumerate_box_group(full, volume_cap=volume_cap)
+    group = enumerate_box_group(full, volume_cap=volume_cap)
     h = hstar_from_box_group(group)
     window_ok = check_zero_window(h, k)
     hypothesis_met = window_ok and not query.below_theorem_range
@@ -260,10 +257,7 @@ def extract_face(
     supp = lemma32.support
     selector = FaceSelector.of(supp if supp else (0,), full.n_vertices)
     face_simplex = face(full, selector)
-    if volume_cap is None:
-        face_group = enumerate_box_group(face_simplex)
-    else:
-        face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
+    face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
     face_h = hstar_from_box_group(face_group)
     truncation = h.truncated(k)
     hstar_match = face_h.coeffs == truncation.coeffs
@@ -385,7 +379,8 @@ def check_lemma_hhh(h: HStarVector) -> HhhVerdict:
 
 
 def check_shifted_symmetric(h: HStarVector, d: int) -> bool:
-    """h_{i+1} == h_{d-i} for every 0 <= i <= d-1 (d = dimension)."""
+    """h_{i+1} == h_{d-i} for every 0 <= i <= d-1 (d = dimension), i.e. the
+    level symmetry h_i == h_{c-i} for 0 < i < c at center c = d + 1."""
     return all(h.coefficient(i + 1) == h.coefficient(d - i) for i in range(d))
 
 
@@ -396,8 +391,7 @@ def check_prime_symmetry(h: HStarVector, s: int) -> str:
     order, instantiated at center s + 1 (s is the dimension when the group's
     support is full).
     """
-    ok = all(h.coefficient(i + 1) == h.coefficient(s - i) for i in range(s))
-    return "HOLDS" if ok else "FAILS"
+    return "HOLDS" if check_shifted_symmetric(h, s) else "FAILS"
 
 
 @dataclass(frozen=True)
@@ -423,7 +417,7 @@ def prime_volume_obstruction(h: HStarVector) -> PrimeVolumeVerdict:
         return PrimeVolumeVerdict("NOT_APPLICABLE", p)
     deg = h.degree
     for center in range(deg + 1, 2 * deg + 1):
-        if all(h.coefficient(i) == h.coefficient(center - i) for i in range(1, center)):
+        if check_shifted_symmetric(h, center - 1):
             return PrimeVolumeVerdict("INCONCLUSIVE", p, valid_center=center)
     return PrimeVolumeVerdict("NOT_REALIZABLE", p)
 
@@ -510,14 +504,7 @@ def condition_report(
         )
 
     if support_size is not None and is_prime(h.normalized_volume):
-        status = (
-            "holds"
-            if all(
-                h.coefficient(i) == h.coefficient(support_size - i)
-                for i in range(1, support_size)
-            )
-            else "fails"
-        )
+        status = "holds" if check_shifted_symmetric(h, support_size - 1) else "fails"
         entries.append(
             ConditionEntry(
                 "prime_symmetry", status, {"center": support_size, "p": h.normalized_volume}

@@ -22,7 +22,7 @@ from .errors import HstarkitError, ScanTooLargeError, VolumeTooLargeError
 from .hstar import hstar_from_box_group, structural_facts
 from .io import SimplexDocument, load_simplex_document
 from .simplex import LatticeSimplex, all_faces, normalized_volume, restrict_to_affine_lattice
-from .theorem import check_zero_window, extract_face, is_prime
+from .theorem import check_shifted_symmetric, check_zero_window, extract_face, is_prime
 
 SUBGROUP_ORDER_GATE = 500
 AXIOM_ORDER_GATE = 200
@@ -191,9 +191,7 @@ def _instance_records(
 
     supp_size = len({i for p in group.elements for i in p.support})
     if is_prime(group.order):
-        sym = all(
-            h.coefficient(i) == h.coefficient(supp_size - i) for i in range(1, supp_size)
-        )
+        sym = check_shifted_symmetric(h, supp_size - 1)
         yield _ok(name, "prime-volume-symmetry", sym, {"center": supp_size})
     else:
         yield _skip(name, "prime-volume-symmetry", "volume not prime")

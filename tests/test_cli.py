@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstarkit.errors import DocumentError
+from hstarkit.hstar import HStarVector, ehrhart_from_hstar
 from hstarkit.io import (
     SimplexDocument,
     canonical_dumps,
+    encode_int,
     parse_simplex_document,
 )
 
@@ -18,6 +22,17 @@ def write_doc(tmp_path: Path, name: str, payload: dict) -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    """Run a block under the given int/str digit limit (0 lifts it)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 PROP43_DOC = {
@@ -69,6 +84,37 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             SimplexDocument.from_json_dict(bad)
 
+    def test_over_long_integer_string_message_is_short(self):
+        bad = {**UNIT_TRIANGLE_DOC, "vertices": [[0, 0], ["7" * 5000, 0], [0, 1]]}
+        with int_digit_limit(4300), pytest.raises(DocumentError) as info:
+            SimplexDocument.from_json_dict(bad)
+        assert str(info.value) == (
+            "integer string longer than the 4300-digit limit: "
+            f"'{'7' * 39}... (5002 characters)"
+        )
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("x" * 100, f"not an integer string: '{'x' * 39}... (102 characters)"),
+            ([7] * 5000, f"expected integer, got [{'7, ' * 13}... (15000 characters)"),
+        ],
+        ids=["string", "list"],
+    )
+    def test_rejected_value_echo_is_truncated(self, entry, message):
+        bad = {**UNIT_TRIANGLE_DOC, "vertices": [[0, 0], [entry, 0], [0, 1]]}
+        with pytest.raises(DocumentError) as info:
+            SimplexDocument.from_json_dict(bad)
+        assert str(info.value) == message
+
+    @given(st.integers(-(10**700), 10**700) | st.integers(-(10**5000), 10**5000))
+    @settings(max_examples=50, deadline=None)
+    def test_big_integers_encode_exactly_under_the_digit_limit(self, value):
+        with int_digit_limit(640):
+            encoded = encode_int(value)
+        with int_digit_limit(0):
+            assert int(encoded) == value
+
     @given(
         st.lists(
             st.lists(st.integers(-(2**60), 2**60), min_size=2, max_size=2),
@@ -107,6 +153,15 @@ class TestReportCommands:
         path = write_doc(tmp_path, "t.json", UNIT_TRIANGLE_DOC)
         res = run_cli("ehrhart", str(path), "--n", "3")
         assert json.loads(res.stdout)["count"] == 10
+
+    def test_ehrhart_count_beyond_the_digit_limit(self, run_cli, corpus_dir):
+        n = 10**1200
+        res = run_cli("ehrhart", str(corpus_dir / "unit-d4.json"), "--n", str(n))
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["n"] == str(n)
+        with int_digit_limit(0):
+            assert int(payload["count"]) == ehrhart_from_hstar(HStarVector.of([1]), 4, n)
 
     def test_ehrhart_negative_dilation_exit_code(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "t.json", UNIT_TRIANGLE_DOC)

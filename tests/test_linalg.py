@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,41 @@ def cofactor_det(m: linalg.IntMatrix) -> int:
     return total
 
 
+def minor(m: linalg.IntMatrix, rows, cols) -> linalg.IntMatrix:
+    return linalg.IntMatrix.from_rows(
+        [[m.rows[i][j] for j in cols] for i in rows], ncols=len(cols)
+    )
+
+
+def largest_nonzero_minor(m: linalg.IntMatrix) -> int:
+    # Independent rank oracle: the size of the largest square submatrix with
+    # a nonzero cofactor determinant.
+    for size in range(min(m.nrows, m.ncols), 0, -1):
+        for rows in combinations(range(m.nrows), size):
+            for cols in combinations(range(m.ncols), size):
+                if cofactor_det(minor(m, rows, cols)):
+                    return size
+    return 0
+
+
+def cofactor_adjugate(m: linalg.IntMatrix) -> linalg.IntMatrix:
+    # adj(M)[i][j] = (-1)^(i+j) * det of M without row j and column i.
+    n = m.nrows
+    return linalg.IntMatrix.from_rows(
+        [
+            [
+                (-1) ** (i + j)
+                * cofactor_det(
+                    minor(m, [r for r in range(n) if r != j], [c for c in range(n) if c != i])
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ],
+        ncols=n,
+    )
+
+
 def square_matrices(n_max=4, lo=-9, hi=9):
     return st.integers(1, n_max).flatmap(
         lambda n: st.lists(
@@ -50,6 +86,38 @@ def square_matrices(n_max=4, lo=-9, hi=9):
             max_size=n,
         ).map(linalg.IntMatrix.from_rows)
     )
+
+
+def rank_deficient_matrices(m_max=4, n_max=5):
+    # Rectangular matrices whose last row is an integer combination of the
+    # others when there are at least two rows, so short rank is common.
+    return rect_matrices(m_max, n_max).flatmap(
+        lambda m: st.lists(
+            st.integers(-3, 3), min_size=m.nrows - 1, max_size=m.nrows - 1
+        ).map(
+            lambda coeffs: linalg.IntMatrix.from_rows(
+                list(m.rows[:-1])
+                + [
+                    [
+                        sum(c * m.rows[i][j] for i, c in enumerate(coeffs))
+                        for j in range(m.ncols)
+                    ]
+                ],
+                ncols=m.ncols,
+            )
+            if m.nrows > 1
+            else m
+        )
+    )
+
+
+def big_matrices(n=3, digits=100):
+    bound = 10**digits
+    return st.lists(
+        st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(linalg.IntMatrix.from_rows)
 
 
 def rect_matrices(m_max=4, n_max=4):
@@ -228,3 +296,54 @@ class TestSolve:
         prod = adj @ m
         expect = [[d if i == j else 0 for j in range(m.nrows)] for i in range(m.nrows)]
         assert prod == linalg.IntMatrix.from_rows(expect)
+
+
+class TestAgainstCofactors:
+    """Independent references: minors and cofactor expansion, no elimination."""
+
+    @given(st.one_of(rect_matrices(4, 5), rank_deficient_matrices(4, 5)))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_is_largest_nonzero_minor(self, m):
+        assert linalg.rank(m) == largest_nonzero_minor(m)
+
+    def test_rank_of_zero_and_empty_matrices(self):
+        assert linalg.rank(linalg.IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])) == 0
+        assert linalg.rank(linalg.IntMatrix.from_rows([], ncols=3)) == 0
+
+    @given(square_matrices(n_max=4))
+    @settings(max_examples=100, deadline=None)
+    def test_adjugate_is_signed_cofactors(self, m):
+        d = cofactor_det(m)
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                linalg.adjugate(m)
+            return
+        assert linalg.adjugate(m) == (cofactor_adjugate(m), d)
+
+    @given(big_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hundred_digit_entries(self, m, data):
+        d = cofactor_det(m)
+        assert linalg.det(m) == d
+        if d == 0:  # pragma: no cover - random 100-digit matrices are nonsingular
+            return
+        assert linalg.adjugate(m) == (cofactor_adjugate(m), d)
+        b = data.draw(st.lists(st.integers(-(10**100), 10**100), min_size=3, max_size=3))
+        # Cramer's rule: x_i = det(M with column i replaced by b) / det(M).
+        expect = tuple(
+            Fraction(
+                cofactor_det(
+                    linalg.IntMatrix.from_rows(
+                        [[b[r] if c == i else m.rows[r][c] for c in range(3)] for r in range(3)]
+                    )
+                ),
+                d,
+            )
+            for i in range(3)
+        )
+        assert linalg.solve_rational(m, b) == expect
+
+    def test_singular_adjugate_raises(self):
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]):
+            with pytest.raises(SingularMatrixError):
+                linalg.adjugate(linalg.IntMatrix.from_rows(rows))
