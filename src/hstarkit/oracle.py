@@ -4,10 +4,12 @@ to h* by the standard finite-difference transform.
 
 This module exists to cross-validate the group-enumeration path, so it
 stays deliberately dumb: the box is the coordinate extremes of the dilated
-vertices and every candidate is tested. The only sophistication is that the
-inner loop is vectorized over 64-bit integers when an exact bound proves no
-overflow is possible; otherwise it falls back to arbitrary-precision Python
-integers. Counts are exact either way.
+vertices and every line of the box is counted exactly. Along a line each
+barycentric form is affine in the line coordinate, so the members of the
+dilate on it are one integer interval cut out by integer floor divisions.
+The lines are evaluated as numpy arrays over 64-bit integers when an exact
+bound proves no overflow is possible; otherwise the same code runs on
+arbitrary-precision Python integers. Counts are exact either way.
 """
 from __future__ import annotations
 
@@ -65,73 +67,70 @@ def _scan(simplex: LatticeSimplex, n: int, scan_cap: int) -> tuple[int, int]:
         weak = int(all(b >= 0 for b in base))
         strict = int(all(b > 0 for b in base))
         return weak, strict
+    # Every array value below is a partial sum of a form over the box, that
+    # sum minus 1, a floor quotient of one by a nonzero integer, or a box
+    # coordinate (each column of the nonsingular adjugate has a nonzero
+    # entry): all at most bound + 1 in absolute value. Clipped line ends
+    # therefore stay within bound + 1 and widths within 2 * bound + 3, while
+    # the widths of one block sum to at most the candidate count. Both below
+    # 2**62 make int64 exact.
     bound = max(
         sum(abs(forms[i][j]) * max(abs(los[j]), abs(his[j])) for j in range(d))
         + abs(base[i])
         for i in range(k)
     )
-    if candidates >= 512 and bound < _INT64_SAFE:
-        return _scan_vectorized(forms, base, los, his)
-    return _scan_python(forms, base, los, his)
+    dtype = np.int64 if max(bound + 1, candidates) < _INT64_SAFE else object
+    return _count_lines(forms, base, los, his, dtype)
 
 
-def _scan_python(forms, base, los, his) -> tuple[int, int]:
-    d = len(los)
-    k = len(forms)
-    weak = strict = 0
-    for x in iter_product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        mn = None
-        for i in range(k):
-            row = forms[i]
-            w = base[i]
-            for j in range(d):
-                w += row[j] * x[j]
-            if mn is None or w < mn:
-                mn = w
-            if mn < 0:
-                break
-        if mn >= 0:
-            weak += 1
-            if mn > 0:
-                strict += 1
-    return weak, strict
-
-
-def _scan_vectorized(forms, base, los, his) -> tuple[int, int]:
+def _count_lines(forms, base, los, his, dtype) -> tuple[int, int]:
     d = len(los)
     k = len(forms)
     lengths = [hi - lo + 1 for lo, hi in zip(los, his)]
-    # Tail axes are evaluated as one vectorized block; head axes are looped.
-    split = d
+    line = lengths.index(max(lengths))
+    # Forms rising along the line first, then falling, then flat ones.
+    order = sorted(range(k), key=lambda i: (forms[i][line] <= 0, forms[i][line] == 0))
+    forms = [forms[i] for i in order]
+    base = [base[i] for i in order]
+    slopes = [row[line] for row in forms]
+    rising = sum(c > 0 for c in slopes)
+    falling = rising + sum(c < 0 for c in slopes)
+    up = np.array(slopes[:rising], dtype=dtype)[:, None]
+    down = np.array([-c for c in slopes[rising:falling]], dtype=dtype)[:, None]
+
+    def members(w) -> int:
+        # a*x + w >= 0 is x >= -(w // a) for a > 0 and x <= w // -a for a < 0.
+        first = np.max(-(w[:rising] // up), axis=0, initial=los[line])
+        last = np.min(w[rising:falling] // down, axis=0, initial=his[line])
+        widths = np.maximum(last - first + 1, 0)
+        return int(widths[np.all(w[falling:] >= 0, axis=0)].sum())
+
+    # The trailing axes span one block of lines holding at most _CHUNK form
+    # values (k per line); the leading axes are looped.
+    others = [j for j in range(d) if j != line]
+    split = len(others)
     tail_size = 1
-    while split > 0 and tail_size * lengths[split - 1] <= _CHUNK:
+    while split > 0 and k * tail_size * lengths[others[split - 1]] <= _CHUNK:
         split -= 1
-        tail_size *= lengths[split]
-    tail_axes = list(range(split, d))
-    head_axes = list(range(split))
-    mesh = np.indices([lengths[j] for j in tail_axes], dtype=np.int64)
-    tail_grid = mesh.reshape(len(tail_axes), -1).T.copy()
-    for col, j in enumerate(tail_axes):
-        tail_grid[:, col] += los[j]
-    b_tail = np.array([[row[j] for j in tail_axes] for row in forms], dtype=np.int64)
-    # One contiguous row per form: tw[i] holds the tail contribution to form i.
-    tw = np.ascontiguousarray(b_tail @ tail_grid.T)
+        tail_size *= lengths[others[split]]
+    head_axes = others[:split]
+    # tail[i] holds the trailing axes' share of form i, one column per line,
+    # built as an outer sum one axis at a time.
+    tail = np.zeros((k, 1), dtype=dtype)
+    for j in others[split:]:
+        coeffs = np.array([row[j] for row in forms], dtype=dtype)[:, None]
+        share = coeffs * (los[j] + np.arange(lengths[j], dtype=dtype))
+        tail = (tail[:, :, None] + share[:, None, :]).reshape(k, -1)
     weak = strict = 0
-    mask = np.empty(tw.shape[1], dtype=bool)
-    smask = np.empty(tw.shape[1], dtype=bool)
     for head in iter_product(*(range(los[j], his[j] + 1) for j in head_axes)):
         offs = [
-            base[i] + sum(forms[i][j] * head[pos] for pos, j in enumerate(head_axes))
+            base[i] + sum(forms[i][j] * x for j, x in zip(head_axes, head))
             for i in range(k)
         ]
-        # Form i is nonnegative exactly where tw[i] >= -offs[i].
-        np.greater_equal(tw[0], -offs[0], out=mask)
-        np.greater(tw[0], -offs[0], out=smask)
-        for i in range(1, k):
-            mask &= tw[i] >= -offs[i]
-            smask &= tw[i] > -offs[i]
-        weak += int(mask.sum())
-        strict += int(smask.sum())
+        w = tail + np.array(offs, dtype=dtype)[:, None]
+        weak += members(w)
+        # Integer forms are > 0 exactly where they are >= 1.
+        strict += members(w - 1)
     return weak, strict
 
 

@@ -307,6 +307,51 @@ class TestExtractFaceGolden:
         assert digest == EXTRACT_FACE_STDOUT_SHA256[(name, k)]
 
 
+# sha256 of `hstarkit oracle-verify <doc>` stdout and its exit code for every
+# corpus document. Exit 3 (empty stdout) is the default scan cap refusing a
+# dilate's bounding box.
+ORACLE_VERIFY_STDOUT_SHA256 = {
+    "delta-cm-c1-m1.json": ("39133058b12e208b4e4d7a686ba95b2e117ee8634a36d93411714af7dd46fba6", 0),
+    "delta-cm-c2-m2.json": ("c28fb8d359ccfd018d8b97725e0bea4094efb3433ac6e8c24f99f24e5bd41255", 0),
+    "delta-cm-c2-m3.json": ("9265f151eff19e2f8f10eba706e80aef7425d311676b38504ed356c16cddc29d", 0),
+    "delta-cm-c9-m2.json": ("ddfebe98735ed93d3ae84eaf30e9985c2b3b846d3250bd3c3fcd994fce4f5e1a", 0),
+    "join-delta23-delta17.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    "join-delta23-point.json": ("5fdd460857a7db80e9675dce38f13d6b065e9340b7fde93aec2641d718a42808", 0),
+    "join-seg2-seg3.json": ("8899d2297c29675e148c2a0b76a3d40664e8b1cea073d80aeb1adfda8bebff4f", 0),
+    "prop43-k3-j4.json": ("34a786a3ef7a938b37b66d5bc61bfa807d794c223406c0d583f08127fc75702d", 0),
+    "prop43-k3-j5-p5.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    "prop43-k4-j5-p5.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    "remark44-k2.json": ("9415f74e94d4337b1b9c90d1191aa125dcd8c10727eb50f3ecb36675a0b172d5", 0),
+    "remark44-k3.json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 3),
+    "tri-scott-71.json": ("e1be486efbf884cfb51d1af3728d4cfc6cd1fa10fbfa890897a269663c05f119", 0),
+    "tri-vol2.json": ("d341e65d081a9795d9a1d414f34ad7421d09bc16ce968d0e6f078a219b1e8983", 0),
+    "unit-d4.json": ("cf7ba0924dee09cfd9ff7bd6c1ee2007daf407686fda03ac0e555692d82558f7", 0),
+    "unit-triangle.json": ("a283ca2929eb26b1b5eb1bcf4c20ce32d5956cd7aadbd264ddb43b4a498ed69c", 0),
+}
+
+# sha256 of `hstarkit verify-suite --corpus corpus` stdout (exit 0): every
+# record of every invariant, oracle counts included.
+VERIFY_SUITE_STDOUT_SHA256 = "e0c2f62415b8ca119ce4f62db148a77d2ce1f0d266d974d42b9ba14c3bb639d5"
+
+
+class TestOracleGolden:
+    def test_pins_cover_the_corpus(self, corpus_dir):
+        names = sorted(p.name for p in corpus_dir.glob("*.json"))
+        assert sorted(ORACLE_VERIFY_STDOUT_SHA256) == names
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_VERIFY_STDOUT_SHA256))
+    def test_oracle_verify_stdout_bytes(self, run_cli, corpus_dir, name):
+        res = run_cli("oracle-verify", str(corpus_dir / name))
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        assert (digest, res.returncode) == ORACLE_VERIFY_STDOUT_SHA256[name]
+
+    def test_verify_suite_stdout_bytes(self, run_cli, corpus_dir):
+        res = run_cli("verify-suite", "--corpus", str(corpus_dir))
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        assert digest == VERIFY_SUITE_STDOUT_SHA256
+
+
 class TestExtractFaceCommand:
     def test_join_fixture(self, run_cli, corpus_dir):
         res = run_cli("extract-face", str(corpus_dir / "join-delta23-point.json"), "--k", "3")

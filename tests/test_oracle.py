@@ -1,9 +1,17 @@
-import pytest
+from itertools import product as iter_product
+from math import prod
+from unittest import mock
 
-from hstarkit.errors import ScanTooLargeError
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hstarkit import linalg, oracle
+from hstarkit.errors import NotASimplexError, ScanTooLargeError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import ehrhart_from_hstar, hstar_from_box_group
-from hstarkit.boxgroup import enumerate_box_group
+from hstarkit.boxgroup import enumerate_box_group, enumerate_by_box_scan
 from hstarkit.oracle import (
     count_interior_points,
     count_lattice_points,
@@ -12,7 +20,7 @@ from hstarkit.oracle import (
     heldout_count_matches,
     hstar_by_interpolation,
 )
-from hstarkit.simplex import from_vertices
+from hstarkit.simplex import LatticeSimplex, from_vertices, homogenize, normalized_volume
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
 
@@ -62,17 +70,153 @@ class TestCounts:
         with pytest.raises(ScanTooLargeError):
             count_lattice_points(prop43_instance(3, 4), 5, scan_cap=1000)
 
-    def test_python_and_vectorized_paths_agree(self):
-        # below 512 candidates the pure-Python path runs; force both and compare
-        s = TRI_VOL2
-        small = count_lattice_points(s, 3)  # 28 candidates: python path
-        from hstarkit import oracle
 
-        forms_scan = oracle._scan.__wrapped__(s, 3, 10**8)
-        assert small == forms_scan[0]
-        big = delta_cm(2, 2)
-        totals = [count_lattice_points(big, n) for n in range(4)]
-        assert totals == [1, 4, 12, 28]
+def brute_force_counts(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
+    """(closure, interior) counts of the n-th dilate, testing every candidate
+    of the bounding box one at a time."""
+    d = simplex.ambient_dim
+    k = d + 1
+    adj, det_m = linalg.adjugate(homogenize(simplex))
+    sign = 1 if det_m > 0 else -1
+    forms = [[sign * adj.rows[i][j] for j in range(k)] for i in range(k)]
+    base = [forms[i][d] * n for i in range(k)]
+    los = [n * min(v[j] for v in simplex.vertices) for j in range(d)]
+    his = [n * max(v[j] for v in simplex.vertices) for j in range(d)]
+    weak = strict = 0
+    for x in iter_product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
+        mn = None
+        for i in range(k):
+            row = forms[i]
+            w = base[i]
+            for j in range(d):
+                w += row[j] * x[j]
+            if mn is None or w < mn:
+                mn = w
+            if mn < 0:
+                break
+        if mn >= 0:
+            weak += 1
+            if mn > 0:
+                strict += 1
+    return weak, strict
+
+
+def box_candidates(simplex: LatticeSimplex, n: int) -> int:
+    return prod(n * (max(col) - min(col)) + 1 for col in zip(*simplex.vertices))
+
+
+def scan_dtypes(simplex: LatticeSimplex, n: int) -> tuple[tuple[int, int], list]:
+    """Counts by the line kernel, with the dtype of every kernel call."""
+    with mock.patch.object(oracle, "_count_lines", wraps=oracle._count_lines) as spy:
+        counts = oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP)
+    return counts, [c.args[-1] for c in spy.call_args_list]
+
+
+# Coordinate half-width per dimension: keeps the brute-force reference small.
+SPREAD = {0: 0, 1: 5, 2: 4, 3: 2, 4: 2, 5: 1}
+
+
+@st.composite
+def random_simplices(draw) -> LatticeSimplex:
+    d = draw(st.integers(0, 5))
+    s = SPREAD[d]
+    shift = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    verts = draw(
+        st.lists(
+            st.lists(st.integers(-s, s), min_size=d, max_size=d), min_size=d + 1, max_size=d + 1
+        )
+    )
+    try:
+        return from_vertices(d, [[x + t for x, t in zip(v, shift)] for v in verts])
+    except NotASimplexError:
+        assume(False)
+
+
+@st.composite
+def corner_simplices(draw) -> LatticeSimplex:
+    """0 and a_j e_j with the last vertex possibly moved, then shifted: the
+    facets x_j = 0 make forms that are flat along every other axis, so some
+    form is flat along the line axis whenever d >= 2."""
+    d = draw(st.integers(1, 5))
+    s = 2 * SPREAD[d]
+    scales = draw(st.lists(st.integers(-s, s).filter(bool), min_size=d, max_size=d))
+    verts = [[0] * d] + [[a if i == j else 0 for i in range(d)] for j, a in enumerate(scales)]
+    if draw(st.booleans()):
+        verts[-1] = draw(st.lists(st.integers(-s, s), min_size=d, max_size=d))
+    shift = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    try:
+        return from_vertices(d, [[x + t for x, t in zip(v, shift)] for v in verts])
+    except NotASimplexError:
+        assume(False)
+
+
+class TestLineKernel:
+    @given(st.one_of(random_simplices(), corner_simplices()), st.integers(1, 3))
+    @settings(max_examples=250, deadline=None)
+    def test_matches_brute_force(self, simplex, n):
+        assume(box_candidates(simplex, n) <= 20_000)
+        assert oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP) == (
+            brute_force_counts(simplex, n)
+        )
+
+    @given(st.one_of(random_simplices(), corner_simplices()), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_int64_and_object_runs_agree(self, simplex, n):
+        assume(simplex.ambient_dim > 0)
+        fast, fast_dtypes = scan_dtypes(simplex, n)
+        with mock.patch.object(oracle, "_INT64_SAFE", 0):
+            exact, exact_dtypes = scan_dtypes(simplex, n)
+        assert fast_dtypes == [np.int64] and exact_dtypes == [object]
+        assert fast == exact
+
+    @pytest.mark.parametrize(
+        "simplex", [TRI_VOL2, delta_cm(2, 2), unit_simplex(3), prop43_instance(3, 4)]
+    )
+    def test_huge_shift_runs_on_python_integers(self, simplex):
+        shift = 10**30
+        far = from_vertices(
+            simplex.ambient_dim, [[x + shift for x in v] for v in simplex.vertices]
+        )
+        for n in (1, 2):
+            counts, dtypes = scan_dtypes(far, n)
+            assert dtypes == [object]
+            assert counts == oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP)
+        assert count_lattice_points(far, 2) == brute_force_counts(far, 2)[0]
+
+    def test_flat_forms_are_covered(self):
+        # The facet x_2 = 0 of this triangle is flat along the line axis x_1.
+        tri = from_vertices(2, [(0, 0), (7, 0), (-3, 2)])
+        adj, _ = linalg.adjugate(homogenize(tri))
+        assert 0 in [row[0] for row in adj.rows]
+        assert oracle._scan.__wrapped__(tri, 2, 10**8) == brute_force_counts(tri, 2)
+
+
+@st.composite
+def small_full_simplices(draw) -> LatticeSimplex:
+    d = draw(st.integers(1, 4))
+    s = {1: 6, 2: 4, 3: 2, 4: 1}[d]
+    verts = draw(
+        st.lists(
+            st.lists(st.integers(-s, s), min_size=d, max_size=d), min_size=d + 1, max_size=d + 1
+        )
+    )
+    try:
+        simplex = from_vertices(d, verts)
+    except NotASimplexError:
+        assume(False)
+    assume(normalized_volume(simplex) <= 200)
+    return simplex
+
+
+class TestRouteAgreement:
+    @given(small_full_simplices())
+    @settings(max_examples=100, deadline=None)
+    def test_group_scan_interpolation_and_heldout_agree(self, simplex):
+        group = enumerate_box_group(simplex)
+        h = hstar_from_box_group(group)
+        assert enumerate_by_box_scan(simplex) == group.elements
+        assert hstar_by_interpolation(simplex).coeffs == h.coeffs
+        assert heldout_count_matches(simplex, h)
 
 
 class TestInterpolation:
