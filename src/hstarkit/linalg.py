@@ -309,27 +309,18 @@ def rank(matrix: IntMatrix) -> int:
     return _eliminate(matrix)[1]
 
 
-def solve_columns(
-    matrix: IntMatrix, columns: Sequence[Sequence[int]]
-) -> list[tuple[Fraction, ...]]:
-    """Exact solutions x of M x = b, one per integer right-hand side b, from
-    a single elimination over the augmented matrix; raises
-    SingularMatrixError when det M == 0."""
+def solve_rational(matrix: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
+    """Exact x with M x = b, the right column of the elimination of [M | b];
+    raises SingularMatrixError when det M == 0."""
     if not matrix.is_square:
         raise DimensionMismatchError("solve requires a square matrix")
     n = matrix.nrows
-    for b in columns:
-        if len(b) != n:
-            raise DimensionMismatchError("right-hand side length mismatch")
-    a, r, d = _eliminate(matrix, columns)
+    if len(b) != n:
+        raise DimensionMismatchError("right-hand side length mismatch")
+    a, r, d = _eliminate(matrix, [b])
     if r < n:
         raise SingularMatrixError("matrix is singular")
-    return [tuple(Fraction(a[i][n + c], d) for i in range(n)) for c in range(len(columns))]
-
-
-def solve_rational(matrix: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
-    """Exact x with M x = b; raises SingularMatrixError when det M == 0."""
-    return solve_columns(matrix, [list(b)])[0]
+    return tuple(Fraction(row[n], d) for row in a)
 
 
 def adjugate(matrix: IntMatrix) -> tuple[IntMatrix, int]:

@@ -1,5 +1,10 @@
 """Lattice simplices: validated vertex lists, homogenization, faces, and
-reduction of lower-dimensional simplices to full-dimensional coordinates.
+one model of any simplex in the lattice of its own affine hull.
+
+That model is triangular: a row-style Hermite form of the edge matrix
+rewrites the simplex as the origin and the columns of a lower-triangular
+matrix, full-dimensional in Z^n. Faces, normalized volumes and every
+lower-dimensional input go through it.
 
 Vertex order is significant throughout: fractional-weight tuples downstream
 are indexed by vertex position, so every operation here preserves the order
@@ -9,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
@@ -98,54 +104,38 @@ def homogenize(simplex: LatticeSimplex) -> linalg.IntMatrix:
 
 
 def restrict_to_affine_lattice(simplex: LatticeSimplex) -> LatticeSimplex:
-    """Rewrite a simplex in a lattice basis of its own affine hull.
+    """Triangular Hermite model of a simplex in the lattice of its affine hull.
 
-    The first vertex is translated to the origin, a basis of the saturation
-    of the difference lattice is computed through Hermite-form kernels, and
-    all vertices are re-expressed in that basis. The result is
-    full-dimensional, keeps the vertex order, and has the same normalized
-    volume and fractional-weight group as the input.
+    The row-style Hermite form of the N x n edge matrix E = [v_i - v_0] is
+    U E = [0; H] with U unimodular, so U maps the lattice points of the hull,
+    translated to v_0, onto Z^n. The model's vertices are the origin and the
+    columns of the lower-triangular H, in the input order. The N - n zero
+    rows and a nonzero diagonal prove the vertices affinely independent;
+    NotASimplexError is raised otherwise. H is unique for the lattice, so a
+    unimodular image or a translate of the input has the same model. The
+    model keeps the normalized volume (the product of the diagonal) and the
+    fractional-weight group.
     """
     n = simplex.dimension
     big_d = simplex.ambient_dim
-    if n == 0:
-        return LatticeSimplex(0, ((),))
+    if n > big_d:
+        raise NotASimplexError("more vertices than an independent set allows")
     base = simplex.vertices[0]
-    diffs = [
-        tuple(a - b for a, b in zip(v, base)) for v in simplex.vertices[1:]
-    ]
-    if n == big_d:
-        new_verts = ((0,) * n,) + tuple(diffs)
-        return LatticeSimplex(n, new_verts)
-    diff_mat = linalg.IntMatrix.from_rows(diffs, ncols=big_d)
-    # Orthogonal-complement lattice, then its complement again: the double
-    # kernel is exactly the saturation of the row lattice of diff_mat.
-    ortho = linalg.left_kernel(diff_mat.transpose())
-    basis = linalg.left_kernel(ortho.transpose())
-    if basis.nrows != n:  # pragma: no cover - rank was validated on input
-        raise NotASimplexError("saturation basis has unexpected rank")
-    stacked = linalg.IntMatrix.from_rows(
-        list(basis.rows) + list(ortho.rows), ncols=big_d
-    ).transpose()
-    new_verts = [(0,) * n]
-    for sol in linalg.solve_columns(stacked, diffs):
-        coords = []
-        for i, val in enumerate(sol):
-            if i < n:
-                if val.denominator != 1:  # pragma: no cover - saturation guarantees this
-                    raise NotASimplexError("vertex not integral in saturated basis")
-                coords.append(int(val))
-            elif val:  # pragma: no cover - difference lies in the hull by construction
-                raise NotASimplexError("vertex escapes the affine hull")
-        new_verts.append(tuple(coords))
-    return LatticeSimplex(n, tuple(new_verts))
+    edges = linalg.IntMatrix.from_rows(
+        [[v[i] - base[i] for v in simplex.vertices[1:]] for i in range(big_d)], ncols=n
+    )
+    h, _ = linalg.hermite_normal_form(edges)
+    zero, tri = h.rows[: big_d - n], h.rows[big_d - n :]
+    if any(any(row) for row in zero) or not all(tri[i][i] for i in range(n)):
+        raise NotASimplexError("vertices are affinely dependent")
+    return LatticeSimplex(n, ((0,) * n,) + tuple(zip(*tri)))
 
 
 def face(simplex: LatticeSimplex, selector: FaceSelector) -> LatticeSimplex:
-    """Full-dimensional model of the face spanned by the selected vertices."""
+    """Triangular model of the face spanned by the selected vertices."""
     FaceSelector.of(selector.indices, simplex.n_vertices)
-    sub = from_vertices(
-        simplex.ambient_dim, [simplex.vertices[i] for i in selector.indices]
+    sub = LatticeSimplex(
+        simplex.ambient_dim, tuple(simplex.vertices[i] for i in selector.indices)
     )
     return restrict_to_affine_lattice(sub)
 
@@ -164,6 +154,6 @@ def all_faces(
 
 
 def normalized_volume(simplex: LatticeSimplex) -> int:
-    """Sum-of-h* volume: |det| of the homogenized full-dimensional model."""
-    full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    return abs(linalg.det(homogenize(full)))
+    """Sum-of-h* volume: the product of the triangular model's diagonal."""
+    model = restrict_to_affine_lattice(simplex)
+    return prod(model.vertices[i + 1][i] for i in range(model.dimension))

@@ -352,6 +352,83 @@ class TestOracleGolden:
         assert digest == VERIFY_SUITE_STDOUT_SHA256
 
 
+def _embed_in_z7(simplex):
+    """The image of a simplex in Z^5 under x -> A (x, 0, 0) + t, with A a
+    unimodular 7x7 product of unit lower and unit upper triangular factors
+    whose entries have about 30 digits, so A and t have about 60."""
+    size = 7
+    lower = [[int(i == j) if i <= j else (7 * i + 3 * j + 1) * 10**29 + i * j + 1
+              for j in range(size)] for i in range(size)]
+    upper = [[int(i == j) if i >= j else (5 * i + 11 * j + 2) * 10**29 + i + j
+              for j in range(size)] for i in range(size)]
+    a = [[sum(lower[i][m] * upper[m][j] for m in range(size)) for j in range(size)]
+         for i in range(size)]
+    shift = [(i + 1) * 10**59 + 12345 for i in range(size)]
+    return [
+        [sum(a[i][j] * x for j, x in enumerate(v)) + shift[i] for i in range(size)]
+        for v in simplex.vertices
+    ]
+
+
+def _lower_dimensional_docs() -> dict:
+    from hstarkit.families import prop43_instance, remark44_simplex
+
+    remark = remark44_simplex(3)
+    return {
+        "skew-triangle-z3": (3, [[0, 0, 0], [1, 2, 2], [2, 1, 0]]),
+        "tri-scott-71-in-z3": (3, [[0, 0, 0], [3, 0, 3], [0, 3, 3]]),
+        "remark44-k3-face": (8, [list(remark.vertices[i]) for i in (0, 2, 3, 4, 5, 6, 7, 8)]),
+        "prop43-k3-j4-in-z7": (7, _embed_in_z7(prop43_instance(3, 4))),
+    }
+
+
+LOWER_DIMENSIONAL_DOCS = _lower_dimensional_docs()
+
+# sha256 of stdout and the exit code of each command on lower-dimensional
+# documents, which no corpus document is. The oracle scans the bounding box
+# of the triangular model, whose entries do not depend on the embedding, so
+# every oracle-verify run here fits the default scan cap, the 60-digit Z^7
+# embedding and its held-out dilate included.
+LOWER_DIMENSIONAL_STDOUT_SHA256 = {
+    ("prop43-k3-j4-in-z7", "hstar"): ("5431ff50044f10d5ef511291a19f43bd1c6d9f16ef2dea0064b687122888ff0e", 0),
+    ("prop43-k3-j4-in-z7", "box-group"): ("5a2972d7b243c9d5c00a254e43f82fc500823d22b04a5a31fd6c46d1e3758094", 0),
+    ("prop43-k3-j4-in-z7", "extract-face --k 1"): ("89c006f688f268e41a8244fec01d7f7d71b148df6dbaa29c5427000e7ac77fe6", 0),
+    ("prop43-k3-j4-in-z7", "extract-face --k 2"): ("bbc79b6c3e0b9a72c974519e45aa4fd2908871478bcc80eefe90e88a2ee2ab6e", 0),
+    ("prop43-k3-j4-in-z7", "extract-face --k 3"): ("0ac7b2056fd7cc558b8d5be8d3d7d4348f3dc2e3d8b160445c35dd9c9ea72ec2", 0),
+    ("prop43-k3-j4-in-z7", "oracle-verify"): ("a0861778a5177c7e94acc38cd68475a8cf8f26a2f4497a1f5df4e8a608ee3a2b", 0),
+    ("remark44-k3-face", "hstar"): ("ed88aee48b6cea5faf6bd652d105e0fe25da14e2f1f8fcdb4d75b167cc081978", 0),
+    ("remark44-k3-face", "box-group"): ("dafcab0373545d0b467db6a1206ea1226ddf4b6ec34843f4e5e2126fd6bf12f4", 0),
+    ("remark44-k3-face", "extract-face --k 1"): ("9b6f11784b36f1a16b432cd9b65519bf14fd0e38ea2fd91ad51c965c5074fb34", 0),
+    ("remark44-k3-face", "extract-face --k 2"): ("ffa34cec2ccab1a8e0b32ab2a9093cbd21f6b12534a7981d4edf346a8b13eede", 0),
+    ("remark44-k3-face", "extract-face --k 3"): ("82f759e819340795a4a30a75028c69adcd6336d1b0f6e63f7ee51ea48e43c30d", 0),
+    ("remark44-k3-face", "oracle-verify"): ("9b0e45594f419759e06c0a98def9e58094228b3334699548cae934ed4f32bd18", 0),
+    ("skew-triangle-z3", "hstar"): ("4e8546af1063ce14e299fe671c52c90f0108b34bcc608fce87ca043d511f63f5", 0),
+    ("skew-triangle-z3", "box-group"): ("420a17d2e5e084a30766cd3497ad740858923f5dd3c647f57db6e62f04346ea4", 0),
+    ("skew-triangle-z3", "extract-face --k 1"): ("064f2abd17e4a97706b9f21cd373962eba0fdc39db7107c49d53203fbb191634", 0),
+    ("skew-triangle-z3", "extract-face --k 2"): ("0356c36a467a2b00c24456e75a450a8c6ba196d6e51be0fab2339134b23679cf", 0),
+    ("skew-triangle-z3", "extract-face --k 3"): ("34246e67a20d4352acb380112e816f8fb0c85973652ada6d3ca20bd23bf1dbd0", 0),
+    ("skew-triangle-z3", "oracle-verify"): ("1889f4d8c0dd9ccd1a8079f1e3fbb6f0e7cf2867a0e1410535d4a1e03fd94717", 0),
+    ("tri-scott-71-in-z3", "hstar"): ("b1aa14596e68af34ab750e852d8a28ff46ff319ef40bd3d2a9c3fa88c368befe", 0),
+    ("tri-scott-71-in-z3", "box-group"): ("eb5c5c11dc1eead09f1063876a0aaf3a6d5cd3ff70a78ea52774fb7896ff95e1", 0),
+    ("tri-scott-71-in-z3", "extract-face --k 1"): ("8be61387f3c930fd10c180d675282c44fae86b0c4b7cad60414fee89d08c3cec", 0),
+    ("tri-scott-71-in-z3", "extract-face --k 2"): ("0a8b71fcdcfc8b98ef1973204439f9b7d26b4ce09023d904a342920b47de4b5e", 0),
+    ("tri-scott-71-in-z3", "extract-face --k 3"): ("d581ed691124020a63ab2389b771fabf4711adca99557402e55847d3eef9a8d5", 0),
+    ("tri-scott-71-in-z3", "oracle-verify"): ("a431a9ec439ee306429a1edae3e7568c744c35627d822843574171b830ffe718", 0),
+}
+
+
+class TestLowerDimensionalGolden:
+    @pytest.mark.parametrize("name,command", sorted(LOWER_DIMENSIONAL_STDOUT_SHA256))
+    def test_stdout_bytes(self, run_cli, tmp_path, name, command):
+        dim, verts = LOWER_DIMENSIONAL_DOCS[name]
+        doc = SimplexDocument(dim, tuple(map(tuple, verts)), name=name)
+        path = write_doc(tmp_path, f"{name}.json", doc.to_json_dict())
+        subcommand, *options = command.split()
+        res = run_cli(subcommand, str(path), *options)
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        assert (digest, res.returncode) == LOWER_DIMENSIONAL_STDOUT_SHA256[(name, command)]
+
+
 class TestExtractFaceCommand:
     def test_join_fixture(self, run_cli, corpus_dir):
         res = run_cli("extract-face", str(corpus_dir / "join-delta23-point.json"), "--k", "3")

@@ -274,19 +274,6 @@ class TestSolve:
         for i in range(m.nrows):
             assert sum(m.rows[i][j] * x[j] for j in range(m.nrows)) == b[i]
 
-    @given(square_matrices(), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_columns_match_one_solve_each(self, m, data):
-        if linalg.det(m) == 0:
-            return
-        columns = data.draw(
-            st.lists(
-                st.lists(st.integers(-9, 9), min_size=m.nrows, max_size=m.nrows),
-                max_size=4,
-            )
-        )
-        assert linalg.solve_columns(m, columns) == [linalg.solve_rational(m, b) for b in columns]
-
     @given(square_matrices(n_max=4))
     @settings(max_examples=40, deadline=None)
     def test_adjugate_identity(self, m):

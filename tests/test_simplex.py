@@ -1,7 +1,8 @@
+from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import linalg, simplex
@@ -13,6 +14,7 @@ from hstarkit.errors import (
 from hstarkit.families import prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.simplex import (
     FaceSelector,
+    LatticeSimplex,
     all_faces,
     face,
     from_vertices,
@@ -20,6 +22,7 @@ from hstarkit.simplex import (
     normalized_volume,
     restrict_to_affine_lattice,
 )
+from hstarkit.theorem import extract_face
 
 
 def small_simplices(dim_max=3, coord=4):
@@ -44,6 +47,18 @@ def small_simplices(dim_max=3, coord=4):
         )
         .map(build)
     )
+
+
+def minor_gcd(s) -> int:
+    """Normalized volume by Cauchy-Binet: the gcd of the n x n minors of the
+    edge matrix [v_i - v_0], which is the index of the edge lattice in the
+    lattice points of its span."""
+    base = s.vertices[0]
+    edges = [[a - b for a, b in zip(v, base)] for v in s.vertices[1:]]
+    g = 0
+    for cols in combinations(range(s.ambient_dim), s.dimension):
+        g = gcd(g, linalg.det(linalg.IntMatrix.from_rows([[e[c] for c in cols] for e in edges])))
+    return g
 
 
 class TestConstruction:
@@ -98,10 +113,30 @@ class TestHomogenize:
 
 
 class TestRestrict:
-    def test_full_dimensional_translates(self):
+    def test_full_dimensional_unit_triangle(self):
         s = from_vertices(2, [(3, 4), (4, 4), (3, 5)])
         r = restrict_to_affine_lattice(s)
         assert r.vertices == ((0, 0), (1, 0), (0, 1))
+
+    def test_full_dimensional_gets_hermite_coordinates(self):
+        # Edge columns (2, 1) and (1, 3) become the lower-triangular
+        # columns (5, 2) and (0, 1); the same triangle in a plane of Z^3
+        # gets the same model.
+        tri = from_vertices(2, [(0, 0), (2, 1), (1, 3)])
+        r = restrict_to_affine_lattice(tri)
+        assert r.vertices == ((0, 0), (5, 2), (0, 1))
+        lifted = from_vertices(3, [(1, 1, 1), (3, 2, 1), (2, 4, 1)])
+        assert restrict_to_affine_lattice(lifted) == r
+        assert normalized_volume(tri) == 5
+
+    def test_dependent_vertices_rejected(self):
+        collinear = LatticeSimplex(2, ((0, 0), (1, 1), (2, 2)))
+        with pytest.raises(NotASimplexError):
+            restrict_to_affine_lattice(collinear)
+        with pytest.raises(NotASimplexError):
+            normalized_volume(collinear)
+        with pytest.raises(NotASimplexError):
+            restrict_to_affine_lattice(LatticeSimplex(3, ((0, 0, 0), (1, 2, 3), (2, 4, 6))))
 
     def test_segment_in_plane(self):
         seg = from_vertices(2, [(0, 0), (2, 0)])
@@ -125,6 +160,7 @@ class TestRestrict:
         r = restrict_to_affine_lattice(tri)
         assert r.is_full_dimensional
         assert normalized_volume(r) == normalized_volume(tri)
+        assert normalized_volume(tri) == minor_gcd(tri)
 
     @given(small_simplices())
     @settings(max_examples=50, deadline=None)
@@ -138,6 +174,7 @@ class TestRestrict:
         r = restrict_to_affine_lattice(sub)
         assert r.is_full_dimensional
         assert normalized_volume(r) == normalized_volume(sub)
+        assert normalized_volume(sub) == minor_gcd(sub)
 
 
 class TestFaces:
@@ -182,3 +219,50 @@ class TestFaces:
     def test_face_blowup_guard(self):
         with pytest.raises(TooManyFacesError):
             next(all_faces(unit_simplex(24)))
+
+
+def _unimodular_images():
+    """(simplex, image): a random simplex of dimension <= 4 in Z^N, N <= 6,
+    and its image under x -> A x + t, where A = L U is a product of unit
+    lower and unit upper triangular matrices with 100-digit entries."""
+    big = st.builds(lambda x, sign: sign * x, st.integers(10**100, 10**101), st.sampled_from((1, -1)))
+
+    @st.composite
+    def build(draw):
+        big_d = draw(st.integers(1, 6))
+        n = draw(st.integers(0, min(4, big_d)))
+        verts = draw(
+            st.lists(
+                st.tuples(*[st.integers(-4, 4)] * big_d), min_size=n + 1, max_size=n + 1
+            )
+        )
+        try:
+            s = from_vertices(big_d, verts)
+        except NotASimplexError:
+            assume(False)
+        lower = [[draw(big) if i > j else int(i == j) for j in range(big_d)] for i in range(big_d)]
+        upper = [[draw(big) if i < j else int(i == j) for j in range(big_d)] for i in range(big_d)]
+        a = linalg.IntMatrix.from_rows(lower) @ linalg.IntMatrix.from_rows(upper)
+        shift = [draw(big) for _ in range(big_d)]
+        image = from_vertices(
+            big_d, [[x + t for x, t in zip(a.mul_vector(v), shift)] for v in s.vertices]
+        )
+        return s, image
+
+    return build()
+
+
+class TestCanonicalModel:
+    """The Hermite form is unique for a lattice, so the model of a simplex
+    does not depend on how the simplex is embedded."""
+
+    @given(_unimodular_images())
+    @settings(max_examples=60, deadline=None)
+    def test_unimodular_image_has_the_same_faces_and_certificates(self, pair):
+        s, image = pair
+        for (_, f), (_, f_image) in zip(all_faces(s), all_faces(image)):
+            assert f_image == f
+        for k in (1, 2, 3):
+            cert = extract_face(s, k)
+            assert extract_face(image, k) == cert
+        assert cert.hstar.normalized_volume == normalized_volume(s) == normalized_volume(image)
