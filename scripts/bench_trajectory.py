@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Run the benchmark for some workloads and seeds and write one trajectory
+file, BENCH_<label>.json, with the median and quartiles of every metric.
+
+    python3 scripts/bench_trajectory.py --label NAME --seeds 11-20 --seconds 30 \\
+        [--workloads verify-corpus hstar-large] [--out DIR]
+
+Each (workload, seed) is one untraced `perfbench/run.py` run of this
+checkout, one at a time. Its final JSON line gives the metrics and the
+failed/attempted checks, and its `machine` line the machine facts. Per
+workload the file holds, for every metric, the median, q1 and q3 over the
+seeds (inclusive quartiles), the summed `failed`/`attempted`, and every
+run's values, so two trajectory files can be compared pair by pair.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKLOADS = ("hstar-large", "extract-cohort", "verify-corpus")
+
+
+def parse_run(stdout: str) -> dict:
+    """The final JSON line of one benchmark run, with its machine facts."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("benchmark printed nothing")
+    result = json.loads(lines[-1])
+    machine = next((json.loads(line[len("machine "):]) for line in lines
+                    if line.startswith("machine ")), {})
+    return {
+        "seed": machine.pop("seed", None),
+        "machine": machine,
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "units": {name: m["unit"] for name, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def aggregate(runs: dict[str, list[dict]]) -> dict:
+    """Per workload: every metric's median and quartiles, the summed checks
+    and the runs themselves; the machine facts of the first run."""
+    out = {"machine": {}, "workloads": {}}
+    for workload, parsed in runs.items():
+        if not out["machine"] and parsed:
+            out["machine"] = parsed[0]["machine"]
+        names = sorted({name for run in parsed for name in run["metrics"]})
+        metrics = {}
+        for name in names:
+            values = [run["metrics"][name] for run in parsed if name in run["metrics"]]
+            unit = next(run["units"][name] for run in parsed if name in run["units"])
+            metrics[name] = {**quartiles(values), "unit": unit}
+        out["workloads"][workload] = {
+            "failed": sum(run["failed"] for run in parsed),
+            "attempted": sum(run["attempted"] for run in parsed),
+            "metrics": metrics,
+            "runs": [
+                {"seed": run["seed"], "failed": run["failed"], "attempted": run["attempted"],
+                 "metrics": run["metrics"]}
+                for run in parsed
+            ],
+        }
+    return out
+
+
+def run_benchmark(workload: str, seed: int, seconds: int) -> dict:
+    res = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    if not res.stdout.strip():
+        raise RuntimeError(f"{workload} seed {seed} printed nothing: {res.stderr[-2000:]}")
+    return parse_run(res.stdout)
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--seeds", required=True, type=seed_range, help="N or FIRST-LAST")
+    ap.add_argument("--seconds", required=True, type=int)
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--out", type=Path, default=REPO)
+    args = ap.parse_args(argv)
+
+    runs: dict[str, list[dict]] = {}
+    for workload in args.workloads:
+        for seed in args.seeds:
+            run = run_benchmark(workload, seed, args.seconds)
+            runs.setdefault(workload, []).append(run)
+            print(f"{workload} seed {seed}: failed {run['failed']}/{run['attempted']} "
+                  + " ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items())))
+    report = {"label": args.label, "seconds": args.seconds, **aggregate(runs)}
+    path = args.out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    failed = sum(w["failed"] for w in report["workloads"].values())
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,12 +27,14 @@ class VolumeTooLargeError(HstarkitError):
 
 
 class ScanTooLargeError(HstarkitError):
-    """Bounding-box scan would visit more candidate points than allowed."""
+    """A scan's bounding box holds more candidate points than the scan cap;
+    the message names the stage, the candidate count and the cap."""
 
-    def __init__(self, candidates: int, cap: int):
-        super().__init__(f"scan of {candidates} candidate points exceeds cap {cap}")
+    def __init__(self, candidates: int, cap: int, stage: str):
+        super().__init__(f"{stage}: {candidates} box candidates exceed scan cap {cap}")
         self.candidates = candidates
         self.cap = cap
+        self.stage = stage
 
 
 class TooManyFacesError(HstarkitError):

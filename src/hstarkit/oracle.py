@@ -1,21 +1,25 @@
 """Independent brute-force route to h*: count lattice points in dilates by
-an exhaustive bounding-box scan with exact membership, then convert counts
-to h* by the standard finite-difference transform.
+exact enumeration, then convert counts to h* by the standard
+finite-difference transform.
 
 This module exists to cross-validate the group-enumeration path, so it
-stays deliberately dumb: the box is the coordinate extremes of the dilated
-vertices and every line of the box is counted exactly. Along a line each
-barycentric form is affine in the line coordinate, so the members of the
-dilate on it are one integer interval cut out by integer floor divisions.
-The lines are evaluated as numpy arrays over 64-bit integers when an exact
-bound proves no overflow is possible; otherwise the same code runs on
-arbitrary-precision Python integers. Counts are exact either way.
+uses no Smith form and no weight group. A dilate is counted in the
+lower-triangular Hermite model of its simplex (`restrict_to_affine_lattice`),
+a unimodular change of coordinates that keeps lattice-point counts. There
+the barycentric forms are triangular: the first t+1 forms depend only on the
+first t+1 coordinates. So the points are enumerated by project-and-lift
+(as in Normaliz): each prefix row of coordinates is extended along the next
+axis by the one integer interval that keeps its forms nonnegative and their
+sum within the dilate, and the last axis only sums interval widths. Rows are
+numpy arrays over 64-bit integers when an exact bound proves no overflow is
+possible; otherwise the same code runs on arbitrary-precision Python
+integers. Counts are exact either way. The scan cap bounds the candidate
+points of the input's bounding box, checked before anything is allocated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
 from math import prod
 
 import numpy as np
@@ -24,7 +28,7 @@ from . import linalg
 from .boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
 from .errors import InternalCheckError, ScanTooLargeError
 from .hstar import HStarVector, binomial, ehrhart_from_hstar, hstar_from_box_group
-from .simplex import LatticeSimplex, homogenize, restrict_to_affine_lattice
+from .simplex import LatticeSimplex, restrict_to_affine_lattice
 
 DEFAULT_SCAN_CAP = 10**8
 _CHUNK = 1 << 19
@@ -49,89 +53,95 @@ class CrossValidation:
 
 @lru_cache(maxsize=4096)
 def _scan(simplex: LatticeSimplex, n: int, scan_cap: int) -> tuple[int, int]:
-    """(closure count, interior count) of the n-th dilate."""
-    k = simplex.ambient_dim + 1
-    matrix = homogenize(simplex)
-    adj, det_m = linalg.adjugate(matrix)
-    sign = 1 if det_m > 0 else -1
-    # Row i of forms dotted with (x, n) is det * (i-th barycentric weight).
-    forms = [[sign * adj.rows[i][j] for j in range(k)] for i in range(k)]
-    d = simplex.ambient_dim
-    los = [n * min(v[j] for v in simplex.vertices) for j in range(d)]
-    his = [n * max(v[j] for v in simplex.vertices) for j in range(d)]
-    candidates = prod(hi - lo + 1 for lo, hi in zip(los, his))
+    """(closure count, interior count) of the n-th dilate, counted in the
+    Hermite model of the simplex."""
+    candidates = prod(n * (max(col) - min(col)) + 1 for col in zip(*simplex.vertices))
     if candidates > scan_cap:
-        raise ScanTooLargeError(candidates, scan_cap)
-    base = [forms[i][d] * n for i in range(k)]
+        raise ScanTooLargeError(candidates, scan_cap, f"oracle scan of dilate {n}")
+    model = restrict_to_affine_lattice(simplex)
+    d = model.dimension
     if d == 0:
-        weak = int(all(b >= 0 for b in base))
-        strict = int(all(b > 0 for b in base))
-        return weak, strict
-    # Every array value below is a partial sum of a form over the box, that
-    # sum minus 1, a floor quotient of one by a nonzero integer, or a box
-    # coordinate (each column of the nonsingular adjugate has a nonzero
-    # entry): all at most bound + 1 in absolute value. Clipped line ends
-    # therefore stay within bound + 1 and widths within 2 * bound + 3, while
-    # the widths of one block sum to at most the candidate count. Both below
-    # 2**62 make int64 exact.
-    bound = max(
-        sum(abs(forms[i][j]) * max(abs(los[j]), abs(his[j])) for j in range(d))
-        + abs(base[i])
-        for i in range(k)
+        return 1, int(n > 0)
+    edges = linalg.IntMatrix.from_rows(
+        [[v[i] for v in model.vertices[1:]] for i in range(d)], ncols=d
     )
-    dtype = np.int64 if max(bound + 1, candidates) < _INT64_SAFE else object
-    return _count_lines(forms, base, los, his, dtype)
+    adj, det_h = linalg.adjugate(edges)
+    # A point of the model is H lambda for the weights lambda_1..lambda_d of
+    # the vertices after the origin, so row c of adj H is the form
+    # F_c = det_h * lambda_c, and the origin's weight is
+    # (total - sum_c F_c) / det_h. adj H is lower triangular with diagonal
+    # det_h / H_cc > 0, since the Hermite diagonal is positive.
+    forms = adj.rows
+    total = n * det_h
+    # Every kept row lies in the projection of the dilate, where
+    # |x_j| <= n * max |v_j| and so every partial form is at most `bound`;
+    # the sum of the fixed forms is in [0, total]. Interval ends and their
+    # numerators are then at most bound + 2 * total + 2, and widths at most
+    # `wide`. A block holds at most _CHUNK rows, so its widths sum to at
+    # most _CHUNK * wide. Below 2**62 that makes int64 exact.
+    reach = [n * max(abs(v[j]) for v in model.vertices) for j in range(d)]
+    bound = max(sum(abs(a) * r for a, r in zip(row, reach)) for row in forms)
+    wide = 2 * (bound + 2 * total + 2) + 1
+    dtype = np.int64 if _CHUNK * wide < _INT64_SAFE else object
+    # Integer forms are > 0 exactly where they are >= 1.
+    return _count_lifts(forms, total, 0, dtype), _count_lifts(forms, total, 1, dtype)
 
 
-def _count_lines(forms, base, los, his, dtype) -> tuple[int, int]:
-    d = len(los)
-    k = len(forms)
-    lengths = [hi - lo + 1 for lo, hi in zip(los, his)]
-    line = lengths.index(max(lengths))
-    # Forms rising along the line first, then falling, then flat ones.
-    order = sorted(range(k), key=lambda i: (forms[i][line] <= 0, forms[i][line] == 0))
-    forms = [forms[i] for i in order]
-    base = [base[i] for i in order]
-    slopes = [row[line] for row in forms]
-    rising = sum(c > 0 for c in slopes)
-    falling = rising + sum(c < 0 for c in slopes)
-    up = np.array(slopes[:rising], dtype=dtype)[:, None]
-    down = np.array([-c for c in slopes[rising:falling]], dtype=dtype)[:, None]
+def _count_lifts(forms, total: int, s: int, dtype) -> int:
+    """Integer points x with F_c(x) >= s for every c and sum_c F_c(x) <=
+    total - s, for lower-triangular forms with a positive diagonal.
 
-    def members(w) -> int:
-        # a*x + w >= 0 is x >= -(w // a) for a > 0 and x <= w // -a for a < 0.
-        first = np.max(-(w[:rising] // up), axis=0, initial=los[line])
-        last = np.min(w[rising:falling] // down, axis=0, initial=his[line])
+    Axis t extends each prefix row (x_0..x_{t-1}) by the one integer
+    interval of x_t with F_t >= s and sum_{c<=t} F_c <= total - s; the last
+    axis only sums the interval widths. A row keeps the partial forms
+    F_t..F_{d-1} of its fixed coordinates and the sum of F_0..F_{t-1}.
+    """
+    d = len(forms)
+
+    def lift(t: int, part, used) -> int:
+        a = forms[t][t]
+        # With w the partial F_t, a * x + w >= s is x >= -((w - s) // a), and
+        # used + w + a * x <= total - s is x <= (total - s - used - w) // a.
+        first = -((part[0] - s) // a)
+        last = (total - s - used - part[0]) // a
         widths = np.maximum(last - first + 1, 0)
-        return int(widths[np.all(w[falling:] >= 0, axis=0)].sum())
+        if t == d - 1:
+            return int(widths.sum())
+        coeffs = np.array([row[t] for row in forms[t:]], dtype=dtype)[:, None]
+        count = 0
+        for rows, x in _expand(first, widths, _CHUNK // (d - t) or 1):
+            lifted = part[:, rows] + coeffs * x
+            count += lift(t + 1, lifted[1:], used[rows] + lifted[0])
+        return count
 
-    # The trailing axes span one block of lines holding at most _CHUNK form
-    # values (k per line); the leading axes are looped.
-    others = [j for j in range(d) if j != line]
-    split = len(others)
-    tail_size = 1
-    while split > 0 and k * tail_size * lengths[others[split - 1]] <= _CHUNK:
-        split -= 1
-        tail_size *= lengths[others[split]]
-    head_axes = others[:split]
-    # tail[i] holds the trailing axes' share of form i, one column per line,
-    # built as an outer sum one axis at a time.
-    tail = np.zeros((k, 1), dtype=dtype)
-    for j in others[split:]:
-        coeffs = np.array([row[j] for row in forms], dtype=dtype)[:, None]
-        share = coeffs * (los[j] + np.arange(lengths[j], dtype=dtype))
-        tail = (tail[:, :, None] + share[:, None, :]).reshape(k, -1)
-    weak = strict = 0
-    for head in iter_product(*(range(los[j], his[j] + 1) for j in head_axes)):
-        offs = [
-            base[i] + sum(forms[i][j] * x for j, x in zip(head_axes, head))
-            for i in range(k)
-        ]
-        w = tail + np.array(offs, dtype=dtype)[:, None]
-        weak += members(w)
-        # Integer forms are > 0 exactly where they are >= 1.
-        strict += members(w - 1)
-    return weak, strict
+    return lift(0, np.zeros((d, 1), dtype=dtype), np.zeros(1, dtype=dtype))
+
+
+def _expand(first, widths, limit: int):
+    """(row index, coordinate) arrays of at most `limit` entries that
+    together list first[i] .. first[i] + widths[i] - 1 for every row i.
+
+    Rows with at most `limit` values are grouped whole; a wider row is cut
+    into pieces of `limit` values. Nothing larger than `limit` values is
+    allocated.
+    """
+    clipped = np.minimum(widths, limit + 1).astype(np.int64)
+    for i in np.flatnonzero(clipped > limit):
+        start, stop = first[i], first[i] + widths[i]
+        for lo in range(start, stop, limit):
+            size = min(limit, stop - lo)
+            yield np.full(size, i), lo + np.arange(size).astype(first.dtype)
+    narrow = np.flatnonzero((clipped > 0) & (clipped <= limit))
+    ends = np.cumsum(clipped[narrow])
+    begin, done = 0, 0
+    while begin < len(narrow):
+        stop = int(np.searchsorted(ends, done + limit, side="right"))
+        rows = narrow[begin:stop]
+        sizes = clipped[rows]
+        rep = np.repeat(rows, sizes)
+        offsets = np.arange(len(rep)) - np.repeat(ends[begin:stop] - done - sizes, sizes)
+        yield rep, first[rep] + offsets.astype(first.dtype)
+        begin, done = stop, int(ends[stop - 1])
 
 
 def count_lattice_points(

@@ -1,0 +1,83 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_trajectory.py"
+spec = importlib.util.spec_from_file_location("bench_trajectory", SCRIPT)
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+MACHINE = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "cpu": "Test CPU"}
+
+
+def canned_stdout(seed: int, pass_rel: float, failed: int = 0) -> str:
+    metrics = {
+        "setup_s": {"value": 0.2, "unit": "s"},
+        "pass_rel": {"value": pass_rel, "unit": "ref"},
+        "peak_rss_mb": {"value": 50.0 + seed, "unit": "MB"},
+    }
+    return "\n".join([
+        f"workload verify-corpus  seed {seed}  seconds 30  trace 0",
+        "machine " + json.dumps({**MACHINE, "seed": seed}),
+        f"fail_ratio 0 ({failed} of 100 checks)",
+        f"pass_rel {pass_rel:.4f} ref (median pass over its reference)",
+        json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+RUNS = [(11, 7.0), (12, 9.0), (13, 8.0), (14, 6.0), (15, 10.0)]
+
+
+def test_parse_run_reads_final_json_line_and_machine_facts():
+    run = bench.parse_run(canned_stdout(12, 9.0, failed=3))
+    assert run["seed"] == 12
+    assert run["machine"] == MACHINE
+    assert (run["failed"], run["attempted"]) == (3, 100)
+    assert run["metrics"] == {"setup_s": 0.2, "pass_rel": 9.0, "peak_rss_mb": 62.0}
+    assert run["units"]["pass_rel"] == "ref"
+
+
+def test_aggregate_gives_median_quartiles_and_checks():
+    parsed = [bench.parse_run(canned_stdout(seed, rel)) for seed, rel in RUNS]
+    parsed[1]["failed"] = 2
+    report = bench.aggregate({"verify-corpus": parsed})
+    assert report["machine"] == MACHINE
+    work = report["workloads"]["verify-corpus"]
+    assert (work["failed"], work["attempted"]) == (2, 500)
+    assert work["metrics"]["pass_rel"] == {
+        "median": 8.0, "q1": 7.0, "q3": 9.0, "n": 5, "unit": "ref"
+    }
+    assert work["metrics"]["peak_rss_mb"]["median"] == 63.0
+    assert [run["seed"] for run in work["runs"]] == [11, 12, 13, 14, 15]
+
+
+def test_single_run_has_equal_quartiles():
+    report = bench.aggregate({"hstar-large": [bench.parse_run(canned_stdout(11, 0.5))]})
+    rel = report["workloads"]["hstar-large"]["metrics"]["pass_rel"]
+    assert rel["median"] == rel["q1"] == rel["q3"] == 0.5
+
+
+def test_main_writes_trajectory_file(tmp_path, monkeypatch):
+    canned = dict(RUNS)
+    calls = []
+
+    def fake_run(workload, seed, seconds):
+        calls.append((workload, seed, seconds))
+        return bench.parse_run(canned_stdout(seed, canned[seed]))
+
+    monkeypatch.setattr(bench, "run_benchmark", fake_run)
+    code = bench.main(["--label", "t", "--seeds", "11-15", "--seconds", "30",
+                       "--workloads", "verify-corpus", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == [("verify-corpus", seed, 30) for seed in range(11, 16)]
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["label"] == "t" and report["seconds"] == 30
+    assert report["workloads"]["verify-corpus"]["metrics"]["pass_rel"]["median"] == 8.0
+
+
+def test_empty_output_is_an_error():
+    with pytest.raises(ValueError):
+        bench.parse_run("")

@@ -200,6 +200,8 @@ class TestReportCommands:
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
         res = run_cli("oracle-verify", str(path), "--scan-cap", "100")
         assert res.returncode == 3
+        assert "oracle scan of dilate 1: " in res.stderr
+        assert " box candidates exceed scan cap 100" in res.stderr
 
     def test_missing_file_exit_code(self, run_cli):
         assert run_cli("hstar", "/nonexistent/x.json").returncode == 2

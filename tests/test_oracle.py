@@ -1,4 +1,4 @@
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from math import prod
 from unittest import mock
 
@@ -20,7 +20,13 @@ from hstarkit.oracle import (
     heldout_count_matches,
     hstar_by_interpolation,
 )
-from hstarkit.simplex import LatticeSimplex, from_vertices, homogenize, normalized_volume
+from hstarkit.simplex import (
+    LatticeSimplex,
+    from_vertices,
+    homogenize,
+    normalized_volume,
+    restrict_to_affine_lattice,
+)
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
 
@@ -70,6 +76,16 @@ class TestCounts:
         with pytest.raises(ScanTooLargeError):
             count_lattice_points(prop43_instance(3, 4), 5, scan_cap=1000)
 
+    def test_scan_cap_names_cap_value_and_stage(self):
+        simplex = prop43_instance(3, 5)
+        with pytest.raises(ScanTooLargeError) as info:
+            count_interior_points(simplex, 4, scan_cap=10**6)
+        assert str(info.value) == (
+            "oracle scan of dilate 4: 80803125 box candidates exceed scan cap 1000000"
+        )
+        assert (info.value.candidates, info.value.cap) == (box_candidates(simplex, 4), 10**6)
+        assert info.value.stage == "oracle scan of dilate 4"
+
 
 def brute_force_counts(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
     """(closure, interior) counts of the n-th dilate, testing every candidate
@@ -105,11 +121,45 @@ def box_candidates(simplex: LatticeSimplex, n: int) -> int:
     return prod(n * (max(col) - min(col)) + 1 for col in zip(*simplex.vertices))
 
 
-def scan_dtypes(simplex: LatticeSimplex, n: int) -> tuple[tuple[int, int], list]:
-    """Counts by the line kernel, with the dtype of every kernel call."""
-    with mock.patch.object(oracle, "_count_lines", wraps=oracle._count_lines) as spy:
-        counts = oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP)
+def scan_dtypes(
+    simplex: LatticeSimplex, n: int, scan_cap: int = oracle.DEFAULT_SCAN_CAP
+) -> tuple[tuple[int, int], list]:
+    """Counts by the project-and-lift kernel, with the dtype of every kernel
+    call (one for the closure, one for the interior)."""
+    with mock.patch.object(oracle, "_count_lifts", wraps=oracle._count_lifts) as spy:
+        counts = oracle._scan.__wrapped__(simplex, n, scan_cap)
     return counts, [c.args[-1] for c in spy.call_args_list]
+
+
+def scan(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
+    return oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP)
+
+
+def brute_force_counts_embedded(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
+    """(closure, interior) counts of the n-th dilate of a simplex of any
+    dimension, testing every candidate of its bounding box in Z^N: the
+    barycentric weights come from a nonsingular square block of the edge
+    equations, and the other equations must hold too."""
+    v0 = simplex.vertices[0]
+    d = simplex.dimension
+    edges = [[v[i] - v0[i] for v in simplex.vertices[1:]] for i in range(simplex.ambient_dim)]
+    block = next(
+        rows
+        for rows in combinations(range(simplex.ambient_dim), d)
+        if linalg.det(linalg.IntMatrix.from_rows([edges[i] for i in rows], ncols=d))
+    )
+    square = linalg.IntMatrix.from_rows([edges[i] for i in block], ncols=d)
+    weak = strict = 0
+    for x in iter_product(*(range(n * min(c), n * max(c) + 1) for c in zip(*simplex.vertices))):
+        rhs = [x[i] - n * v0[i] for i in range(simplex.ambient_dim)]
+        lam = linalg.solve_rational(square, [rhs[i] for i in block]) if d else ()
+        if any(sum(e * w for e, w in zip(row, lam)) != r for row, r in zip(edges, rhs)):
+            continue
+        weights = (n - sum(lam),) + lam
+        if min(weights) >= 0:
+            weak += 1
+            strict += min(weights) > 0
+    return weak, strict
 
 
 # Coordinate half-width per dimension: keeps the brute-force reference small.
@@ -135,8 +185,7 @@ def random_simplices(draw) -> LatticeSimplex:
 @st.composite
 def corner_simplices(draw) -> LatticeSimplex:
     """0 and a_j e_j with the last vertex possibly moved, then shifted: the
-    facets x_j = 0 make forms that are flat along every other axis, so some
-    form is flat along the line axis whenever d >= 2."""
+    facets x_j = 0 make forms that are flat along every other axis."""
     d = draw(st.integers(1, 5))
     s = 2 * SPREAD[d]
     scales = draw(st.lists(st.integers(-s, s).filter(bool), min_size=d, max_size=d))
@@ -150,14 +199,49 @@ def corner_simplices(draw) -> LatticeSimplex:
         assume(False)
 
 
+@st.composite
+def unimodular_images(draw) -> tuple[LatticeSimplex, LatticeSimplex]:
+    """A small full-dimensional simplex and its image x -> A x + t, with A a
+    product of a unit lower and a unit upper triangular matrix."""
+    simplex = draw(random_simplices())
+    d = simplex.ambient_dim
+    entries = st.integers(-2, 2)
+    low = [[1 if i == j else draw(entries) if j < i else 0 for j in range(d)] for i in range(d)]
+    up = [[1 if i == j else draw(entries) if j > i else 0 for j in range(d)] for i in range(d)]
+    a = [[sum(low[i][k] * up[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    t = draw(st.lists(st.integers(-(10**100), 10**100), min_size=d, max_size=d))
+    image = from_vertices(
+        d, [[sum(a[i][j] * v[j] for j in range(d)) + t[i] for i in range(d)] for v in simplex.vertices]
+    )
+    return simplex, image
+
+
+@st.composite
+def embedded_simplices(draw) -> LatticeSimplex:
+    """A simplex of dimension <= 4 in Z^N, N <= 6, lower-dimensional, with
+    small coordinates."""
+    big_n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, min(big_n - 1, 4)))
+    s = {0: 3, 1: 3, 2: 2, 3: 1, 4: 1}[d] if big_n <= 3 else 1
+    verts = draw(
+        st.lists(
+            st.lists(st.integers(-s, s), min_size=big_n, max_size=big_n),
+            min_size=d + 1,
+            max_size=d + 1,
+        )
+    )
+    try:
+        return from_vertices(big_n, verts)
+    except NotASimplexError:
+        assume(False)
+
+
 class TestLineKernel:
     @given(st.one_of(random_simplices(), corner_simplices()), st.integers(1, 3))
     @settings(max_examples=250, deadline=None)
     def test_matches_brute_force(self, simplex, n):
         assume(box_candidates(simplex, n) <= 20_000)
-        assert oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP) == (
-            brute_force_counts(simplex, n)
-        )
+        assert scan(simplex, n) == brute_force_counts(simplex, n)
 
     @given(st.one_of(random_simplices(), corner_simplices()), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
@@ -166,29 +250,85 @@ class TestLineKernel:
         fast, fast_dtypes = scan_dtypes(simplex, n)
         with mock.patch.object(oracle, "_INT64_SAFE", 0):
             exact, exact_dtypes = scan_dtypes(simplex, n)
-        assert fast_dtypes == [np.int64] and exact_dtypes == [object]
+        assert fast_dtypes == [np.int64] * 2 and exact_dtypes == [object] * 2
         assert fast == exact
 
     @pytest.mark.parametrize(
         "simplex", [TRI_VOL2, delta_cm(2, 2), unit_simplex(3), prop43_instance(3, 4)]
     )
-    def test_huge_shift_runs_on_python_integers(self, simplex):
+    def test_huge_shift_counts_unchanged(self, simplex):
+        # The Hermite model drops the translate, so int64 still suffices.
         shift = 10**30
         far = from_vertices(
             simplex.ambient_dim, [[x + shift for x in v] for v in simplex.vertices]
         )
         for n in (1, 2):
             counts, dtypes = scan_dtypes(far, n)
-            assert dtypes == [object]
-            assert counts == oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP)
+            assert dtypes == [np.int64] * 2
+            assert counts == scan(simplex, n)
         assert count_lattice_points(far, 2) == brute_force_counts(far, 2)[0]
 
+    def test_large_forms_run_on_python_integers(self):
+        # The n-th dilate of the triangle 0, e_1, b e_2 has twice the area
+        # n^2 b and n + n + n b boundary points; Pick's theorem gives the
+        # interior.
+        b = 2**62
+        tri = from_vertices(2, [(0, 0), (1, 0), (0, b)])
+        for n in (1, 2, 3):
+            counts, dtypes = scan_dtypes(tri, n, scan_cap=10**30)
+            assert dtypes == [object] * 2
+            boundary = 2 * n + n * b
+            interior = (n * n * b - boundary) // 2 + 1
+            assert counts == (interior + boundary, interior)
+
     def test_flat_forms_are_covered(self):
-        # The facet x_2 = 0 of this triangle is flat along the line axis x_1.
+        # The facet x_2 = 0 of this triangle is flat along the axis x_1.
         tri = from_vertices(2, [(0, 0), (7, 0), (-3, 2)])
         adj, _ = linalg.adjugate(homogenize(tri))
         assert 0 in [row[0] for row in adj.rows]
         assert oracle._scan.__wrapped__(tri, 2, 10**8) == brute_force_counts(tri, 2)
+
+    @given(unimodular_images(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_unimodular_image_keeps_counts(self, pair, n):
+        simplex, image = pair
+        assume(box_candidates(simplex, n) <= 20_000)
+        assume(box_candidates(image, n) <= oracle.DEFAULT_SCAN_CAP)
+        assert scan(image, n) == scan(simplex, n) == brute_force_counts(simplex, n)
+
+    @given(embedded_simplices(), st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_lower_dimensional_counts_match_model(self, simplex, n):
+        assume(box_candidates(simplex, n) <= 5_000)
+        model = restrict_to_affine_lattice(simplex)
+        expected = brute_force_counts_embedded(simplex, n)
+        assert scan(simplex, n) == scan(model, n) == expected
+
+    @given(st.one_of(random_simplices(), corner_simplices()), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_small_chunks_split_rows_and_intervals(self, simplex, n):
+        assume(box_candidates(simplex, n) <= 20_000)
+        blocks = []
+        oracle_expand = oracle._expand
+
+        def expand(first, widths, limit):
+            for rows, x in oracle_expand(first, widths, limit):
+                blocks.append((len(rows), limit))
+                yield rows, x
+
+        with mock.patch.object(oracle, "_CHUNK", 6), mock.patch.object(oracle, "_expand", expand):
+            counts = scan(simplex, n)
+        assert counts == brute_force_counts(simplex, n)
+        assert all(0 < size <= limit for size, limit in blocks)
+
+    def test_small_chunks_cut_a_wide_interval(self):
+        blocks = list(oracle._expand(np.array([0, 5, 7]), np.array([9, 0, 2]), 3))
+        assert sorted(len(rows) for rows, _ in blocks) == [2, 3, 3, 3]
+        listed = sorted((int(i), int(x)) for rows, xs in blocks for i, x in zip(rows, xs))
+        assert listed == [(0, x) for x in range(9)] + [(2, 7), (2, 8)]
+        wide = from_vertices(2, [(0, 0), (40, 0), (0, 3)])
+        with mock.patch.object(oracle, "_CHUNK", 6):
+            assert scan(wide, 2) == brute_force_counts(wide, 2)
 
 
 @st.composite
