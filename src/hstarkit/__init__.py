@@ -12,7 +12,6 @@ from .boxgroup import (
     add,
     enumerate_box_group,
     neg,
-    support_of_set,
 )
 from .errors import HstarkitError
 from .hstar import HStarVector, ehrhart_from_hstar, hstar_from_box_group, structural_facts
@@ -56,5 +55,4 @@ __all__ = [
     "smith_normal_form",
     "solve_rational",
     "structural_facts",
-    "support_of_set",
 ]

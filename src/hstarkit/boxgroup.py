@@ -15,7 +15,8 @@ row heights. h* is a count over the heights. Single elements are
 ``BoxPoint`` objects (reduced integer numerators over their own
 denominator, which keeps the group law in pure integer arithmetic; ``coords``
 exposes the exact rationals); a group builds them only when a caller asks
-for its elements.
+for its elements. ``add`` and ``neg`` are the group law on single elements,
+a public view: the package itself works on the residue array.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -124,14 +125,6 @@ def neg(a: BoxPoint) -> BoxPoint:
     return BoxPoint.from_scaled([(-x) % a.den for x in a.nums], a.den)
 
 
-def support_of_set(points: Iterable[BoxPoint]) -> tuple[int, ...]:
-    """Union of the supports, sorted."""
-    out: set[int] = set()
-    for p in points:
-        out.update(p.support)
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True, eq=False)
 class BoxGroup:
     """Complete fractional-weight group of a full-dimensional simplex.
@@ -139,8 +132,8 @@ class BoxGroup:
     ``residues`` is a read-only (order, n+1) integer array: row i holds the
     numerators of element i over the exponent q. ``heights`` holds the row
     heights. Rows are sorted by (height, coordinates) so that every
-    downstream report is deterministic. ``elements`` and ``element_set`` are
-    the same group as ``BoxPoint`` objects, built on first use.
+    downstream report is deterministic. ``elements`` is the same group as
+    ``BoxPoint`` objects, built on first use.
     """
 
     simplex: LatticeSimplex
@@ -153,10 +146,6 @@ class BoxGroup:
     def elements(self) -> tuple[BoxPoint, ...]:
         return self.points(slice(None))
 
-    @cached_property
-    def element_set(self) -> frozenset[BoxPoint]:
-        return frozenset(self.elements)
-
     def points(self, rows) -> tuple[BoxPoint, ...]:
         """The elements of the selected rows (a slice, mask or index array),
         in the group's canonical order."""
@@ -164,13 +153,11 @@ class BoxGroup:
         return tuple(BoxPoint.from_scaled(r, q) for r in self.residues[rows].tolist())
 
     def __iter__(self) -> Iterator[BoxPoint]:
+        # Unused in the package; perfbench's tracer test iterates a group.
         return iter(self.elements)
 
     def __len__(self) -> int:
         return self.order
-
-    def __contains__(self, point: BoxPoint) -> bool:
-        return point in self.element_set
 
     @property
     def zero(self) -> BoxPoint:
@@ -203,7 +190,7 @@ def enumerate_box_group(
     factors = dec.invariant_factors
     order = prod(factors)
     if order > volume_cap:
-        raise VolumeTooLargeError(order, volume_cap)
+        raise VolumeTooLargeError(order, volume_cap, "weight-group enumeration")
     k = len(factors)
     q = factors[-1]
     # Entries stay below q*q + q while building and row sums below k*q.
@@ -247,7 +234,7 @@ def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[BoxP
     adj, det_m = linalg.adjugate(matrix)
     volume = abs(det_m)
     if volume > cap:
-        raise VolumeTooLargeError(volume, cap)
+        raise VolumeTooLargeError(volume, cap, "box scan")
     k = matrix.nrows
     sign = 1 if det_m > 0 else -1
     rows = [[sign * adj.rows[i][j] for j in range(k)] for i in range(k)]

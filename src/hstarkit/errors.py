@@ -18,12 +18,14 @@ class SingularMatrixError(HstarkitError):
 
 
 class VolumeTooLargeError(HstarkitError):
-    """Normalized volume exceeds the configured enumeration cap."""
+    """Normalized volume exceeds the configured enumeration cap; the message
+    names the stage, the volume and the cap."""
 
-    def __init__(self, volume: int, cap: int):
-        super().__init__(f"normalized volume {volume} exceeds cap {cap}")
+    def __init__(self, volume: int, cap: int, stage: str):
+        super().__init__(f"{stage}: normalized volume {volume} exceeds cap {cap}")
         self.volume = volume
         self.cap = cap
+        self.stage = stage
 
 
 class ScanTooLargeError(HstarkitError):

@@ -129,17 +129,32 @@ class SimplexDocument:
         return cls(ambient, vertices, name, expected)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent overwrite."""
+    out: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in out:
+            raise DocumentError(f"duplicate key {_echo(key)}")
+        out[key] = value
+    return out
+
+
 def parse_simplex_document(text: str) -> SimplexDocument:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # syntax, or an integer literal over the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply") from exc
     return SimplexDocument.from_json_dict(data)
 
 
 def load_simplex_document(path) -> SimplexDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_simplex_document(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from exc
+    return parse_simplex_document(text)

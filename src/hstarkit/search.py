@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
+import numpy as np
+
 from . import linalg
-from .boxgroup import BoxPoint, enumerate_box_group
+from .boxgroup import enumerate_box_group
 from .errors import InternalCheckError, InvalidParametersError
 from .hstar import HStarVector
 from .simplex import LatticeSimplex, from_vertices
@@ -120,10 +122,10 @@ def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
     verts = [tuple(matrix.rows[i][j] for i in range(length - 1)) for j in range(length)]
     simplex = from_vertices(length - 1, verts)
     group = enumerate_box_group(simplex)
-    expected = frozenset(
-        BoxPoint.from_scaled(tuple(j * a % q for a in generator), q) for j in range(q)
-    )
-    if group.element_set != expected:  # pragma: no cover - construction
+    expected = np.unique(np.arange(q)[:, None] * np.array(generator) % q, axis=0)
+    if group.exponent != q or not np.array_equal(
+        np.unique(group.residues, axis=0), expected
+    ):  # pragma: no cover - construction
         raise InternalCheckError("realized simplex has the wrong weight group")
     return simplex
 

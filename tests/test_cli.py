@@ -14,6 +14,7 @@ from hstarkit.io import (
     SimplexDocument,
     canonical_dumps,
     encode_int,
+    load_simplex_document,
     parse_simplex_document,
 )
 
@@ -47,6 +48,15 @@ PROP43_DOC = {
         [0, 0, 0, 1, 0],
         [1, 4, 7, 8, 9],
     ],
+}
+
+# Documents that once escaped the parser as a RecursionError, a silently
+# overwritten field, a ValueError or a UnicodeDecodeError.
+HOSTILE_DOCUMENTS = {
+    "deep-nesting": b"[" * 100_000,
+    "digit-limit": b'{"schema_version":"1","ambient_dim":1,"vertices":[[0],[' + b"1" * 5000 + b"]]}",
+    "duplicate-key": json.dumps(PROP43_DOC)[:-1].encode() + b',"vertices":[[0],[1]]}',
+    "invalid-utf8": b'{"schema_version":"1","name":"\xff","ambient_dim":1,"vertices":[[0],[1]]}',
 }
 
 UNIT_TRIANGLE_DOC = {
@@ -194,7 +204,9 @@ class TestReportCommands:
 
     def test_volume_cap_exit_code(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
-        assert run_cli("hstar", str(path), "--volume-cap", "5").returncode == 3
+        res = run_cli("hstar", str(path), "--volume-cap", "5")
+        assert res.returncode == 3
+        assert "weight-group enumeration: normalized volume 9 exceeds cap 5" in res.stderr
 
     def test_scan_cap_exit_code(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
@@ -205,6 +217,17 @@ class TestReportCommands:
 
     def test_missing_file_exit_code(self, run_cli):
         assert run_cli("hstar", "/nonexistent/x.json").returncode == 2
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_DOCUMENTS))
+    def test_hostile_document_is_a_document_error(self, run_cli, tmp_path, kind):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(HOSTILE_DOCUMENTS[kind])
+        with pytest.raises(DocumentError):
+            load_simplex_document(path)
+        res = run_cli("hstar", str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert len(res.stderr.splitlines()) == 1
+        assert run_cli("verify-suite", "--corpus", str(tmp_path)).returncode == 2
 
 
 # sha256 of `hstarkit box-group <doc>` stdout for every corpus document. The
@@ -556,7 +579,25 @@ class TestVerifySuite:
         assert run_cli("verify-suite", "--corpus", str(tmp_path)).returncode == 2
 
 
+# sha256 of `hstarkit search <args>` stdout and its exit code, computed before
+# `realize_cyclic_group` compared residue arrays: every hit of each run.
+SEARCH_STDOUT_SHA256 = {
+    "--k 2 --window weak --max-order 12 --max-dim 4":
+        ("c353a5a119db131d35d752f9c710f0caf9ea993c845459bd6c34e0bedf9e3298", 0),
+    "--k 3 --window weak --max-order 12 --max-dim 5":
+        ("7175d924e1970dde4d78e35d9a54999e4dae2e95a82d07873a410f618ca0b232", 0),
+    "--k 2 --window strong --max-order 20 --max-dim 4":
+        ("aed2051bf3a378189ee5d5c61fce689bf36992a91ee8e8dbfb67aca2a2e14698", 0),
+}
+
+
 class TestSearch:
+    @pytest.mark.parametrize("args", sorted(SEARCH_STDOUT_SHA256))
+    def test_search_stdout_bytes(self, run_cli, args):
+        res = run_cli("search", *args.split())
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        assert (digest, res.returncode) == SEARCH_STDOUT_SHA256[args]
+
     def test_unimodular_only_at_order_one(self, run_cli):
         res = run_cli("search", "--k", "3", "--window", "strong",
                       "--max-order", "1", "--max-dim", "5")

@@ -1,15 +1,125 @@
+import dataclasses
+import itertools
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from hstarkit import oracle, verify
-from hstarkit.boxgroup import DEFAULT_VOLUME_CAP
-from hstarkit.io import SimplexDocument
-from hstarkit.simplex import LatticeSimplex, restrict_to_affine_lattice
+from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, add, enumerate_box_group, neg
+from hstarkit.errors import NotASimplexError
+from hstarkit.io import SimplexDocument, load_simplex_document
+from hstarkit.simplex import (
+    LatticeSimplex,
+    all_faces,
+    from_vertices,
+    normalized_volume,
+    restrict_to_affine_lattice,
+)
 
 SKEW = SimplexDocument(3, ((1, 0, 2), (2, 3, 1), (0, 1, 5)), name="skew")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_DOCS = {p.name: load_simplex_document(p) for p in sorted(CORPUS.glob("*.json"))}
+GROUP_INVARIANTS = (
+    "height-subadditivity",
+    "scalar-step-bound",
+    "group-axioms",
+    "face-group-identification",
+)
 
 
 def records(doc: SimplexDocument, scan_cap: int = oracle.DEFAULT_SCAN_CAP) -> list:
     return list(verify._instance_records("doc.json", doc, DEFAULT_VOLUME_CAP, scan_cap))
+
+
+def group_verdicts(doc: SimplexDocument) -> dict:
+    return {
+        r.invariant: (r.status, r.detail) for r in records(doc) if r.invariant in GROUP_INVARIANTS
+    }
+
+
+def reference_verdicts(doc: SimplexDocument) -> dict:
+    """The four group invariants computed element by element on ``BoxPoint``s
+    with ``add``/``neg``: the reference the residue-array checks must match."""
+    simplex = doc.to_simplex()
+    full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
+    group = enumerate_box_group(full)
+    els = group.elements
+    members = set(els)
+    out = {}
+    if group.order <= verify.SUBGROUP_ORDER_GATE:
+        sub_ok = all(add(a, b).height <= a.height + b.height for a in els for b in els)
+        step_ok = True
+        for a in els:
+            prev = a
+            while not a.is_zero():
+                cur = add(prev, a)
+                step_ok = step_ok and cur.height <= prev.height + a.height
+                if cur.is_zero():
+                    break
+                prev = cur
+        out["height-subadditivity"] = ("pass" if sub_ok else "fail", {})
+        out["scalar-step-bound"] = ("pass" if step_ok else "fail", {})
+    else:
+        reason = {"reason": f"order above {verify.SUBGROUP_ORDER_GATE}"}
+        out["height-subadditivity"] = out["scalar-step-bound"] = ("skip", reason)
+    if group.order <= verify.AXIOM_ORDER_GATE:
+        closed = all(add(a, b) in members for a in els for b in els)
+        has_zero = group.zero.is_zero()
+        inverses = all(neg(a) in members and add(a, neg(a)).is_zero() for a in els)
+        sample = els[:5]
+        assoc = all(
+            add(add(a, b), c) == add(a, add(b, c)) for a in sample for b in sample for c in sample
+        )
+        detail = {"closed": closed, "zero": has_zero, "inverses": inverses, "assoc_sampled": assoc}
+        out["group-axioms"] = ("pass" if all(detail.values()) else "fail", detail)
+    else:
+        out["group-axioms"] = ("skip", {"reason": f"order above {verify.AXIOM_ORDER_GATE}"})
+    if group.order <= verify.FACE_IDENTIFICATION_GATE and full.n_vertices <= verify.FACE_VERTEX_GATE:
+        mismatch = None
+        for sel, face_simplex in all_faces(full):
+            got = {p.coords for p in enumerate_box_group(face_simplex).elements}
+            want = {
+                tuple(p.coords[i] for i in sel.indices)
+                for p in els
+                if set(p.support) <= set(sel.indices)
+            }
+            if got != want:
+                mismatch = list(sel.indices)
+                break
+        status = "pass" if mismatch is None else "fail"
+        out["face-group-identification"] = (status, {"first_mismatch": mismatch})
+    else:
+        reason = {"reason": "order or vertex count above gate"}
+        out["face-group-identification"] = ("skip", reason)
+    return out
+
+
+def tampered_verdicts(doc: SimplexDocument, edit) -> dict:
+    """Group verdicts when the i-th group verify enumerates is replaced by
+    ``edit(i, group)``; group 0 is the input's own."""
+    calls = itertools.count()
+
+    def fake(simplex, volume_cap):
+        return edit(next(calls), enumerate_box_group(simplex, volume_cap=volume_cap))
+
+    with mock.patch.object(verify, "enumerate_box_group", fake):
+        return group_verdicts(doc)
+
+
+def input_group_edit(fn):
+    """An edit of the input's own group by fn(residues, heights, q) on copies."""
+
+    def edit(i, group):
+        if i:
+            return group
+        residues, heights = fn(group.residues.copy(), group.heights.copy(), group.exponent)
+        return dataclasses.replace(group, residues=residues, heights=heights)
+
+    return edit
 
 
 class TestRestrictInvariance:
@@ -35,3 +145,86 @@ class TestScanCapRecords:
         skipped = {r.invariant: r.detail for r in out if r.status == "skip"}
         assert skipped["oracle-cross-validation"] == {"reason": "scan cap"}
         assert skipped["heldout-count"] == {"reason": "scan cap"}
+
+
+class TestGroupInvariants:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                min_size=d + 1,
+                max_size=d + 1,
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_simplices_match_the_reference(self, verts):
+        try:
+            simplex = from_vertices(len(verts[0]), verts)
+        except NotASimplexError:
+            assume(False)
+        assume(normalized_volume(simplex) <= 60)
+        doc = SimplexDocument.from_simplex(simplex)
+        assert group_verdicts(doc) == reference_verdicts(doc)
+
+    @given(st.sampled_from(sorted(CORPUS_DOCS)).flatmap(
+        lambda name: st.tuples(
+            st.just(name), st.permutations(range(len(CORPUS_DOCS[name].vertices)))
+        )
+    ))
+    @settings(max_examples=16, deadline=None)
+    def test_relabelled_corpus_matches_the_reference(self, case):
+        name, perm = case
+        doc = CORPUS_DOCS[name]
+        doc = SimplexDocument(doc.ambient_dim, tuple(doc.vertices[i] for i in perm))
+        assert group_verdicts(doc) == reference_verdicts(doc)
+
+
+@input_group_edit
+def drop_row_one(residues, heights, q):
+    return np.delete(residues, 1, axis=0), np.delete(heights, 1)
+
+
+@input_group_edit
+def lower_an_order_two_height(residues, heights, q):
+    i = next(i for i, r in enumerate(residues) if r.any() and not (2 * r % q).any())
+    heights[i] -= 1
+    return residues, heights
+
+
+@input_group_edit
+def negate_a_row_inside_a_face(residues, heights, q):
+    i = next(i for i, r in enumerate(residues) if (r == 0).any() and (2 * r % q).any())
+    residues[i] = -residues[i] % q
+    return residues, heights
+
+
+def later_groups_over_five_times_their_exponent(i, group):
+    if not i:
+        return group
+    factors = group.invariant_factors[:-1] + (5 * group.exponent,)
+    return dataclasses.replace(group, invariant_factors=factors, residues=5 * group.residues)
+
+
+class TestTamperedGroup:
+    JOIN = CORPUS_DOCS["join-seg2-seg3.json"]  # Z/2 on vertices 0, 1 times Z/3 on 2, 3
+
+    def test_dropped_row_breaks_closure_and_inverses(self):
+        assert tampered_verdicts(self.JOIN, drop_row_one)["group-axioms"] == (
+            "fail",
+            {"closed": False, "zero": True, "inverses": False, "assoc_sampled": True},
+        )
+
+    def test_lowered_height_breaks_both_height_bounds(self):
+        doc = CORPUS_DOCS["delta-cm-c9-m2.json"]  # cyclic of order 10, h* = 1 + 9t^2
+        out = tampered_verdicts(doc, lower_an_order_two_height)
+        assert out["height-subadditivity"][0] == out["scalar-step-bound"][0] == "fail"
+
+    def test_altered_row_inside_a_face_breaks_face_identification(self):
+        out = tampered_verdicts(self.JOIN, negate_a_row_inside_a_face)
+        assert out["face-group-identification"][0] == "fail"
+
+    def test_face_groups_compare_as_fractions(self):
+        # Face exponents 10 and 15 do not divide the input's exponent 6.
+        out = tampered_verdicts(self.JOIN, later_groups_over_five_times_their_exponent)
+        assert out["face-group-identification"] == ("pass", {"first_mismatch": None})
