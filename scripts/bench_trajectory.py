@@ -3,7 +3,7 @@
 file, BENCH_<label>.json, with the median and quartiles of every metric.
 
     python3 scripts/bench_trajectory.py --label NAME --seeds 11-20 --seconds 30 \\
-        [--workloads verify-corpus hstar-large] [--out DIR]
+        [--workloads verify-corpus hstar-large] [--parent DIR] [--out DIR]
 
 Each (workload, seed) is one untraced `perfbench/run.py` run of this
 checkout, one at a time. Its final JSON line gives the metrics and the
@@ -11,6 +11,12 @@ failed/attempted checks, and its `machine` line the machine facts. Per
 workload the file holds, for every metric, the median, q1 and q3 over the
 seeds (inclusive quartiles), the summed `failed`/`attempted`, and every
 run's values, so two trajectory files can be compared pair by pair.
+
+With --parent, every (workload, seed) also runs the benchmark of that
+other checkout (say, a clone of the parent commit), as a pair with this
+one; the side that runs first alternates with the seed. The file then also
+holds the parent's statistics under "parent" and, per metric, in how many
+pairs this checkout read lower under "change_lower".
 """
 from __future__ import annotations
 
@@ -77,11 +83,26 @@ def aggregate(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
-def run_benchmark(workload: str, seed: int, seconds: int) -> dict:
+def lower_counts(parent: dict[str, list[dict]], change: dict[str, list[dict]]) -> dict:
+    """Per workload and metric: the pairs (same seed) in which the change
+    read lower than the parent, out of the pairs run."""
+    out = {}
+    for workload, runs in change.items():
+        pairs = list(zip(parent[workload], runs))
+        names = sorted({name for _, run in pairs for name in run["metrics"]})
+        out[workload] = {
+            name: {"lower": sum(c["metrics"][name] < p["metrics"][name] for p, c in pairs),
+                   "pairs": len(pairs)}
+            for name in names
+        }
+    return out
+
+
+def run_benchmark(workload: str, seed: int, seconds: int, root: Path = REPO) -> dict:
     res = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "run.py"), "--workload", workload,
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True, cwd=REPO,
+        capture_output=True, text=True, cwd=root,
     )
     if not res.stdout.strip():
         raise RuntimeError(f"{workload} seed {seed} printed nothing: {res.stderr[-2000:]}")
@@ -99,21 +120,33 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", required=True, type=seed_range, help="N or FIRST-LAST")
     ap.add_argument("--seconds", required=True, type=int)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--parent", type=Path,
+                    help="another checkout to run as the parent of each pair")
     ap.add_argument("--out", type=Path, default=REPO)
     args = ap.parse_args(argv)
 
-    runs: dict[str, list[dict]] = {}
+    sides = ["parent", "change"] if args.parent else ["change"]
+    runs: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
     for workload in args.workloads:
         for seed in args.seeds:
-            run = run_benchmark(workload, seed, args.seconds)
-            runs.setdefault(workload, []).append(run)
-            print(f"{workload} seed {seed}: failed {run['failed']}/{run['attempted']} "
-                  + " ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items())))
-    report = {"label": args.label, "seconds": args.seconds, **aggregate(runs)}
+            for side in sides if seed % 2 else sides[::-1]:
+                if side == "change":
+                    run = run_benchmark(workload, seed, args.seconds)
+                else:
+                    run = run_benchmark(workload, seed, args.seconds, root=args.parent)
+                runs[side].setdefault(workload, []).append(run)
+                print(f"{workload} seed {seed} {side}: failed {run['failed']}/{run['attempted']} "
+                      + " ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items())),
+                      flush=True)
+    report = {"label": args.label, "seconds": args.seconds, **aggregate(runs["change"])}
+    failed = sum(w["failed"] for w in report["workloads"].values())
+    if args.parent:
+        report["parent"] = aggregate(runs["parent"])["workloads"]
+        report["change_lower"] = lower_counts(runs["parent"], runs["change"])
+        failed += sum(w["failed"] for w in report["parent"].values())
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    failed = sum(w["failed"] for w in report["workloads"].values())
     return 1 if failed else 0
 
 

@@ -17,6 +17,12 @@ denominator, which keeps the group law in pure integer arithmetic; ``coords``
 exposes the exact rationals); a group builds them only when a caller asks
 for its elements. ``add`` and ``neg`` are the group law on single elements,
 a public view: the package itself works on the residue array.
+
+``enumerate_by_box_scan`` is an independent second enumeration, used to
+check the first: no Smith form, no ``BoxGroup``. It reads the group off the
+coset representatives prod_t [0, H_tt) of the lower-triangular Hermite model
+H of the simplex, in one numpy pass, on int64 while n * vol**2 stays below
+``INT64_LIMIT`` and on Python integers otherwise.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from .errors import (
     NonIntegralHeightError,
     VolumeTooLargeError,
 )
-from .simplex import LatticeSimplex, homogenize
+from .simplex import LatticeSimplex, homogenize, restrict_to_affine_lattice
 
 DEFAULT_VOLUME_CAP = 10**6
 # int64 residue arithmetic is used only while every intermediate value stays
@@ -224,43 +230,39 @@ def enumerate_box_group(
 
 
 def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[BoxPoint, ...]:
-    """Debug oracle: scan the half-open vertex parallelepiped directly.
+    """Debug oracle: the group read off coset representatives in the
+    triangular Hermite model, with no Smith form and no ``BoxGroup``.
 
-    Independent of the Smith-form path; exact integer membership test per
-    candidate lattice point (adjugate times point, compared against the
-    determinant). Only intended for normalized volume <= cap.
+    The model (`restrict_to_affine_lattice`) has the origin and the columns
+    of a lower-triangular H with positive diagonal as vertices, so
+    x -> H^-1 x maps the cosets of H Z^n in Z^n one to one onto the group,
+    and the box prod_t [0, H_tt) holds exactly one point of each coset (the
+    triangle fixes x_t mod H_tt once x_0..x_{t-1} are fixed). With
+    vol = det H = prod H_tt, representative x gets the numerators
+    F = adj(H) x mod vol on vertices 1..n, height h = ceil(sum F / vol) and
+    numerator h * vol - sum F on the origin. Any simplex is accepted; a
+    lower-dimensional one gives the group of its model. The cap on vol is
+    checked before the adjugate and before any array is allocated. adj(H) is
+    reduced mod vol first, so every entry of its product with x is below
+    n * vol**2: int64 is used below ``INT64_LIMIT``, Python integers
+    otherwise.
     """
-    matrix = homogenize(simplex)
-    adj, det_m = linalg.adjugate(matrix)
-    volume = abs(det_m)
+    model = restrict_to_affine_lattice(simplex)
+    n = model.dimension
+    diagonal = [model.vertices[t + 1][t] for t in range(n)]
+    volume = prod(diagonal)
     if volume > cap:
         raise VolumeTooLargeError(volume, cap, "box scan")
-    k = matrix.nrows
-    sign = 1 if det_m > 0 else -1
-    rows = [[sign * adj.rows[i][j] for j in range(k)] for i in range(k)]
-    los = []
-    his = []
-    for i in range(k):
-        row = matrix.rows[i]
-        los.append(sum(min(x, 0) for x in row))
-        his.append(sum(max(x, 0) for x in row))
-    found = []
-    point = [0] * k
-
-    def scan(axis: int) -> None:
-        if axis == k:
-            # weight_i = (rows[i] . point) / volume must lie in [0, 1)
-            nums = []
-            for i in range(k):
-                w = sum(rows[i][j] * point[j] for j in range(k))
-                if w < 0 or w >= volume:
-                    return
-                nums.append(w)
-            found.append(BoxPoint.from_scaled(nums, volume))
-            return
-        for val in range(los[axis], his[axis] + 1):
-            point[axis] = val
-            scan(axis + 1)
-
-    scan(0)
-    return tuple(sorted(found))
+    edges = linalg.IntMatrix.from_rows(
+        [[v[i] for v in model.vertices[1:]] for i in range(n)], ncols=n
+    )
+    adj, _ = linalg.adjugate(edges)
+    dtype = np.int64 if n * volume * volume < INT64_LIMIT else object
+    forms = np.array([[x % volume for x in row] for row in adj.rows], dtype=dtype).reshape(n, n)
+    reps = np.indices(diagonal).reshape(n, volume).astype(dtype)
+    weights = (forms @ reps % volume).T
+    sums = weights.sum(axis=1)
+    heights = -(-sums // volume)
+    arr = np.column_stack([heights * volume - sums, weights])
+    perm = np.lexsort(tuple(arr[:, i] for i in reversed(range(n + 1))) + (heights,))
+    return tuple(BoxPoint.from_scaled(r, volume) for r in arr[perm].tolist())

@@ -108,7 +108,7 @@ def _certificate_json(cert: ExtractionCertificate) -> dict:
         "hstar_match": cert.hstar_match,
     }
     if len(cert.lambda_prime) <= _ELEMENT_DUMP_LIMIT:
-        out["lambda_prime"] = [_coords_strings(p) for p in cert.lambda_prime]
+        out["lambda_prime"] = [_coords_strings(p) for p in cert.lambda_prime_points()]
     return out
 
 
@@ -134,6 +134,8 @@ def cmd_box_group(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
+    if args.n < 0:
+        raise InvalidParametersError(f"dilation --n must be nonnegative, got {args.n}")
     doc, full = _load_full(args.file)
     group = enumerate_box_group(full, volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
@@ -396,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         DimensionMismatchError,
         PreconditionNotMetError,
         TooManyFacesError,
-        ValueError,
         OSError,
     ) as exc:
         log.error("%s", exc)

@@ -120,6 +120,14 @@ class SimplexDocument:
         raw = data["vertices"]
         if not isinstance(raw, list) or not raw or not all(isinstance(v, list) for v in raw):
             raise DocumentError("vertices must be a nonempty list of lists")
+        # Shape errors are refused before any entry is decoded.
+        if len(raw) > ambient + 1:
+            raise DocumentError(
+                f"{len(raw)} vertices, but a simplex in ambient_dim {ambient} has at most {ambient + 1}"
+            )
+        for i, v in enumerate(raw):
+            if len(v) != ambient:
+                raise DocumentError(f"vertex {i} has {len(v)} entries, ambient_dim is {ambient}")
         vertices = tuple(tuple(decode_int(x) for x in v) for v in raw)
         expected = data.get("expected_hstar")
         if expected is not None:

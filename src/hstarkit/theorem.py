@@ -11,7 +11,7 @@ vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -196,9 +196,14 @@ def verify_lemma32(group: BoxGroup, k: int) -> LowSubgroupVerdict:
     return _low_subgroup_verdict(group, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtractionCertificate:
     """Everything the face extraction computed, verdicts included.
+
+    ``lambda_prime`` is L', the elements of height at most k, as read-only
+    residue rows over the group ``exponent`` in the group's canonical order;
+    ``lambda_prime_points`` builds them as ``BoxPoint``s. Equality compares
+    every field, L' row by row.
 
     ``hstar_match`` states that the extracted face's h*-polynomial equals
     the truncation of the input's h* at degree k; when the hypothesis
@@ -211,7 +216,8 @@ class ExtractionCertificate:
     window_ok: bool
     hypothesis_met: bool
     hstar: HStarVector
-    lambda_prime: tuple[BoxPoint, ...]
+    lambda_prime: np.ndarray
+    exponent: int
     support: tuple[int, ...]
     face_selector: FaceSelector
     face_hstar: HStarVector
@@ -220,6 +226,17 @@ class ExtractionCertificate:
     subgroup_ok: bool
     support_bound_ok: bool
     hstar_match: bool
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExtractionCertificate):
+            return NotImplemented
+        rest = (f.name for f in fields(self) if f.name != "lambda_prime")
+        return np.array_equal(self.lambda_prime, other.lambda_prime) and all(
+            getattr(self, name) == getattr(other, name) for name in rest
+        )
+
+    def lambda_prime_points(self) -> tuple[BoxPoint, ...]:
+        return tuple(BoxPoint.from_scaled(r, self.exponent) for r in self.lambda_prime.tolist())
 
 
 def extract_face(
@@ -260,6 +277,8 @@ def extract_face(
     face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
     face_h = hstar_from_box_group(face_group)
     truncation = h.truncated(k)
+    low_rows = group.residues[group.heights <= k]
+    low_rows.flags.writeable = False
     hstar_match = face_h.coeffs == truncation.coeffs
     certificate = ExtractionCertificate(
         k=k,
@@ -267,7 +286,8 @@ def extract_face(
         window_ok=window_ok,
         hypothesis_met=hypothesis_met,
         hstar=h,
-        lambda_prime=low_subgroup(group, k),
+        lambda_prime=low_rows,
+        exponent=group.exponent,
         support=supp,
         face_selector=selector,
         face_hstar=face_h,

@@ -78,6 +78,32 @@ def test_main_writes_trajectory_file(tmp_path, monkeypatch):
     assert report["workloads"]["verify-corpus"]["metrics"]["pass_rel"]["median"] == 8.0
 
 
+def test_parent_pairs_alternate_and_count_lower_readings(tmp_path, monkeypatch):
+    parent_rel = dict(RUNS)
+    change_rel = {11: 6.0, 12: 8.0, 13: 9.0, 14: 5.0, 15: 9.5}
+    calls = []
+
+    def fake_run(workload, seed, seconds, root=bench.REPO):
+        side = "change" if root == bench.REPO else "parent"
+        calls.append((seed, side))
+        rel = (change_rel if side == "change" else parent_rel)[seed]
+        return bench.parse_run(canned_stdout(seed, rel))
+
+    monkeypatch.setattr(bench, "run_benchmark", fake_run)
+    code = bench.main(["--label", "t", "--seeds", "11-15", "--seconds", "30",
+                       "--workloads", "verify-corpus", "--parent", str(tmp_path / "parent"),
+                       "--out", str(tmp_path)])
+    assert code == 0
+    assert calls[:4] == [(11, "parent"), (11, "change"), (12, "change"), (12, "parent")]
+    assert len(calls) == 10
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["parent"]["verify-corpus"]["metrics"]["pass_rel"]["median"] == 8.0
+    assert report["workloads"]["verify-corpus"]["metrics"]["pass_rel"]["median"] == 8.0
+    lower = report["change_lower"]["verify-corpus"]
+    assert lower["pass_rel"] == {"lower": 4, "pairs": 5}
+    assert lower["peak_rss_mb"] == {"lower": 0, "pairs": 5}
+
+
 def test_empty_output_is_an_error():
     with pytest.raises(ValueError):
         bench.parse_run("")

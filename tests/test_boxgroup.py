@@ -3,10 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import boxgroup
+from hstarkit import boxgroup, linalg
 from hstarkit.boxgroup import (
     BoxPoint,
     add,
@@ -22,7 +22,14 @@ from hstarkit.errors import (
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import hstar_from_box_group
 from hstarkit.linalg import smith_normal_form
-from hstarkit.simplex import all_faces, from_vertices, homogenize, normalized_volume
+from hstarkit.simplex import (
+    LatticeSimplex,
+    all_faces,
+    from_vertices,
+    homogenize,
+    normalized_volume,
+    restrict_to_affine_lattice,
+)
 from hstarkit.theorem import low_subgroup
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
@@ -321,3 +328,139 @@ def test_random_simplices_group_matches_volume_and_scan(verts):
     assert enumerate_by_box_scan(s, cap=60) == g.elements
     for p in g.elements:
         assert p.support_size == p.height + neg(p).height
+
+
+def reference_box_scan(simplex, cap=200):
+    """The earlier enumeration, kept as the differential reference: scan
+    every lattice point of the bounding box of the homogenized vertex
+    matrix and keep those whose weights adj(M) x / |det M| lie in [0, 1)."""
+    matrix = homogenize(simplex)
+    adj, det_m = linalg.adjugate(matrix)
+    volume = abs(det_m)
+    if volume > cap:
+        raise VolumeTooLargeError(volume, cap, "box scan")
+    k = matrix.nrows
+    sign = 1 if det_m > 0 else -1
+    rows = [[sign * adj.rows[i][j] for j in range(k)] for i in range(k)]
+    los = []
+    his = []
+    for i in range(k):
+        row = matrix.rows[i]
+        los.append(sum(min(x, 0) for x in row))
+        his.append(sum(max(x, 0) for x in row))
+    found = []
+    point = [0] * k
+
+    def scan(axis: int) -> None:
+        if axis == k:
+            # weight_i = (rows[i] . point) / volume must lie in [0, 1)
+            nums = []
+            for i in range(k):
+                w = sum(rows[i][j] * point[j] for j in range(k))
+                if w < 0 or w >= volume:
+                    return
+                nums.append(w)
+            found.append(BoxPoint.from_scaled(nums, volume))
+            return
+        for val in range(los[axis], his[axis] + 1):
+            point[axis] = val
+            scan(axis + 1)
+
+    scan(0)
+    return tuple(sorted(found))
+
+
+# Coordinate bounds per dimension that keep the reference's box below 20,000
+# points.
+_COORDS = {1: 12, 2: 6, 3: 3, 4: 1}
+
+
+@st.composite
+def full_dimensional_simplices(draw):
+    d = draw(st.integers(1, 4))
+    b = _COORDS[d]
+    verts = draw(st.lists(
+        st.lists(st.integers(-b, b), min_size=d, max_size=d), min_size=d + 1, max_size=d + 1
+    ))
+    try:
+        s = from_vertices(d, verts)
+    except Exception:
+        assume(False)
+    assume(normalized_volume(s) <= 200)
+    return s
+
+
+@st.composite
+def lower_dimensional_simplices(draw):
+    ambient = draw(st.integers(1, 4))
+    n = draw(st.integers(0, min(ambient - 1, 2)))
+    verts = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=ambient, max_size=ambient),
+        min_size=n + 1, max_size=n + 1,
+    ))
+    try:
+        s = from_vertices(ambient, verts)
+    except Exception:
+        assume(False)
+    assume(normalized_volume(s) <= 200)
+    return s
+
+
+class TestBoxScan:
+    @given(full_dimensional_simplices())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_in_both_orientations(self, s):
+        swapped = LatticeSimplex(s.ambient_dim, (s.vertices[1], s.vertices[0]) + s.vertices[2:])
+        for simplex in (s, swapped):
+            got = enumerate_by_box_scan(simplex)
+            assert got == reference_box_scan(simplex)
+            assert [p.nums for p in got] == [p.nums for p in enumerate_box_group(simplex).elements]
+
+    @given(lower_dimensional_simplices())
+    @settings(max_examples=60, deadline=None)
+    def test_lower_dimensional_input_scans_its_model(self, s):
+        assert enumerate_by_box_scan(s) == reference_box_scan(restrict_to_affine_lattice(s))
+
+    def test_point_and_corpus_shapes(self):
+        assert enumerate_by_box_scan(from_vertices(3, [(5, -1, 2)])) == (BoxPoint.zero(1),)
+        for s in (prop43_instance(3, 4), NON_CYCLIC, huge_unimodular_image(prop43_instance(3, 4))):
+            assert enumerate_by_box_scan(s) == enumerate_box_group(s).elements
+
+    def test_cap_is_checked_before_anything_is_allocated(self, monkeypatch):
+        calls = []
+        adjugate, indices = linalg.adjugate, np.indices
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(linalg, "adjugate", spy("adjugate", adjugate))
+        monkeypatch.setattr(np, "indices", spy("indices", indices))
+        with pytest.raises(VolumeTooLargeError) as info:
+            enumerate_by_box_scan(delta_cm(10**5, 1), cap=200)
+        assert str(info.value) == "box scan: normalized volume 100001 exceeds cap 200"
+        assert calls == []
+        enumerate_by_box_scan(delta_cm(10, 1), cap=200)
+        assert calls == ["adjugate", "indices"]
+
+    @pytest.mark.parametrize(
+        "simplex",
+        [delta_cm(50, 3), NON_CYCLIC, huge_unimodular_image(prop43_instance(3, 4))],
+        ids=["delta_cm", "join", "huge-image"],
+    )
+    def test_object_path_matches_int64_path(self, simplex, monkeypatch):
+        dtypes = []
+        lexsort = np.lexsort
+
+        def spy(keys):
+            dtypes.append(keys[0].dtype)
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        fast = enumerate_by_box_scan(simplex)
+        monkeypatch.setattr(boxgroup, "INT64_LIMIT", 0)
+        exact = enumerate_by_box_scan(simplex)
+        assert dtypes == [np.int64, object]
+        assert exact == fast == enumerate_box_group(simplex).elements

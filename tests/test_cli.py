@@ -1,5 +1,6 @@
 import hashlib
 import json
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hstarkit import io
 from hstarkit.errors import DocumentError
 from hstarkit.hstar import HStarVector, ehrhart_from_hstar
 from hstarkit.io import (
@@ -136,7 +138,12 @@ class TestDocuments:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, verts, name):
         doc = SimplexDocument(2, tuple(tuple(v) for v in verts), name=name)
-        assert parse_simplex_document(canonical_dumps(doc.to_json_dict())) == doc
+        text = canonical_dumps(doc.to_json_dict())
+        if len(verts) > 3:  # more vertices than a simplex in the plane has
+            with pytest.raises(DocumentError):
+                parse_simplex_document(text)
+        else:
+            assert parse_simplex_document(text) == doc
 
 
 class TestReportCommands:
@@ -175,7 +182,24 @@ class TestReportCommands:
 
     def test_ehrhart_negative_dilation_exit_code(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "t.json", UNIT_TRIANGLE_DOC)
-        assert run_cli("ehrhart", str(path), "--n", "-1").returncode == 2
+        res = run_cli("ehrhart", str(path), "--n", "-1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "ERROR hstarkit: dilation --n must be nonnegative, got -1\n"
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path):
+        # A ValueError from inside the library is a bug, not bad input.
+        path = write_doc(tmp_path, "s.json", PROP43_DOC)
+        script = (
+            "import sys\n"
+            "from hstarkit import cli, oracle\n"
+            "def broken(*args, **kwargs):\n"
+            "    raise ValueError('internal')\n"
+            "oracle.count_lattice_points = broken\n"
+            f"sys.exit(cli.main(['oracle-verify', {str(path)!r}]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode not in (0, 2)
+        assert "ValueError: internal" in res.stderr
 
     def test_oracle_verify_match(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
@@ -217,6 +241,31 @@ class TestReportCommands:
 
     def test_missing_file_exit_code(self, run_cli):
         assert run_cli("hstar", "/nonexistent/x.json").returncode == 2
+
+    def test_huge_vertex_array_is_refused_before_decoding(self, monkeypatch):
+        decoded = []
+        decode_int = io.decode_int
+
+        def spy(value):
+            decoded.append(value)
+            return decode_int(value)
+
+        monkeypatch.setattr(io, "decode_int", spy)
+        many = {**UNIT_TRIANGLE_DOC, "vertices": [[0, 0]] * 10**6}
+        with pytest.raises(DocumentError, match="1000000 vertices"):
+            SimplexDocument.from_json_dict(many)
+        long_vertex = {**UNIT_TRIANGLE_DOC, "vertices": [[0, 0], [0] * 10**6, [0, 1]]}
+        with pytest.raises(DocumentError, match="vertex 1 has 1000000 entries"):
+            SimplexDocument.from_json_dict(long_vertex)
+        assert decoded == [2, 2]  # ambient_dim only
+
+    @pytest.mark.parametrize("vertices", [[[0, 0]] * 10**5, [[0, 0], [0] * 10**5, [0, 1]]],
+                             ids=["many-vertices", "long-vertex"])
+    def test_huge_vertex_array_exit_code(self, run_cli, tmp_path, vertices):
+        path = write_doc(tmp_path, "huge.json", {**UNIT_TRIANGLE_DOC, "vertices": vertices})
+        res = run_cli("hstar", str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert len(res.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("kind", sorted(HOSTILE_DOCUMENTS))
     def test_hostile_document_is_a_document_error(self, run_cli, tmp_path, kind):

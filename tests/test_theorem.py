@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstarkit import theorem
-from hstarkit.boxgroup import add, enumerate_box_group, neg
+from hstarkit.boxgroup import BoxPoint, add, enumerate_box_group, neg
 from hstarkit.errors import (
     HypothesisNotMetError,
     InvalidParametersError,
@@ -269,6 +269,41 @@ class TestExtractFace:
         assert cert.hypothesis_met and cert.subgroup_ok and cert.hstar_match
         assert len(cert.lambda_prime) == 3000
         assert cert.face_hstar.coeffs == (1, 0, 0, 2999)
+
+    def test_lambda_prime_is_read_only_rows_over_the_exponent(self):
+        s = join(delta_cm(3, 3), delta_cm(2, 7))
+        cert = extract_face(s, 3)
+        group = enumerate_box_group(s)
+        assert cert.exponent == group.exponent
+        assert cert.lambda_prime.tolist() == group.residues[group.heights <= 3].tolist()
+        assert cert.lambda_prime_points() == low_subgroup(group, 3)
+        with pytest.raises(ValueError):
+            cert.lambda_prime[0, 0] = 1
+
+    def test_len_of_lambda_prime_builds_no_points(self, monkeypatch):
+        built = []
+        from_scaled = BoxPoint.from_scaled.__func__
+
+        def spy(cls, nums, den):
+            built.append(den)
+            return from_scaled(cls, nums, den)
+
+        monkeypatch.setattr(BoxPoint, "from_scaled", classmethod(spy))
+        cert = extract_face(join(delta_cm(2999, 3), delta_cm(1, 7)), 3)
+        assert len(cert.lambda_prime) == 3000
+        assert built == []
+        assert len(cert.lambda_prime_points()) == 3000 == len(built)
+
+    def test_equality_compares_lambda_prime_rows(self):
+        cert = extract_face(delta_cm(4, 3), 3)
+        assert cert == extract_face(delta_cm(4, 3), 3)
+        assert cert != "certificate"
+        changed = cert.lambda_prime.copy()
+        changed[-1, -1] = (changed[-1, -1] + 1) % cert.exponent
+        assert cert != dataclasses.replace(cert, lambda_prime=changed)
+        assert cert != dataclasses.replace(cert, lambda_prime=cert.lambda_prime[:-1])
+        assert cert != dataclasses.replace(cert, exponent=2 * cert.exponent)
+        assert cert != dataclasses.replace(cert, k=4)
 
     def test_lower_dimensional_input(self):
         from hstarkit.simplex import from_vertices
