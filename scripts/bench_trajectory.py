@@ -17,18 +17,32 @@ other checkout (say, a clone of the parent commit), as a pair with this
 one; the side that runs first alternates with the seed. The file then also
 holds the parent's statistics under "parent" and, per metric, in how many
 pairs this checkout read lower under "change_lower".
+
+Per seed and side it also times, once each, two end-to-end commands that
+the benchmark does not cover: `scripts/zero_window_regression.py` (the
+whole face-extraction cohort) and a CLI cold start on the unit triangle.
+A run whose exit code is not 0 counts as failed. Their `wall_s` statistics
+go under "extras": "change", and with --parent also "parent" and
+"change_lower".
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("hstar-large", "extract-cohort", "verify-corpus")
+# Commands timed end to end, as arguments to the interpreter in the checkout.
+EXTRAS = {
+    "zero-window-regression": ["scripts/zero_window_regression.py"],
+    "cli-cold-start": ["-m", "hstarkit", "hstar", "corpus/unit-triangle.json"],
+}
 
 
 def parse_run(stdout: str) -> dict:
@@ -109,6 +123,17 @@ def run_benchmark(workload: str, seed: int, seconds: int, root: Path = REPO) -> 
     return parse_run(res.stdout)
 
 
+def time_extra(name: str, seed: int, root: Path = REPO) -> dict:
+    """Wall time of one run of an EXTRAS command in a checkout, shaped like
+    a parsed benchmark run; a nonzero exit code makes it a failed run."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, *EXTRAS[name]], capture_output=True, cwd=root, env=env)
+    wall = time.perf_counter() - start
+    return {"seed": seed, "machine": {}, "failed": int(res.returncode != 0), "attempted": 1,
+            "metrics": {"wall_s": wall}, "units": {"wall_s": "s"}}
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -127,23 +152,29 @@ def main(argv: list[str] | None = None) -> int:
 
     sides = ["parent", "change"] if args.parent else ["change"]
     runs: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
-    for workload in args.workloads:
+    extras: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
+    jobs = [(w, runs) for w in args.workloads] + [(e, extras) for e in EXTRAS]
+    for name, into in jobs:
         for seed in args.seeds:
             for side in sides if seed % 2 else sides[::-1]:
-                if side == "change":
-                    run = run_benchmark(workload, seed, args.seconds)
+                root = {} if side == "change" else {"root": args.parent.resolve()}
+                if into is runs:
+                    run = run_benchmark(name, seed, args.seconds, **root)
                 else:
-                    run = run_benchmark(workload, seed, args.seconds, root=args.parent)
-                runs[side].setdefault(workload, []).append(run)
-                print(f"{workload} seed {seed} {side}: failed {run['failed']}/{run['attempted']} "
+                    run = time_extra(name, seed, **root)
+                into[side].setdefault(name, []).append(run)
+                print(f"{name} seed {seed} {side}: failed {run['failed']}/{run['attempted']} "
                       + " ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items())),
                       flush=True)
-    report = {"label": args.label, "seconds": args.seconds, **aggregate(runs["change"])}
-    failed = sum(w["failed"] for w in report["workloads"].values())
+    report = {"label": args.label, "seconds": args.seconds, **aggregate(runs["change"]),
+              "extras": {"change": aggregate(extras["change"])["workloads"]}}
     if args.parent:
         report["parent"] = aggregate(runs["parent"])["workloads"]
         report["change_lower"] = lower_counts(runs["parent"], runs["change"])
-        failed += sum(w["failed"] for w in report["parent"].values())
+        report["extras"]["parent"] = aggregate(extras["parent"])["workloads"]
+        report["extras"]["change_lower"] = lower_counts(extras["parent"], extras["change"])
+    failed = sum(run["failed"] for store in (runs, extras) for side in store.values()
+                 for parsed in side.values() for run in parsed)
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")

@@ -3,8 +3,12 @@
 Everything runs over Python's arbitrary-precision integers, and no
 floating point is used anywhere; ``fractions.Fraction`` is used only for
 solve results. The normal-form routines pick minimal-absolute-value pivots
-to limit entry growth. Determinants, ranks, solves and adjugates all come
-from one fraction-free (Bareiss) elimination.
+to limit entry growth. The Smith form tracks only W and D, which is all the
+weight group reads: its column operations run on the active block of rows
+not yet finished, and a pivot of +-1 skips the divisibility scan. The
+Hermite form keeps its transform U, which the left kernel reads.
+Determinants, ranks, solves and adjugates all come from one fraction-free
+(Bareiss) elimination.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
+        tup = tuple(tuple(map(int, row)) for row in rows)
         widths = {len(r) for r in tup}
         if len(widths) > 1:
             raise DimensionMismatchError("ragged rows")
@@ -81,9 +85,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, W and diagonal D with U @ M @ W == D."""
+    """Unimodular W and diagonal D with U @ M @ W == D for some unimodular U.
 
-    U: IntMatrix
+    U itself is not kept: the weight group reads only W and the invariant
+    factors, the diagonal of D.
+    """
+
     W: IntMatrix
     D: IntMatrix
 
@@ -94,14 +101,9 @@ class SmithDecomposition:
 
 def _row_sub(a: list[list[int]], u: list[list[int]], i: int, k: int, q: int) -> None:
     # row_i -= q * row_k, mirrored on the transform
-    if q == 0:
-        return
-    ai, ak = a[i], a[k]
-    for j in range(len(ai)):
-        ai[j] -= q * ak[j]
-    ui, uk = u[i], u[k]
-    for j in range(len(ui)):
-        ui[j] -= q * uk[j]
+    if q:
+        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
 
 def hermite_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -173,29 +175,31 @@ def _min_abs_entry(a: list[list[int]], t: int, n: int) -> tuple[int, int] | None
 def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     """Smith normal form of a square nonsingular integer matrix.
 
-    Raises SingularMatrixError when det M == 0; otherwise returns U, W, D
-    with U @ M @ W == D, diagonal entries positive and each dividing the
-    next.
+    Raises SingularMatrixError when det M == 0; otherwise returns W and D
+    such that U @ M @ W == D for some unimodular U, which is not tracked.
+    The diagonal entries of D are positive and each divides the next.
+
+    Step t takes the entry of least absolute value in the trailing block
+    as pivot and runs Euclid steps on its row and column. Once step t is
+    done, row t and column t are zero off the diagonal, so column
+    operations touch rows t..n-1 only. The divisibility scan then reads
+    the trailing block, and a pivot of +-1 skips it: every integer is
+    divisible by +-1.
     """
     if not matrix.is_square:
         raise DimensionMismatchError("Smith normal form requires a square matrix")
     n = matrix.nrows
     a = [list(row) for row in matrix.rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    wt = [[int(i == j) for j in range(n)] for i in range(n)]  # rows are columns of W
+    wt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]  # rows are columns of W
 
     def col_sub(j: int, k: int, q: int) -> None:
-        if q == 0:
-            return
-        for i in range(n):
-            a[i][j] -= q * a[i][k]
-        wj, wk = wt[j], wt[k]
-        for i in range(n):
-            wj[i] -= q * wk[i]
+        for row in a[t:]:
+            row[j] -= q * row[k]
+        wt[j] = [x - q * y for x, y in zip(wt[j], wt[k])]
 
     def col_swap(j: int, k: int) -> None:
-        for i in range(n):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
+        for row in a[t:]:
+            row[j], row[k] = row[k], row[j]
         wt[j], wt[k] = wt[k], wt[j]
 
     for t in range(n):
@@ -203,59 +207,47 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
         if loc is None:
             raise SingularMatrixError("matrix is singular")
         i0, j0 = loc
-        if i0 != t:
-            a[i0], a[t] = a[t], a[i0]
-            u[i0], u[t] = u[t], u[i0]
+        a[i0], a[t] = a[t], a[i0]
         if j0 != t:
             col_swap(j0, t)
         while True:
             # Euclid steps until column t below and row t right are zero.
             col_nonzero = [i for i in range(t + 1, n) if a[i][t]]
             if col_nonzero:
+                pivot_row = a[t]
                 for i in col_nonzero:
-                    _row_sub(a, u, i, t, a[i][t] // a[t][t])
+                    q = a[i][t] // pivot_row[t]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
                 rem = [i for i in range(t + 1, n) if a[i][t]]
                 if rem:
                     i = min(rem, key=lambda r: abs(a[r][t]))
                     a[i], a[t] = a[t], a[i]
-                    u[i], u[t] = u[t], u[i]
                 continue
             row_nonzero = [j for j in range(t + 1, n) if a[t][j]]
             if row_nonzero:
                 for j in row_nonzero:
-                    col_sub(j, t, a[t][j] // a[t][t])
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        col_sub(j, t, q)
                 rem = [j for j in range(t + 1, n) if a[t][j]]
                 if rem:
-                    j = min(rem, key=lambda c: abs(a[t][c]))
-                    col_swap(j, t)
+                    col_swap(min(rem, key=lambda c: abs(a[t][c])), t)
                 continue
             pivot = a[t][t]
-            if pivot == 0:
-                raise SingularMatrixError("matrix is singular")
-            viol = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if a[i][j] % pivot:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            if pivot in (1, -1):
+                break
+            viol = next(
+                (i for i in range(t + 1, n) if any(x % pivot for x in a[i][t + 1 :])), None
+            )
             if viol is None:
                 break
             # Fold the offending row into row t so the pivot can shrink to
             # the gcd on the next sweep.
-            for j in range(n):
-                a[t][j] += a[viol][j]
-            for j in range(n):
-                u[t][j] += u[viol][j]
+            a[t] = [x + y for x, y in zip(a[t], a[viol])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return SmithDecomposition(
-        U=IntMatrix.from_rows(u, ncols=n),
-        W=IntMatrix.from_rows(wt, ncols=n).transpose(),
-        D=IntMatrix.from_rows(a, ncols=n),
-    )
+    return SmithDecomposition(W=IntMatrix(tuple(zip(*wt)), n), D=IntMatrix(tuple(map(tuple, a)), n))
 
 
 def _eliminate(

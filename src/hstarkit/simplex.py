@@ -97,10 +97,9 @@ def homogenize(simplex: LatticeSimplex) -> linalg.IntMatrix:
     """
     if not simplex.is_full_dimensional:
         raise DimensionMismatchError("homogenize requires a full-dimensional simplex")
-    d = simplex.ambient_dim
-    rows = [tuple(v[i] for v in simplex.vertices) for i in range(d)]
-    rows.append(tuple(1 for _ in simplex.vertices))
-    return linalg.IntMatrix.from_rows(rows, ncols=d + 1)
+    rows = list(zip(*simplex.vertices))
+    rows.append((1,) * len(simplex.vertices))
+    return linalg.IntMatrix.from_rows(rows, ncols=simplex.ambient_dim + 1)
 
 
 def restrict_to_affine_lattice(simplex: LatticeSimplex) -> LatticeSimplex:

@@ -130,9 +130,10 @@ def _require_window(group: BoxGroup, k: int) -> HStarVector:
     return h
 
 
-def _support_bound(group: BoxGroup, k: int) -> SupportBoundVerdict:
-    """Lemma 3.1's bound, checked on every row of height at most k."""
-    low = np.flatnonzero(group.heights <= k)
+def _support_bound(group: BoxGroup, k: int, low_mask: np.ndarray) -> SupportBoundVerdict:
+    """Lemma 3.1's bound, checked on every row of height at most k (the
+    rows that ``low_mask`` selects)."""
+    low = np.flatnonzero(low_mask)
     sizes = (group.residues[low] > 0).sum(axis=1)
     bad = np.flatnonzero(sizes > k + group.heights[low])
     if bad.size:
@@ -148,7 +149,7 @@ def verify_lemma31(group: BoxGroup, k: int) -> SupportBoundVerdict:
     proved fact, so a reported violation means the implementation is broken.
     """
     _require_window(group, k)
-    return _support_bound(group, k)
+    return _support_bound(group, k, group.heights <= k)
 
 
 @dataclass(frozen=True)
@@ -164,11 +165,11 @@ class LowSubgroupVerdict:
     sharp_bound_ok: bool
 
 
-def _low_subgroup_verdict(group: BoxGroup, k: int) -> LowSubgroupVerdict:
+def _low_subgroup_verdict(
+    group: BoxGroup, k: int, low: np.ndarray, rows: np.ndarray
+) -> LowSubgroupVerdict:
     """Lemma 3.2's subgroup and support-size bounds on the rows of height
-    at most k."""
-    low = group.heights <= k
-    rows = group.residues[low]
+    at most k: ``low`` is their mask and ``rows`` their residues."""
     closure = _closure_check(rows, group)
     supp = tuple(np.flatnonzero((rows > 0).any(axis=0)).tolist())
     s = int(group.heights[low].max(initial=0))
@@ -193,7 +194,8 @@ def verify_lemma32(group: BoxGroup, k: int) -> LowSubgroupVerdict:
     height occurring among the low elements.
     """
     _require_window(group, k)
-    return _low_subgroup_verdict(group, k)
+    low = group.heights <= k
+    return _low_subgroup_verdict(group, k, low, group.residues[low])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,16 +271,17 @@ def extract_face(
             f"k={k} with h*={h.coeffs}: zero window "
             f"{'holds but k < 3' if window_ok else 'fails'}"
         )
-    lemma31 = _support_bound(group, k)
-    lemma32 = _low_subgroup_verdict(group, k)
+    low = group.heights <= k
+    low_rows = group.residues[low]
+    low_rows.flags.writeable = False
+    lemma31 = _support_bound(group, k, low)
+    lemma32 = _low_subgroup_verdict(group, k, low, low_rows)
     supp = lemma32.support
     selector = FaceSelector.of(supp if supp else (0,), full.n_vertices)
     face_simplex = face(full, selector)
     face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
     face_h = hstar_from_box_group(face_group)
     truncation = h.truncated(k)
-    low_rows = group.residues[group.heights <= k]
-    low_rows.flags.writeable = False
     hstar_match = face_h.coeffs == truncation.coeffs
     certificate = ExtractionCertificate(
         k=k,

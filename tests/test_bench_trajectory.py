@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,18 @@ def canned_stdout(seed: int, pass_rel: float, failed: int = 0) -> str:
 
 
 RUNS = [(11, 7.0), (12, 9.0), (13, 8.0), (14, 6.0), (15, 10.0)]
+
+
+def fake_extra(calls, walls=None):
+    """A stand-in for `time_extra` that records its calls and reads canned
+    wall times: walls[(side, seed)], or 1.0."""
+    def run(name, seed, root=bench.REPO):
+        side = "change" if root == bench.REPO else "parent"
+        calls.append((name, seed, side))
+        wall = (walls or {}).get((side, seed), 1.0)
+        return {"seed": seed, "machine": {}, "failed": 0, "attempted": 1,
+                "metrics": {"wall_s": wall}, "units": {"wall_s": "s"}}
+    return run
 
 
 def test_parse_run_reads_final_json_line_and_machine_facts():
@@ -68,14 +81,21 @@ def test_main_writes_trajectory_file(tmp_path, monkeypatch):
         calls.append((workload, seed, seconds))
         return bench.parse_run(canned_stdout(seed, canned[seed]))
 
+    extra_calls = []
     monkeypatch.setattr(bench, "run_benchmark", fake_run)
+    monkeypatch.setattr(bench, "time_extra", fake_extra(extra_calls))
     code = bench.main(["--label", "t", "--seeds", "11-15", "--seconds", "30",
                        "--workloads", "verify-corpus", "--out", str(tmp_path)])
     assert code == 0
     assert calls == [("verify-corpus", seed, 30) for seed in range(11, 16)]
+    assert extra_calls == [(name, seed, "change") for name in bench.EXTRAS
+                           for seed in range(11, 16)]
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert report["label"] == "t" and report["seconds"] == 30
     assert report["workloads"]["verify-corpus"]["metrics"]["pass_rel"]["median"] == 8.0
+    assert sorted(report["extras"]) == ["change"]
+    for name in bench.EXTRAS:
+        assert report["extras"]["change"][name]["metrics"]["wall_s"]["median"] == 1.0
 
 
 def test_parent_pairs_alternate_and_count_lower_readings(tmp_path, monkeypatch):
@@ -90,6 +110,7 @@ def test_parent_pairs_alternate_and_count_lower_readings(tmp_path, monkeypatch):
         return bench.parse_run(canned_stdout(seed, rel))
 
     monkeypatch.setattr(bench, "run_benchmark", fake_run)
+    monkeypatch.setattr(bench, "time_extra", fake_extra([]))
     code = bench.main(["--label", "t", "--seeds", "11-15", "--seconds", "30",
                        "--workloads", "verify-corpus", "--parent", str(tmp_path / "parent"),
                        "--out", str(tmp_path)])
@@ -107,3 +128,60 @@ def test_parent_pairs_alternate_and_count_lower_readings(tmp_path, monkeypatch):
 def test_empty_output_is_an_error():
     with pytest.raises(ValueError):
         bench.parse_run("")
+
+
+def test_extras_pair_alternate_and_count_lower_readings(tmp_path, monkeypatch):
+    calls = []
+    walls = {("parent", seed): 2.0 for seed in range(11, 16)}
+    walls.update({("change", 11): 1.0, ("change", 12): 3.0, ("change", 13): 1.5,
+                  ("change", 14): 1.5, ("change", 15): 2.0})
+    monkeypatch.setattr(bench, "run_benchmark",
+                        lambda w, seed, seconds, root=bench.REPO: bench.parse_run(canned_stdout(seed, 1.0)))
+    monkeypatch.setattr(bench, "time_extra", fake_extra(calls, walls))
+    code = bench.main(["--label", "t", "--seeds", "11-15", "--seconds", "30",
+                       "--workloads", "hstar-large", "--parent", str(tmp_path / "parent"),
+                       "--out", str(tmp_path)])
+    assert code == 0
+    name = next(iter(bench.EXTRAS))
+    assert calls[:4] == [(name, 11, "parent"), (name, 11, "change"),
+                         (name, 12, "change"), (name, 12, "parent")]
+    assert len(calls) == 10 * len(bench.EXTRAS)
+    extras = json.loads((tmp_path / "BENCH_t.json").read_text())["extras"]
+    for name in bench.EXTRAS:
+        assert extras["parent"][name]["metrics"]["wall_s"]["median"] == 2.0
+        assert extras["change"][name]["metrics"]["wall_s"] == {
+            "median": 1.5, "q1": 1.5, "q3": 2.0, "n": 5, "unit": "s"
+        }
+        assert extras["change_lower"][name]["wall_s"] == {"lower": 3, "pairs": 5}
+
+
+def test_time_extra_runs_in_the_checkout_and_fails_on_nonzero_exit(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_subprocess_run(argv, capture_output, cwd, env):
+        seen.append((argv, cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(argv, returncode=len(seen) - 1)
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_subprocess_run)
+    ok = bench.time_extra("cli-cold-start", 11, root=tmp_path)
+    failed = bench.time_extra("zero-window-regression", 12, root=tmp_path)
+    assert (ok["failed"], ok["attempted"], ok["seed"]) == (0, 1, 11)
+    assert (failed["failed"], failed["attempted"], failed["seed"]) == (1, 1, 12)
+    assert ok["metrics"]["wall_s"] >= 0 and ok["units"] == {"wall_s": "s"}
+    assert seen[0][0][1:] == bench.EXTRAS["cli-cold-start"]
+    assert seen[1][0][1:] == bench.EXTRAS["zero-window-regression"]
+    assert all(cwd == tmp_path and path == str(tmp_path / "src") for _, cwd, path in seen)
+
+
+def test_failed_extra_makes_the_exit_code_nonzero(tmp_path, monkeypatch):
+    def failing_extra(name, seed, root=bench.REPO):
+        return {**fake_extra([])(name, seed, root), "failed": 1}
+
+    monkeypatch.setattr(bench, "run_benchmark",
+                        lambda w, seed, seconds, root=bench.REPO: bench.parse_run(canned_stdout(seed, 1.0)))
+    monkeypatch.setattr(bench, "time_extra", failing_extra)
+    code = bench.main(["--label", "t", "--seeds", "11", "--seconds", "30",
+                       "--workloads", "hstar-large", "--out", str(tmp_path)])
+    assert code == 1
+    extras = json.loads((tmp_path / "BENCH_t.json").read_text())["extras"]
+    assert all(extras["change"][name]["failed"] == 1 for name in bench.EXTRAS)

@@ -1,12 +1,19 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstarkit import linalg
-from hstarkit.errors import SingularMatrixError
+from hstarkit.errors import DimensionMismatchError, SingularMatrixError
+from hstarkit.families import multiplicativity_pairs, zero_window_family
+from hstarkit.io import load_simplex_document
+from hstarkit.simplex import homogenize, restrict_to_affine_lattice
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # Homogenized vertex matrix of conv(0, e1..e4, (1,4,7,8,9)): columns are the
 # vertices with a final 1.
@@ -76,6 +83,195 @@ def cofactor_adjugate(m: linalg.IntMatrix) -> linalg.IntMatrix:
         ],
         ncols=n,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the earlier full-transform Smith form (it also tracks U)
+# and Hermite form, kept verbatim apart from names. The package's kernels
+# must return exactly the same matrices.
+
+
+@dataclass(frozen=True)
+class ReferenceSmith:
+    U: linalg.IntMatrix
+    W: linalg.IntMatrix
+    D: linalg.IntMatrix
+
+
+def reference_row_sub(a, u, i, k, q):
+    # row_i -= q * row_k, mirrored on the transform
+    if q == 0:
+        return
+    ai, ak = a[i], a[k]
+    for j in range(len(ai)):
+        ai[j] -= q * ak[j]
+    ui, uk = u[i], u[k]
+    for j in range(len(ui)):
+        ui[j] -= q * uk[j]
+
+
+def reference_hermite_normal_form(matrix):
+    m, n = matrix.nrows, matrix.ncols
+    a = [list(row) for row in matrix.rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    pivot_row = m - 1
+    for col in range(n - 1, -1, -1):
+        if pivot_row < 0:
+            break
+        if not any(a[i][col] for i in range(pivot_row + 1)):
+            continue
+        while True:
+            nonzero = [i for i in range(pivot_row + 1) if a[i][col]]
+            best = min(nonzero, key=lambda i: abs(a[i][col]))
+            if best != pivot_row:
+                a[best], a[pivot_row] = a[pivot_row], a[best]
+                u[best], u[pivot_row] = u[pivot_row], u[best]
+            if a[pivot_row][col] < 0:
+                a[pivot_row] = [-x for x in a[pivot_row]]
+                u[pivot_row] = [-x for x in u[pivot_row]]
+            pivot = a[pivot_row][col]
+            cleared = True
+            for i in range(pivot_row):
+                if a[i][col]:
+                    reference_row_sub(a, u, i, pivot_row, a[i][col] // pivot)
+                    if a[i][col]:
+                        cleared = False
+            if cleared:
+                break
+        pivot = a[pivot_row][col]
+        for i in range(pivot_row + 1, m):
+            reference_row_sub(a, u, i, pivot_row, a[i][col] // pivot)
+        pivot_row -= 1
+    return (
+        linalg.IntMatrix.from_rows(a, ncols=n),
+        linalg.IntMatrix.from_rows(u, ncols=m),
+    )
+
+
+def reference_min_abs_entry(a, t, n):
+    best = None
+    best_abs = 0
+    for i in range(t, n):
+        for j in range(t, n):
+            v = a[i][j]
+            if v and (best is None or abs(v) < best_abs):
+                best, best_abs = (i, j), abs(v)
+                if best_abs == 1:
+                    return best
+    return best
+
+
+def reference_smith_normal_form(matrix):
+    if not matrix.is_square:
+        raise DimensionMismatchError("Smith normal form requires a square matrix")
+    n = matrix.nrows
+    a = [list(row) for row in matrix.rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    wt = [[int(i == j) for j in range(n)] for i in range(n)]  # rows are columns of W
+
+    def col_sub(j, k, q):
+        if q == 0:
+            return
+        for i in range(n):
+            a[i][j] -= q * a[i][k]
+        wj, wk = wt[j], wt[k]
+        for i in range(n):
+            wj[i] -= q * wk[i]
+
+    def col_swap(j, k):
+        for i in range(n):
+            a[i][j], a[i][k] = a[i][k], a[i][j]
+        wt[j], wt[k] = wt[k], wt[j]
+
+    for t in range(n):
+        loc = reference_min_abs_entry(a, t, n)
+        if loc is None:
+            raise SingularMatrixError("matrix is singular")
+        i0, j0 = loc
+        if i0 != t:
+            a[i0], a[t] = a[t], a[i0]
+            u[i0], u[t] = u[t], u[i0]
+        if j0 != t:
+            col_swap(j0, t)
+        while True:
+            # Euclid steps until column t below and row t right are zero.
+            col_nonzero = [i for i in range(t + 1, n) if a[i][t]]
+            if col_nonzero:
+                for i in col_nonzero:
+                    reference_row_sub(a, u, i, t, a[i][t] // a[t][t])
+                rem = [i for i in range(t + 1, n) if a[i][t]]
+                if rem:
+                    i = min(rem, key=lambda r: abs(a[r][t]))
+                    a[i], a[t] = a[t], a[i]
+                    u[i], u[t] = u[t], u[i]
+                continue
+            row_nonzero = [j for j in range(t + 1, n) if a[t][j]]
+            if row_nonzero:
+                for j in row_nonzero:
+                    col_sub(j, t, a[t][j] // a[t][t])
+                rem = [j for j in range(t + 1, n) if a[t][j]]
+                if rem:
+                    j = min(rem, key=lambda c: abs(a[t][c]))
+                    col_swap(j, t)
+                continue
+            pivot = a[t][t]
+            if pivot == 0:
+                raise SingularMatrixError("matrix is singular")
+            viol = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, n):
+                    if a[i][j] % pivot:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            # Fold the offending row into row t so the pivot can shrink to
+            # the gcd on the next sweep.
+            for j in range(n):
+                a[t][j] += a[viol][j]
+            for j in range(n):
+                u[t][j] += u[viol][j]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    return ReferenceSmith(
+        U=linalg.IntMatrix.from_rows(u, ncols=n),
+        W=linalg.IntMatrix.from_rows(wt, ncols=n).transpose(),
+        D=linalg.IntMatrix.from_rows(a, ncols=n),
+    )
+
+
+def assert_smith_matches_reference(m):
+    try:
+        ref = reference_smith_normal_form(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            linalg.smith_normal_form(m)
+        return
+    dec = linalg.smith_normal_form(m)
+    assert (dec.W, dec.D) == (ref.W, ref.D)
+    assert ref.U @ m @ ref.W == ref.D
+
+
+def assert_smith_certificate(m, dec):
+    """U @ M @ W == D for some unimodular U, without U: D is the diagonal of
+    its invariant factors, W is unimodular, and C = M @ W @ D^-1 is an
+    integer matrix with |det C| == 1 (then U = C^-1 is integral and
+    U @ M @ W == C^-1 @ C @ D == D)."""
+    n = m.nrows
+    factors = dec.invariant_factors
+    assert dec.D == linalg.IntMatrix.from_rows(
+        [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], ncols=n
+    )
+    assert abs(cofactor_det(dec.W)) == 1
+    mw = m @ dec.W
+    assert all(row[j] % factors[j] == 0 for row in mw.rows for j in range(n))
+    c = linalg.IntMatrix.from_rows(
+        [[row[j] // factors[j] for j in range(n)] for row in mw.rows], ncols=n
+    )
+    assert abs(cofactor_det(c)) == 1
 
 
 def square_matrices(n_max=4, lo=-9, hi=9):
@@ -211,9 +407,7 @@ class TestSmith:
                 linalg.smith_normal_form(m)
             return
         dec = linalg.smith_normal_form(m)
-        assert dec.U @ m @ dec.W == dec.D
-        assert abs(cofactor_det(dec.U)) == 1
-        assert abs(cofactor_det(dec.W)) == 1
+        assert_smith_certificate(m, dec)
         factors = dec.invariant_factors
         prod = 1
         for i, f in enumerate(factors):
@@ -222,6 +416,67 @@ class TestSmith:
             if i:
                 assert f % factors[i - 1] == 0
         assert prod == abs(d)
+
+
+def simplex_matrices():
+    """Homogenized matrices of the corpus documents (each in its Hermite
+    model when lower-dimensional), the zero-window cohort and the
+    multiplicativity joins."""
+    simplices = []
+    for path in sorted(CORPUS.glob("*.json")):
+        simplex = load_simplex_document(path).to_simplex()
+        simplices.append(
+            simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
+        )
+    simplices += [simplex for _, simplex, _ in zero_window_family()]
+    simplices += [s for pair in multiplicativity_pairs() for s in pair]
+    return [homogenize(simplex) for simplex in simplices]
+
+
+class TestKernelsMatchReferences:
+    """The lean Smith form and the Hermite form return exactly the matrices
+    of the full-transform references."""
+
+    @given(st.one_of(square_matrices(), square_matrices(n_max=7, lo=-30, hi=30), big_matrices()))
+    @settings(max_examples=200, deadline=None)
+    def test_smith_random(self, m):
+        assert_smith_matches_reference(m)
+
+    @given(square_matrices(n_max=6, lo=-1, hi=1))
+    @settings(max_examples=100, deadline=None)
+    def test_smith_unit_entries(self, m):
+        # Small entries give unit pivots, the case that skips the scan.
+        assert_smith_matches_reference(m)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 0], [0, 3]],
+            [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+            [[4, 0, 0], [0, 4, 2], [0, 0, 6]],
+            [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 4]],
+            [[-5]],
+        ],
+    )
+    def test_smith_divisibility_folds(self, rows):
+        m = linalg.IntMatrix.from_rows(rows)
+        assert_smith_matches_reference(m)
+        assert_smith_certificate(m, linalg.smith_normal_form(m))
+
+    def test_smith_on_simplices(self):
+        matrices = simplex_matrices()
+        assert len(matrices) > 140
+        for m in matrices:
+            assert_smith_matches_reference(m)
+
+    @given(st.one_of(rect_matrices(), rank_deficient_matrices(), square_matrices(n_max=5)))
+    @settings(max_examples=200, deadline=None)
+    def test_hermite_random(self, m):
+        assert linalg.hermite_normal_form(m) == reference_hermite_normal_form(m)
+
+    def test_hermite_on_simplices(self):
+        for m in simplex_matrices():
+            assert linalg.hermite_normal_form(m) == reference_hermite_normal_form(m)
 
 
 class TestDet:

@@ -131,7 +131,7 @@ class TestLemmaHelpersMatchElementLoops:
         g = enumerate_box_group(simplex)
         low = [p for p in g.elements if p.height <= k]
         bad = [i for i, p in enumerate(low) if p.support_size > k + p.height]
-        verdict = _support_bound(g, k)
+        verdict = _support_bound(g, k, g.heights <= k)
         assert verdict.ok == (not bad)
         if bad:
             assert verdict.checked == bad[0] + 1
@@ -146,7 +146,7 @@ class TestLemmaHelpersMatchElementLoops:
         low = set(p for p in g.elements if p.height <= k)
         closed = all(add(a, b) in low for a in low for b in low)
         supp = tuple(sorted({i for p in low for i in p.support}))
-        v = _low_subgroup_verdict(g, k)
+        v = _low_subgroup_verdict(g, k, g.heights <= k, g.residues[g.heights <= k])
         assert v.subgroup_ok == (closed and all(neg(a) in low for a in low))
         assert v.closure_exhaustive == (len(low) < g.order)
         assert v.support == supp and v.support_size == len(supp)
