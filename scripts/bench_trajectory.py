@@ -18,12 +18,13 @@ one; the side that runs first alternates with the seed. The file then also
 holds the parent's statistics under "parent" and, per metric, in how many
 pairs this checkout read lower under "change_lower".
 
-Per seed and side it also times, once each, two end-to-end commands that
+Per seed and side it also times, once each, three end-to-end commands that
 the benchmark does not cover: `scripts/zero_window_regression.py` (the
-whole face-extraction cohort) and a CLI cold start on the unit triangle.
-A run whose exit code is not 0 counts as failed. Their `wall_s` statistics
-go under "extras": "change", and with --parent also "parent" and
-"change_lower".
+whole face-extraction cohort), a CLI cold start on the unit triangle, and
+a strong-window `search`, the one run of the Hermite form's transform side
+(left kernels and cyclic realization). A run whose exit code is not 0
+counts as failed. Their `wall_s` statistics go under "extras": "change",
+and with --parent also "parent" and "change_lower".
 """
 from __future__ import annotations
 
@@ -42,6 +43,8 @@ WORKLOADS = ("hstar-large", "extract-cohort", "verify-corpus")
 EXTRAS = {
     "zero-window-regression": ["scripts/zero_window_regression.py"],
     "cli-cold-start": ["-m", "hstarkit", "hstar", "corpus/unit-triangle.json"],
+    "search-strong-k2": ["-m", "hstarkit", "search", "--k", "2", "--window", "strong",
+                         "--max-order", "24", "--max-dim", "4"],
 }
 
 

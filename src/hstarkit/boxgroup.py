@@ -22,7 +22,8 @@ a public view: the package itself works on the residue array.
 check the first: no Smith form, no ``BoxGroup``. It reads the group off the
 coset representatives prod_t [0, H_tt) of the lower-triangular Hermite model
 H of the simplex, in one numpy pass, on int64 while n * vol**2 stays below
-``INT64_LIMIT`` and on Python integers otherwise.
+``INT64_LIMIT`` and on Python integers otherwise, and returns residue rows
+over vol = det H.
 """
 from __future__ import annotations
 
@@ -104,12 +105,6 @@ class BoxPoint:
     @property
     def support_size(self) -> int:
         return sum(1 for x in self.nums if x > 0)
-
-    def scaled_nums(self, den: int) -> tuple[int, ...]:
-        if den % self.den:
-            raise ValueError(f"{self.den} does not divide {den}")
-        f = den // self.den
-        return tuple(x * f for x in self.nums)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -229,9 +224,14 @@ def enumerate_box_group(
     )
 
 
-def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[BoxPoint, ...]:
+def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[np.ndarray, int]:
     """Debug oracle: the group read off coset representatives in the
     triangular Hermite model, with no Smith form and no ``BoxGroup``.
+
+    Returns the read-only (vol, n+1) array of numerators over vol = det H,
+    one row per element, sorted by (height, coordinates) like
+    ``BoxGroup.residues``, and vol itself. Rows are not reduced: a row
+    equals a group row over q exactly when row * q == residue * vol.
 
     The model (`restrict_to_affine_lattice`) has the origin and the columns
     of a lower-triangular H with positive diagonal as vertices, so
@@ -265,4 +265,6 @@ def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[BoxP
     heights = -(-sums // volume)
     arr = np.column_stack([heights * volume - sums, weights])
     perm = np.lexsort(tuple(arr[:, i] for i in reversed(range(n + 1))) + (heights,))
-    return tuple(BoxPoint.from_scaled(r, volume) for r in arr[perm].tolist())
+    arr = arr[perm]
+    arr.flags.writeable = False
+    return arr, volume

@@ -6,7 +6,10 @@ solve results. The normal-form routines pick minimal-absolute-value pivots
 to limit entry growth. The Smith form tracks only W and D, which is all the
 weight group reads: its column operations run on the active block of rows
 not yet finished, and a pivot of +-1 skips the divisibility scan. The
-Hermite form keeps its transform U, which the left kernel reads.
+Hermite form is one elimination over rows that may carry extra entries:
+``hermite_normal_form`` appends identity rows to get its transform U, which
+the left kernel reads, and the triangular simplex model passes bare rows
+and builds no transform.
 Determinants, ranks, solves and adjugates all come from one fraction-free
 (Bareiss) elimination.
 """
@@ -99,25 +102,17 @@ class SmithDecomposition:
         return self.D.diagonal()
 
 
-def _row_sub(a: list[list[int]], u: list[list[int]], i: int, k: int, q: int) -> None:
-    # row_i -= q * row_k, mirrored on the transform
-    if q:
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+def hermite_rows(a: list[list[int]], n: int) -> None:
+    """Row-style Hermite elimination, in place, pivoting on the leading n
+    columns of the rows in ``a``.
 
-
-def hermite_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-operation Hermite normal form H = U @ M, U unimodular.
-
-    Pivots are assigned bottom-up while sweeping columns right to left, so a
-    square nonsingular input comes out lower triangular with positive
-    diagonal and below-diagonal entries reduced to [0, pivot). Rows that end
-    up zero (rank-deficient input) collect at the top; the matching rows of U
-    form a basis of the left kernel.
+    Entries past column n ride along: every swap, negation and subtraction
+    applies to the whole row, so rows that start as [M_i | e_i] end as
+    [H_i | U_i]. Pivots are assigned bottom-up while sweeping columns right
+    to left; each pivot is the entry of least absolute value, made positive,
+    and the entries below it are reduced to [0, pivot).
     """
-    m, n = matrix.nrows, matrix.ncols
-    a = [list(row) for row in matrix.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    m = len(a)
     pivot_row = m - 1
     for col in range(n - 1, -1, -1):
         if pivot_row < 0:
@@ -125,30 +120,46 @@ def hermite_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if not any(a[i][col] for i in range(pivot_row + 1)):
             continue
         while True:
-            nonzero = [i for i in range(pivot_row + 1) if a[i][col]]
-            best = min(nonzero, key=lambda i: abs(a[i][col]))
-            if best != pivot_row:
-                a[best], a[pivot_row] = a[pivot_row], a[best]
-                u[best], u[pivot_row] = u[pivot_row], u[best]
+            best = min(
+                (i for i in range(pivot_row + 1) if a[i][col]), key=lambda i: abs(a[i][col])
+            )
+            a[best], a[pivot_row] = a[pivot_row], a[best]
             if a[pivot_row][col] < 0:
                 a[pivot_row] = [-x for x in a[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
-            pivot = a[pivot_row][col]
+            prow = a[pivot_row]
+            pivot = prow[col]
             cleared = True
             for i in range(pivot_row):
+                q = a[i][col] // pivot
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], prow)]
                 if a[i][col]:
-                    _row_sub(a, u, i, pivot_row, a[i][col] // pivot)
-                    if a[i][col]:
-                        cleared = False
+                    cleared = False
             if cleared:
                 break
-        pivot = a[pivot_row][col]
         for i in range(pivot_row + 1, m):
-            _row_sub(a, u, i, pivot_row, a[i][col] // pivot)
+            q = a[i][col] // pivot
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], prow)]
         pivot_row -= 1
+
+
+def hermite_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-operation Hermite normal form H = U @ M, U unimodular.
+
+    Each row of M carries the matching row of the identity through
+    ``hermite_rows``, and H and U are split off at column n. A square
+    nonsingular input comes out lower triangular with positive diagonal
+    and below-diagonal entries reduced to [0, pivot). Rows that end up zero
+    (rank-deficient input) collect at the top; the matching rows of U form
+    a basis of the left kernel.
+    """
+    m, n = matrix.nrows, matrix.ncols
+    a = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(matrix.rows)]
+    hermite_rows(a, n)
     return (
-        IntMatrix.from_rows(a, ncols=n),
-        IntMatrix.from_rows(u, ncols=m),
+        IntMatrix.from_rows((row[:n] for row in a), ncols=n),
+        IntMatrix.from_rows((row[n:] for row in a), ncols=m),
     )
 
 

@@ -36,14 +36,6 @@ _INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
-class CountTable:
-    """Exact dilate counts E(0), ..., E(d)."""
-
-    d: int
-    counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CrossValidation:
     box_hstar: HStarVector
     oracle_hstar: HStarVector
@@ -167,13 +159,6 @@ def count_interior_points(
     return _scan(simplex, n, scan_cap)[1]
 
 
-def count_table(simplex: LatticeSimplex, scan_cap: int = DEFAULT_SCAN_CAP) -> CountTable:
-    d = simplex.dimension
-    return CountTable(
-        d, tuple(count_lattice_points(simplex, n, scan_cap) for n in range(d + 1))
-    )
-
-
 def hstar_by_interpolation(
     simplex: LatticeSimplex, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> HStarVector:
@@ -182,14 +167,12 @@ def hstar_by_interpolation(
     Uses exactly d+1 counts; E(d+1) is deliberately left out so it can serve
     as a held-out consistency check.
     """
-    table = count_table(simplex, scan_cap)
-    d = table.d
-    coeffs = []
-    for j in range(d + 1):
-        v = sum(
-            (-1) ** i * binomial(d + 1, i) * table.counts[j - i] for i in range(j + 1)
-        )
-        coeffs.append(v)
+    d = simplex.dimension
+    counts = [count_lattice_points(simplex, n, scan_cap) for n in range(d + 1)]
+    coeffs = [
+        sum((-1) ** i * binomial(d + 1, i) * counts[j - i] for i in range(j + 1))
+        for j in range(d + 1)
+    ]
     if any(c < 0 for c in coeffs):
         raise InternalCheckError(f"negative interpolated coefficient: {coeffs}")
     return HStarVector.of(coeffs, dim_context=d)

@@ -107,24 +107,23 @@ def restrict_to_affine_lattice(simplex: LatticeSimplex) -> LatticeSimplex:
 
     The row-style Hermite form of the N x n edge matrix E = [v_i - v_0] is
     U E = [0; H] with U unimodular, so U maps the lattice points of the hull,
-    translated to v_0, onto Z^n. The model's vertices are the origin and the
-    columns of the lower-triangular H, in the input order. The N - n zero
-    rows and a nonzero diagonal prove the vertices affinely independent;
-    NotASimplexError is raised otherwise. H is unique for the lattice, so a
-    unimodular image or a translate of the input has the same model. The
-    model keeps the normalized volume (the product of the diagonal) and the
-    fractional-weight group.
+    translated to v_0, onto Z^n. Only H is needed: the bare rows of E go
+    through ``linalg.hermite_rows`` and U is never built. The model's
+    vertices are the origin and the columns of the lower-triangular H, in
+    the input order. The N - n zero rows and a nonzero diagonal prove the
+    vertices affinely independent; NotASimplexError is raised otherwise. H
+    is unique for the lattice, so a unimodular image or a translate of the
+    input has the same model. The model keeps the normalized volume (the
+    product of the diagonal) and the fractional-weight group.
     """
     n = simplex.dimension
     big_d = simplex.ambient_dim
     if n > big_d:
         raise NotASimplexError("more vertices than an independent set allows")
     base = simplex.vertices[0]
-    edges = linalg.IntMatrix.from_rows(
-        [[v[i] - base[i] for v in simplex.vertices[1:]] for i in range(big_d)], ncols=n
-    )
-    h, _ = linalg.hermite_normal_form(edges)
-    zero, tri = h.rows[: big_d - n], h.rows[big_d - n :]
+    h = [[v[i] - base[i] for v in simplex.vertices[1:]] for i in range(big_d)]
+    linalg.hermite_rows(h, n)
+    zero, tri = h[: big_d - n], h[big_d - n :]
     if any(any(row) for row in zero) or not all(tri[i][i] for i in range(n)):
         raise NotASimplexError("vertices are affinely dependent")
     return LatticeSimplex(n, ((0,) * n,) + tuple(zip(*tri)))

@@ -48,12 +48,6 @@ def check_zero_window(h: HStarVector, k: int) -> bool:
     return all(h.coefficient(i) == 0 for i in range(k + 1, 2 * k + 1))
 
 
-def low_subgroup(group: BoxGroup, k: int) -> tuple[BoxPoint, ...]:
-    """All elements of height <= k, in the group's canonical order."""
-    ZeroWindowQuery(k)
-    return group.points(group.heights <= k)
-
-
 @dataclass(frozen=True)
 class ClosureResult:
     zero_ok: bool
@@ -405,16 +399,6 @@ def check_shifted_symmetric(h: HStarVector, d: int) -> bool:
     """h_{i+1} == h_{d-i} for every 0 <= i <= d-1 (d = dimension), i.e. the
     level symmetry h_i == h_{c-i} for 0 < i < c at center c = d + 1."""
     return all(h.coefficient(i + 1) == h.coefficient(d - i) for i in range(d))
-
-
-def check_prime_symmetry(h: HStarVector, s: int) -> str:
-    """Index identity h_{i+1} == h_{s-i} for i = 0..s-1; HOLDS/FAILS.
-
-    This is the level symmetry of a simplex whose weight group has prime
-    order, instantiated at center s + 1 (s is the dimension when the group's
-    support is full).
-    """
-    return "HOLDS" if check_shifted_symmetric(h, s) else "FAILS"
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,11 @@ def _instance_records(
         yield _skip(name, "group-axioms", f"order above {AXIOM_ORDER_GATE}")
 
     if group.order <= SCAN_AGREEMENT_GATE and full.ambient_dim <= ORACLE_DIM_GATE:
-        scanned = enumerate_by_box_scan(full, cap=SCAN_AGREEMENT_GATE)
-        yield _ok(
-            name,
-            "scan-enumeration-agreement",
-            scanned == group.elements,
-            {"scanned": len(scanned)},
-        )
+        scanned, vol = enumerate_by_box_scan(full, cap=SCAN_AGREEMENT_GATE)
+        # Both are sorted by (height, coordinates); scanned / vol == rows / q
+        # row by row, cross-multiplied (entries stay below 200 * 200 here).
+        agree = scanned.shape == rows.shape and bool((scanned * q == rows * vol).all())
+        yield _ok(name, "scan-enumeration-agreement", agree, {"scanned": len(scanned)})
     else:
         yield _skip(name, "scan-enumeration-agreement", "order or dimension above gate")
 

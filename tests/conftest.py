@@ -1,3 +1,4 @@
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,36 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+# Seconds a test may run before it fails; far above the slowest test, so
+# only a hang trips it. A test may set its own with @pytest.mark.time_limit(s).
+TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(Exception):
+    pass
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "time_limit(seconds): per-test time limit")
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail the test, instead of hanging the run, once it has run longer
+    than its time limit; the alarm interrupts the test wherever it is."""
+    marker = request.node.get_closest_marker("time_limit")
+    seconds = marker.args[0] if marker else TIME_LIMIT_S
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past its time limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -165,11 +165,15 @@ def test_time_extra_runs_in_the_checkout_and_fails_on_nonzero_exit(tmp_path, mon
     monkeypatch.setattr(bench.subprocess, "run", fake_subprocess_run)
     ok = bench.time_extra("cli-cold-start", 11, root=tmp_path)
     failed = bench.time_extra("zero-window-regression", 12, root=tmp_path)
+    search = bench.time_extra("search-strong-k2", 13, root=tmp_path)
     assert (ok["failed"], ok["attempted"], ok["seed"]) == (0, 1, 11)
     assert (failed["failed"], failed["attempted"], failed["seed"]) == (1, 1, 12)
+    assert (search["failed"], search["seed"]) == (1, 13)
     assert ok["metrics"]["wall_s"] >= 0 and ok["units"] == {"wall_s": "s"}
     assert seen[0][0][1:] == bench.EXTRAS["cli-cold-start"]
     assert seen[1][0][1:] == bench.EXTRAS["zero-window-regression"]
+    assert seen[2][0][1:] == ["-m", "hstarkit", "search", "--k", "2", "--window", "strong",
+                              "--max-order", "24", "--max-dim", "4"]
     assert all(cwd == tmp_path and path == str(tmp_path / "src") for _, cwd, path in seen)
 
 

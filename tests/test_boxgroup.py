@@ -30,13 +30,23 @@ from hstarkit.simplex import (
     normalized_volume,
     restrict_to_affine_lattice,
 )
-from hstarkit.theorem import low_subgroup
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
 
 
 def frac(a, b=1):
     return Fraction(a, b)
+
+
+def scan_points(simplex, cap=200):
+    """The box scan's rows over their volume, as points."""
+    rows, volume = enumerate_by_box_scan(simplex, cap=cap)
+    return tuple(BoxPoint.from_scaled(r, volume) for r in rows.tolist())
+
+
+def as_rows(points, den):
+    """Points as numerator rows over den, a multiple of every point's den."""
+    return [[x * (den // p.den) for x in p.nums] for p in points]
 
 
 class TestBoxPoint:
@@ -138,7 +148,7 @@ class TestEnumeration:
             remark44_simplex(2),
             join(delta_cm(1, 1), delta_cm(2, 1)),
         ):
-            assert enumerate_by_box_scan(s) == enumerate_box_group(s).elements
+            assert scan_points(s) == enumerate_box_group(s).elements
 
 
 def huge_unimodular_image(simplex):
@@ -225,7 +235,7 @@ class TestArrayRepresentation:
     def test_low_subgroup_matches_element_filter(self, simplex):
         g = enumerate_box_group(simplex)
         for k in range(1, 7):
-            assert low_subgroup(g, k) == tuple(p for p in g.elements if p.height <= k)
+            assert g.points(g.heights <= k) == tuple(p for p in g.elements if p.height <= k)
 
     def test_level_counts_are_python_ints(self):
         for s in (prop43_instance(3, 4), NON_CYCLIC):
@@ -325,7 +335,7 @@ def test_random_simplices_group_matches_volume_and_scan(verts):
     g = enumerate_box_group(s)
     assert g.order == vol
     assert sum(1 for _ in g.elements) == vol
-    assert enumerate_by_box_scan(s, cap=60) == g.elements
+    assert scan_points(s, cap=60) == g.elements
     for p in g.elements:
         assert p.support_size == p.height + neg(p).height
 
@@ -412,19 +422,30 @@ class TestBoxScan:
     def test_matches_reference_in_both_orientations(self, s):
         swapped = LatticeSimplex(s.ambient_dim, (s.vertices[1], s.vertices[0]) + s.vertices[2:])
         for simplex in (s, swapped):
-            got = enumerate_by_box_scan(simplex)
-            assert got == reference_box_scan(simplex)
-            assert [p.nums for p in got] == [p.nums for p in enumerate_box_group(simplex).elements]
+            got, volume = enumerate_by_box_scan(simplex)
+            assert got.tolist() == as_rows(reference_box_scan(simplex), volume)
+            g = enumerate_box_group(simplex)
+            assert np.array_equal(got * g.exponent, g.residues * volume)
 
     @given(lower_dimensional_simplices())
     @settings(max_examples=60, deadline=None)
     def test_lower_dimensional_input_scans_its_model(self, s):
-        assert enumerate_by_box_scan(s) == reference_box_scan(restrict_to_affine_lattice(s))
+        got, volume = enumerate_by_box_scan(s)
+        assert got.tolist() == as_rows(reference_box_scan(restrict_to_affine_lattice(s)), volume)
 
     def test_point_and_corpus_shapes(self):
-        assert enumerate_by_box_scan(from_vertices(3, [(5, -1, 2)])) == (BoxPoint.zero(1),)
+        rows, volume = enumerate_by_box_scan(from_vertices(3, [(5, -1, 2)]))
+        assert rows.tolist() == [[0]] and volume == 1
         for s in (prop43_instance(3, 4), NON_CYCLIC, huge_unimodular_image(prop43_instance(3, 4))):
-            assert enumerate_by_box_scan(s) == enumerate_box_group(s).elements
+            assert scan_points(s) == enumerate_box_group(s).elements
+
+    def test_rows_are_read_only_over_the_volume(self):
+        s = prop43_instance(3, 4)
+        rows, volume = enumerate_by_box_scan(s)
+        assert volume == normalized_volume(s) and rows.shape == (volume, 6)
+        assert not rows.flags.writeable
+        assert ((rows >= 0) & (rows < volume)).all()
+        assert not (rows.sum(axis=1) % volume).any()
 
     def test_cap_is_checked_before_anything_is_allocated(self, monkeypatch):
         calls = []
@@ -459,8 +480,10 @@ class TestBoxScan:
             return lexsort(keys)
 
         monkeypatch.setattr(np, "lexsort", spy)
-        fast = enumerate_by_box_scan(simplex)
+        fast, volume = enumerate_by_box_scan(simplex)
         monkeypatch.setattr(boxgroup, "INT64_LIMIT", 0)
-        exact = enumerate_by_box_scan(simplex)
+        exact, exact_volume = enumerate_by_box_scan(simplex)
         assert dtypes == [np.int64, object]
-        assert exact == fast == enumerate_box_group(simplex).elements
+        assert exact.dtype == object and exact_volume == volume
+        assert exact.tolist() == fast.tolist()
+        assert fast.tolist() == as_rows(enumerate_box_group(simplex).elements, volume)

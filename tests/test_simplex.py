@@ -177,6 +177,68 @@ class TestRestrict:
         assert normalized_volume(sub) == minor_gcd(sub)
 
 
+@st.composite
+def edge_simplices(draw):
+    """A base vertex plus the columns of a random N x n edge matrix; with
+    some probability its last column is a multiple of the first, which
+    makes the vertices dependent."""
+    big_d = draw(st.integers(1, 5))
+    n = draw(st.integers(0, big_d))
+    entries = st.integers(-4, 4)
+    column = st.lists(entries, min_size=big_d, max_size=big_d)
+    cols = draw(st.lists(column, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        cols[-1] = [c * x for x in cols[0]]
+    base = draw(column)
+    verts = (tuple(base),) + tuple(tuple(b + x for b, x in zip(base, col)) for col in cols)
+    edges = linalg.IntMatrix.from_rows(zip(*cols) if n else [()] * big_d, ncols=n)
+    return LatticeSimplex(big_d, verts), edges
+
+
+class TestRestrictIsTheHermiteForm:
+    @given(edge_simplices())
+    @settings(max_examples=200, deadline=None)
+    def test_model_is_the_last_rows_of_the_hermite_form(self, case):
+        s, edges = case
+        n, big_d = s.dimension, s.ambient_dim
+        if linalg.rank(edges) < n:
+            with pytest.raises(NotASimplexError):
+                restrict_to_affine_lattice(s)
+            return
+        h, _ = linalg.hermite_normal_form(edges)
+        model = restrict_to_affine_lattice(s)
+        tri = tuple(tuple(v[i] for v in model.vertices[1:]) for i in range(n))
+        assert tri == h.rows[big_d - n :]
+        assert model.vertices[0] == (0,) * n
+
+    def test_no_transform_is_built(self, monkeypatch):
+        widths = []
+        hermite_rows = linalg.hermite_rows
+
+        def spy(rows, n):
+            widths.extend((len(row), n) for row in rows)
+            return hermite_rows(rows, n)
+
+        def refuse(*args):
+            raise AssertionError("hermite_normal_form called")
+
+        monkeypatch.setattr(linalg, "hermite_rows", spy)
+        monkeypatch.setattr(linalg, "hermite_normal_form", refuse)
+        cases = [
+            prop43_instance(3, 4),
+            remark44_simplex(3),
+            from_vertices(3, [(0, 0, 0), (1, 2, 2), (2, 1, 0)]),
+            from_vertices(3, [(5, 6, 7)]),
+        ]
+        for s in cases:
+            restrict_to_affine_lattice(s)
+            for _, f in all_faces(s):
+                normalized_volume(f)
+        assert widths and all(width == n for width, n in widths)
+        assert {0, 1, 2, 3, 5, 8} <= {n for _, n in widths}
+
+
 class TestFaces:
     def test_full_selector_is_restriction(self):
         s = from_vertices(2, [(1, 1), (2, 1), (1, 3)])

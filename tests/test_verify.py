@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import oracle, verify
-from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, add, enumerate_box_group, neg
+from hstarkit.verify import Record
+from hstarkit.boxgroup import BoxPoint, DEFAULT_VOLUME_CAP, add, enumerate_box_group, neg
 from hstarkit.errors import NotASimplexError
 from hstarkit.io import SimplexDocument, load_simplex_document
 from hstarkit.simplex import (
@@ -228,3 +229,58 @@ class TestTamperedGroup:
         # Face exponents 10 and 15 do not divide the input's exponent 6.
         out = tampered_verdicts(self.JOIN, later_groups_over_five_times_their_exponent)
         assert out["face-group-identification"] == ("pass", {"first_mismatch": None})
+
+
+def scan_record(doc: SimplexDocument, edit) -> Record:
+    """The scan-enumeration-agreement record when the box scan's
+    (rows, volume) is replaced by ``edit(rows, volume)``."""
+    scan = verify.enumerate_by_box_scan
+
+    def fake(simplex, cap):
+        return edit(*scan(simplex, cap=cap))
+
+    with mock.patch.object(verify, "enumerate_by_box_scan", fake):
+        return next(r for r in records(doc) if r.invariant == "scan-enumeration-agreement")
+
+
+def change_row_one(rows, volume):
+    rows = rows.copy()
+    rows[1] = -rows[1] % volume
+    return rows, volume
+
+
+class TestScanAgreement:
+    JOIN = CORPUS_DOCS["join-seg2-seg3.json"]
+
+    def test_untouched_scan_passes(self):
+        record = scan_record(self.JOIN, lambda rows, volume: (rows, volume))
+        assert (record.status, record.detail) == ("pass", {"scanned": 6})
+
+    def test_rows_compare_as_fractions(self):
+        record = scan_record(self.JOIN, lambda rows, volume: (3 * rows, 3 * volume))
+        assert record.status == "pass"
+
+    def test_one_changed_row_fails(self):
+        assert scan_record(self.JOIN, change_row_one).status == "fail"
+
+    def test_wrong_denominator_fails(self):
+        assert scan_record(self.JOIN, lambda rows, volume: (rows, 2 * volume)).status == "fail"
+
+    def test_missing_row_fails(self):
+        record = scan_record(self.JOIN, lambda rows, volume: (rows[:-1], volume))
+        assert (record.status, record.detail) == ("fail", {"scanned": 5})
+
+    def test_run_suite_builds_no_points(self, monkeypatch, corpus_dir):
+        built = []
+        post_init = BoxPoint.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BoxPoint, "__post_init__", spy)
+        out, ok = verify.run_suite(corpus_dir)
+        assert ok and len(out) == 256
+        scans = [r.status for r in out if r.invariant == "scan-enumeration-agreement"]
+        assert scans.count("pass") == 11
+        assert built == []
