@@ -7,30 +7,25 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 # Seconds a test may run before it fails; far above the slowest test, so
-# only a hang trips it. A test may set its own with @pytest.mark.time_limit(s).
+# only a hang trips it.
 TIME_LIMIT_S = 60
 
 
-class TimeLimitExceeded(Exception):
-    pass
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "time_limit(seconds): per-test time limit")
+class TimeLimitExceeded(BaseException):
+    """A BaseException, so that Hypothesis re-raises it at once instead of
+    shrinking and replaying the example with no alarm armed."""
 
 
 @pytest.fixture(autouse=True)
 def time_limit(request):
     """Fail the test, instead of hanging the run, once it has run longer
-    than its time limit; the alarm interrupts the test wherever it is."""
-    marker = request.node.get_closest_marker("time_limit")
-    seconds = marker.args[0] if marker else TIME_LIMIT_S
+    than TIME_LIMIT_S; the alarm interrupts the test wherever it is."""
 
     def expire(signum, frame):
-        raise TimeLimitExceeded(f"{request.node.nodeid} ran past its time limit of {seconds} s")
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past its time limit of {TIME_LIMIT_S} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
     try:
         yield
     finally:
