@@ -11,12 +11,18 @@ how everything downstream computes h*.
 
 A ``BoxGroup`` stores the whole group as one integer array: row i holds the
 numerators of element i over the group exponent q, next to an array of the
-row heights. h* is a count over the heights. Single elements are
-``BoxPoint`` objects (reduced integer numerators over their own
-denominator, which keeps the group law in pure integer arithmetic; ``coords``
-exposes the exact rationals); a group builds them only when a caller asks
-for its elements. ``add`` and ``neg`` are the group law on single elements,
-a public view: the package itself works on the residue array.
+row heights. h* is a count over the heights. ``enumerate_box_group`` builds
+and sorts only the m distinct columns of that array, which the Smith form
+shows before any array exists, at O(order * m) cost, and widens the sorted
+rows to all n+1 columns once. Its sort packs (height, distinct columns)
+base q into as few int64 keys as stay below ``INT64_LIMIT``.
+
+Single elements are ``BoxPoint`` objects (reduced integer numerators over
+their own denominator, which keeps the group law in pure integer
+arithmetic; ``coords`` exposes the exact rationals); a group builds them
+only when a caller asks for its elements. ``add`` and ``neg`` are the group
+law on single elements, a public view: the package itself works on the
+residue array.
 
 ``enumerate_by_box_scan`` is an independent second enumeration, used to
 check the first: no Smith form, no ``BoxGroup``. It reads the group off the
@@ -182,9 +188,21 @@ def enumerate_box_group(
     homogenized matrix M is walked through the Smith decomposition
     U M W = D: residue tuples y over the invariant factors map to the
     fractional parts of W (y_1/d_1, ..., y_k/d_k), giving each group element
-    once. The residue array over q is built by broadcasting, one active
-    invariant factor at a time, at a cost of O(order * (n+1)) integer
-    operations after the decomposition, independent of coordinate sizes.
+    once. Column i of the residue array over q is sum_j y_j * S_ij mod q,
+    with steps S_ij = W_ij * (q / d_j) over the nontrivial factors d_j, so
+    columns with equal step tuples are equal. The m distinct columns are
+    built by broadcasting, one nontrivial factor at a time, and sorted; the
+    array is widened to all k = n+1 columns once, after the permutation.
+    That costs O(order * m) integer operations for the build and the sort
+    keys, and O(order * k) for the widened copy, after the decomposition,
+    independent of coordinate sizes.
+
+    The sort key is (height, distinct columns in order of first
+    appearance). It gives the (height, coordinates) order of the rows,
+    because a repeated column never breaks a tie that its first copy left.
+    Its digits are packed base q, the height leading, into as few integer
+    keys as stay below ``INT64_LIMIT``: one key is sorted by ``argsort``,
+    more by ``lexsort``.
     """
     matrix = homogenize(simplex)
     dec = linalg.smith_normal_form(matrix)
@@ -194,32 +212,55 @@ def enumerate_box_group(
         raise VolumeTooLargeError(order, volume_cap, "weight-group enumeration")
     k = len(factors)
     q = factors[-1]
-    # Entries stay below q*q + q while building and row sums below k*q.
+    active = [(j, d) for j, d in enumerate(factors) if d > 1]
+    # Row i of W gives the step tuple of column i. W entries can be huge:
+    # steps are reduced in Python before numpy sees them. With no
+    # nontrivial factor every step tuple is empty.
+    tuples = list(zip(*[[row[j] * (q // d) % q for row in dec.W.rows] for j, d in active]))
+    # Distinct step tuples, numbered in order of first appearance.
+    first: dict[tuple[int, ...], int] = {}
+    cols = [first.setdefault(t, len(first)) for t in tuples or [()] * k]
+    m = len(first)
+    # Row c of `table` is distinct column c over all elements. Steps times
+    # multipliers stay below q*q, entries below 2*q and row sums below k*q.
     dtype = np.int64 if max(q * q + q, k * q) < INT64_LIMIT else object
-    arr = np.zeros((1, k), dtype=dtype)
-    for j, d in enumerate(factors):
-        if d == 1:
-            continue
-        # W entries can be huge: reduce the step in Python before numpy sees it.
-        step = np.array([dec.W.rows[i][j] * (q // d) % q for i in range(k)], dtype=dtype)
-        multiples = np.arange(d, dtype=dtype)[:, None] * step
-        arr = ((arr[:, None, :] + multiples) % q).reshape(-1, k)
-    sums = arr.sum(axis=1)
+    table = np.zeros((m, 1), dtype=dtype)
+    for (_, d), step in zip(active, zip(*first)):
+        multiples = np.array(step, dtype=dtype)[:, None] * np.arange(d, dtype=dtype) % q
+        table = (table[:, :, None] + multiples[:, None, :]).reshape(m, -1)
+        np.subtract(table, q, out=table, where=table >= q)
+    sums = np.array([cols.count(c) for c in range(m)], dtype=dtype) @ table
     if (sums % q).any():  # pragma: no cover - the all-ones matrix row forces this
         raise NonIntegralHeightError("element with non-integral coordinate sum")
-    heights = (sums // q).astype(np.int64)
-    perm = np.lexsort(tuple(arr[:, i] for i in reversed(range(k))) + (heights,))
-    arr, heights = arr[perm], heights[perm]
-    # Sorted rows are duplicate-free iff no two neighbours are equal.
-    if not (arr[1:] != arr[:-1]).any(axis=1).all():  # pragma: no cover - unimodularity
+    # The first key holds the height and column 0, as sums + c_0 =
+    # height * q + c_0 < k * q, and takes more columns while it stays below
+    # k * q**a <= INT64_LIMIT for its a columns; each later key stays below
+    # q**b <= INT64_LIMIT for its b columns. On int64, k * q < INT64_LIMIT.
+    keys, span = [sums + table[0]], k * q
+    for c in range(1, m):
+        if span * q <= INT64_LIMIT:
+            keys[-1] = keys[-1] * q + table[c]
+            span *= q
+        else:
+            keys.append(table[c])
+            span = q
+    perm = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    # Sorted keys are duplicate-free iff no two neighbours agree on all keys.
+    sorted_keys = [key[perm] for key in keys]
+    ties = sorted_keys[0][1:] == sorted_keys[0][:-1]
+    for key in sorted_keys[1:]:
+        ties &= key[1:] == key[:-1]
+    if ties.any():  # pragma: no cover - unimodularity
         raise NonIntegralHeightError("enumeration produced duplicate elements")
-    arr.flags.writeable = False
+    residues = table.take(perm, axis=1).T.take(cols, axis=1)
+    heights = (sums[perm] // q).astype(np.int64, copy=False)
+    residues.flags.writeable = False
     heights.flags.writeable = False
     return BoxGroup(
         simplex=simplex,
         order=order,
         invariant_factors=factors,
-        residues=arr,
+        residues=residues,
         heights=heights,
     )
 

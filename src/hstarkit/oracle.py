@@ -46,24 +46,20 @@ class CrossValidation:
 @lru_cache(maxsize=4096)
 def _scan(simplex: LatticeSimplex, n: int, scan_cap: int) -> tuple[int, int]:
     """(closure count, interior count) of the n-th dilate, counted in the
-    Hermite model of the simplex."""
+    Hermite model of the simplex.
+
+    The model is built once per simplex, not once per dilate. A cleared
+    scan cache starts cold: its next miss empties the model cache as well,
+    so ``_scan.cache_clear()`` resets both.
+    """
     candidates = prod(n * (max(col) - min(col)) + 1 for col in zip(*simplex.vertices))
     if candidates > scan_cap:
         raise ScanTooLargeError(candidates, scan_cap, f"oracle scan of dilate {n}")
-    model = restrict_to_affine_lattice(simplex)
-    d = model.dimension
-    if d == 0:
+    if not _scan.cache_info().currsize:
+        _model.cache_clear()
+    forms, det_h, spread = _model(simplex)
+    if not forms:
         return 1, int(n > 0)
-    edges = linalg.IntMatrix.from_rows(
-        [[v[i] for v in model.vertices[1:]] for i in range(d)], ncols=d
-    )
-    adj, det_h = linalg.adjugate(edges)
-    # A point of the model is H lambda for the weights lambda_1..lambda_d of
-    # the vertices after the origin, so row c of adj H is the form
-    # F_c = det_h * lambda_c, and the origin's weight is
-    # (total - sum_c F_c) / det_h. adj H is lower triangular with diagonal
-    # det_h / H_cc > 0, since the Hermite diagonal is positive.
-    forms = adj.rows
     total = n * det_h
     # Every kept row lies in the projection of the dilate, where
     # |x_j| <= n * max |v_j| and so every partial form is at most `bound`;
@@ -71,12 +67,35 @@ def _scan(simplex: LatticeSimplex, n: int, scan_cap: int) -> tuple[int, int]:
     # numerators are then at most bound + 2 * total + 2, and widths at most
     # `wide`. A block holds at most _CHUNK rows, so its widths sum to at
     # most _CHUNK * wide. Below 2**62 that makes int64 exact.
-    reach = [n * max(abs(v[j]) for v in model.vertices) for j in range(d)]
-    bound = max(sum(abs(a) * r for a, r in zip(row, reach)) for row in forms)
+    bound = n * max(sum(abs(a) * r for a, r in zip(row, spread)) for row in forms)
     wide = 2 * (bound + 2 * total + 2) + 1
     dtype = np.int64 if _CHUNK * wide < _INT64_SAFE else object
     # Integer forms are > 0 exactly where they are >= 1.
     return _count_lifts(forms, total, 0, dtype), _count_lifts(forms, total, 1, dtype)
+
+
+@lru_cache(maxsize=256)
+def _model(simplex: LatticeSimplex) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """The barycentric forms of the simplex's Hermite model, det H, and the
+    largest absolute vertex coordinate of the model on each axis.
+
+    A point of the model is H lambda for the weights lambda_1..lambda_d of
+    the vertices after the origin, so row c of adj H is the form
+    F_c = det_h * lambda_c, and the origin's weight is
+    (total - sum_c F_c) / det_h. adj H is lower triangular with diagonal
+    det_h / H_cc > 0, since the Hermite diagonal is positive. A point model
+    (d = 0) has no forms.
+    """
+    model = restrict_to_affine_lattice(simplex)
+    d = model.dimension
+    if d == 0:
+        return (), 1, ()
+    edges = linalg.IntMatrix.from_rows(
+        [[v[i] for v in model.vertices[1:]] for i in range(d)], ncols=d
+    )
+    adj, det_h = linalg.adjugate(edges)
+    spread = tuple(max(abs(v[j]) for v in model.vertices) for j in range(d))
+    return adj.rows, det_h, spread
 
 
 def _count_lifts(forms, total: int, s: int, dtype) -> int:

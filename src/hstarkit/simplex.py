@@ -99,7 +99,8 @@ def homogenize(simplex: LatticeSimplex) -> linalg.IntMatrix:
         raise DimensionMismatchError("homogenize requires a full-dimensional simplex")
     rows = list(zip(*simplex.vertices))
     rows.append((1,) * len(simplex.vertices))
-    return linalg.IntMatrix.from_rows(rows, ncols=simplex.ambient_dim + 1)
+    # The vertices are validated integer tuples; from_rows would check again.
+    return linalg.IntMatrix(tuple(rows), simplex.ambient_dim + 1)
 
 
 def restrict_to_affine_lattice(simplex: LatticeSimplex) -> LatticeSimplex:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hstarkit.errors import (
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import hstar_from_box_group
 from hstarkit.linalg import smith_normal_form
+from hstarkit.search import realize_cyclic_group
 from hstarkit.simplex import (
     LatticeSimplex,
     all_faces,
@@ -184,6 +186,56 @@ def reference_residues(simplex):
 NON_CYCLIC = join(delta_cm(4, 3), delta_cm(4, 2))
 
 
+def reference_enumeration(simplex):
+    """The earlier enumeration, kept as the differential reference: the
+    full (order, n+1) array, built one invariant factor at a time over every
+    column, sorted by a lexsort with one key per column after the height."""
+    dec = smith_normal_form(homogenize(simplex))
+    factors = dec.invariant_factors
+    k, q = len(factors), factors[-1]
+    dtype = np.int64 if max(q * q + q, k * q) < boxgroup.INT64_LIMIT else object
+    arr = np.zeros((1, k), dtype=dtype)
+    for j, d in enumerate(factors):
+        if d == 1:
+            continue
+        step = np.array([dec.W.rows[i][j] * (q // d) % q for i in range(k)], dtype=dtype)
+        multiples = np.arange(d, dtype=dtype)[:, None] * step
+        arr = ((arr[:, None, :] + multiples) % q).reshape(-1, k)
+    heights = (arr.sum(axis=1) // q).astype(np.int64)
+    perm = np.lexsort(tuple(arr[:, i] for i in reversed(range(k))) + (heights,))
+    return arr[perm], heights[perm]
+
+
+def assert_matches_reference(simplex):
+    group = enumerate_box_group(simplex)
+    residues, heights = reference_enumeration(simplex)
+    assert group.residues.dtype == residues.dtype
+    assert group.heights.dtype == heights.dtype == np.int64
+    assert group.residues.shape == residues.shape
+    assert group.residues.tolist() == residues.tolist()
+    assert group.heights.tolist() == heights.tolist()
+    return group
+
+
+def sorts_of(simplex):
+    """The group, and the sorts its enumeration ran: ("argsort", 1) or
+    ("lexsort", number of keys)."""
+    calls = []
+    lexsort, argsort = np.lexsort, np.argsort
+
+    def lex_spy(keys):
+        calls.append(("lexsort", len(keys)))
+        return lexsort(keys)
+
+    def arg_spy(key):
+        calls.append(("argsort", 1))
+        return argsort(key)
+
+    with mock.patch.object(np, "lexsort", lex_spy), mock.patch.object(np, "argsort", arg_spy):
+        group = enumerate_box_group(simplex)
+    return group, calls
+
+
 class TestArrayRepresentation:
     def test_non_cyclic_fixture(self):
         factors = enumerate_box_group(NON_CYCLIC).invariant_factors
@@ -206,11 +258,16 @@ class TestArrayRepresentation:
         ids=["delta_cm", "join", "huge-image"],
     )
     def test_object_path_matches_int64_path(self, simplex, monkeypatch):
-        fast = enumerate_box_group(simplex)
-        assert fast.residues.dtype == np.int64
+        fast, fast_sorts = sorts_of(simplex)
+        assert fast.residues.dtype == np.int64 and fast_sorts == [("argsort", 1)]
         monkeypatch.setattr(boxgroup, "INT64_LIMIT", 0)
-        exact = enumerate_box_group(simplex)
+        exact, exact_sorts = sorts_of(simplex)
         assert exact.residues.dtype == object
+        # No digit is packed: the height shares a key with column 0 only,
+        # so there is one key per distinct column.
+        distinct = len(set(map(tuple, fast.residues.T.tolist())))
+        assert distinct >= 2 and exact_sorts == [("lexsort", distinct)]
+        assert_matches_reference(simplex)
         assert exact.residues.tolist() == fast.residues.tolist()
         assert exact.heights.tolist() == fast.heights.tolist()
         assert exact.elements == fast.elements
@@ -487,3 +544,55 @@ class TestBoxScan:
         assert exact.dtype == object and exact_volume == volume
         assert exact.tolist() == fast.tolist()
         assert fast.tolist() == as_rows(enumerate_box_group(simplex).elements, volume)
+
+
+class TestDistinctColumnEnumeration:
+    """The enumeration on distinct columns against the full-width reference."""
+
+    @given(full_dimensional_simplices())
+    @settings(max_examples=120, deadline=None)
+    def test_random_simplices(self, s):
+        assert_matches_reference(s)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_vertex_relabellings(self, data):
+        s = data.draw(full_dimensional_simplices())
+        order = data.draw(st.permutations(range(s.n_vertices)))
+        relabelled = LatticeSimplex(s.ambient_dim, tuple(s.vertices[i] for i in order))
+        group = assert_matches_reference(relabelled)
+        # Relabelling permutes the columns of the same group.
+        back = np.argsort(order)
+        base = enumerate_box_group(s)
+        assert sorted(map(tuple, group.residues[:, back].tolist())) == sorted(
+            map(tuple, base.residues.tolist())
+        )
+
+    @given(full_dimensional_simplices(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_joins_with_unit_simplices(self, s, u, unit_first):
+        simplex = join(unit_simplex(u), s) if unit_first else join(s, unit_simplex(u))
+        group = assert_matches_reference(simplex)
+        # The unit simplex's u + 1 vertices carry weight 0 in every element:
+        # a repeated zero column.
+        assert sum(not col.any() for col in group.residues.T) >= u + 1
+
+    @pytest.mark.parametrize(
+        "simplex",
+        [delta_cm(99999, 3), join(delta_cm(299, 3), delta_cm(299, 4))],
+        ids=["cyclic-1e5", "z300-squared"],
+    )
+    def test_bulk_inputs_sort_on_one_key(self, simplex):
+        assert_matches_reference(simplex)
+        _, sorts = sorts_of(simplex)
+        assert sorts == [("argsort", 1)]
+
+    def test_many_columns_of_a_large_order_need_two_keys(self):
+        # Five distinct columns over q = 99991: the height and three columns
+        # stay below 5 * q**3 < INT64_LIMIT, a fourth would pass it.
+        q = 99991
+        simplex = realize_cyclic_group((1, 2, 3, 5, q - 11), q)
+        group, sorts = sorts_of(simplex)
+        assert sorts == [("lexsort", 2)]
+        assert group.order == q and group.residues.dtype == np.int64
+        assert_matches_reference(simplex)

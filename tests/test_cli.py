@@ -2,11 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import io
@@ -144,6 +145,77 @@ class TestDocuments:
                 parse_simplex_document(text)
         else:
             assert parse_simplex_document(text) == doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def near_valid_documents(draw) -> str:
+    """A valid document with one mutation: a field replaced, dropped or
+    added, a vertex or an entry replaced, or the text cut or edited."""
+    doc = json.loads(json.dumps(draw(st.sampled_from([PROP43_DOC, UNIT_TRIANGLE_DOC]))))
+    kind = draw(st.sampled_from(["field", "drop", "add", "vertex", "entry", "cut", "edit"]))
+    if kind == "field":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "add":
+        doc[draw(st.sampled_from(["expected_hstar", "name", "extra"]))] = draw(JSON_VALUES)
+    elif kind == "vertex":
+        doc["vertices"][draw(st.integers(0, len(doc["vertices"]) - 1))] = draw(JSON_VALUES)
+    elif kind == "entry":
+        vertex = doc["vertices"][draw(st.integers(0, len(doc["vertices"]) - 1))]
+        vertex[draw(st.integers(0, len(vertex) - 1))] = draw(
+            JSON_VALUES | st.integers().map(str) | st.sampled_from(["1e3", " 7", "0x10", "-"])
+        )
+    text = json.dumps(doc)
+    if kind == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "edit":
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(st.text(min_size=1, max_size=3)) + text[at + 1:]
+    return text
+
+
+class TestDocumentFuzz:
+    @given(st.text(max_size=200) | near_valid_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_parser_raises_only_document_errors(self, text):
+        try:
+            parse_simplex_document(text)
+        except DocumentError:
+            pass
+
+    @given(st.binary(max_size=200) | near_valid_documents().map(str.encode))
+    @settings(max_examples=200, deadline=None)
+    def test_loader_raises_only_document_errors(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_bytes(data)
+            try:
+                load_simplex_document(path)
+            except DocumentError:
+                pass
+
+    @given(st.binary(max_size=100) | near_valid_documents().map(str.encode))
+    @settings(max_examples=12, deadline=None)
+    def test_cli_exits_2_with_one_stderr_line(self, run_cli, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_bytes(data)
+            try:
+                load_simplex_document(path)
+            except DocumentError:
+                res = run_cli("hstar", str(path))
+                assert (res.returncode, res.stdout) == (2, "")
+                assert len(res.stderr.splitlines()) == 1, res.stderr
+            else:
+                assume(False)
 
 
 class TestReportCommands:

@@ -86,6 +86,27 @@ class TestCounts:
         assert info.value.stage == "oracle scan of dilate 4"
 
 
+class TestModelCache:
+    def test_one_model_per_simplex_and_a_cold_start_after_clear(self):
+        simplex = prop43_instance(3, 4)
+        oracle._scan.cache_clear()
+        with mock.patch.object(
+            oracle, "restrict_to_affine_lattice", wraps=restrict_to_affine_lattice
+        ) as spy:
+            # Dilates 1..6 of a full-dimensional 5-simplex share one model.
+            result = cross_validate(simplex)
+            assert result.match and result.heldout_ok
+            assert spy.call_count == 1
+            count_lattice_points(TRI_VOL2, 1)
+            assert spy.call_count == 2
+            # Clearing the scan cache, the only reset between benchmark
+            # passes, also drops the models, as a fresh process would.
+            oracle._scan.cache_clear()
+            assert count_lattice_points(simplex, 2) == ehrhart_from_hstar(result.box_hstar, 5, 2)
+            assert spy.call_count == 3
+            assert oracle._model.cache_info().currsize == 1
+
+
 def brute_force_counts(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
     """(closure, interior) counts of the n-th dilate, testing every candidate
     of the bounding box one at a time."""
