@@ -21,8 +21,8 @@ pairs this checkout read lower under "change_lower".
 Per seed and side it also times, once each, three end-to-end commands that
 the benchmark does not cover: `scripts/zero_window_regression.py` (the
 whole face-extraction cohort), a CLI cold start on the unit triangle, and
-a strong-window `search`, the one run of the Hermite form's transform side
-(left kernels and cyclic realization). A run whose exit code is not 0
+a strong-window `search`, the one run of the cyclic realization (a
+Hermite basis and an adjugate per hit). A run whose exit code is not 0
 counts as failed. Their `wall_s` statistics go under "extras": "change",
 and with --parent also "parent" and "change_lower".
 """

@@ -14,8 +14,9 @@ numerators of element i over the group exponent q, next to an array of the
 row heights. h* is a count over the heights. ``enumerate_box_group`` builds
 and sorts only the m distinct columns of that array, which the Smith form
 shows before any array exists, at O(order * m) cost, and widens the sorted
-rows to all n+1 columns once. Its sort packs (height, distinct columns)
-base q into as few int64 keys as stay below ``INT64_LIMIT``.
+rows to all n+1 columns once. Its sort packs (height, distinct columns but
+the last, which the others fix) base q into as few int64 keys as stay below
+``INT64_LIMIT``.
 
 Single elements are ``BoxPoint`` objects (reduced integer numerators over
 their own denominator, which keeps the group law in pure integer
@@ -198,11 +199,13 @@ def enumerate_box_group(
     independent of coordinate sizes.
 
     The sort key is (height, distinct columns in order of first
-    appearance). It gives the (height, coordinates) order of the rows,
-    because a repeated column never breaks a tie that its first copy left.
-    Its digits are packed base q, the height leading, into as few integer
-    keys as stay below ``INT64_LIMIT``: one key is sorted by ``argsort``,
-    more by ``lexsort``.
+    appearance, but the last). It gives the (height, coordinates) order of
+    the rows, because a repeated column never breaks a tie that its first
+    copy left, and the last distinct column breaks none: the
+    multiplicity-weighted row sum is height * q, so the height and the
+    other columns fix it. Its digits are packed base q, the height leading,
+    into as few integer keys as stay below ``INT64_LIMIT``: one key is
+    sorted by ``argsort``, more by ``lexsort``.
     """
     matrix = homogenize(simplex)
     dec = linalg.smith_normal_form(matrix)
@@ -232,12 +235,13 @@ def enumerate_box_group(
     sums = np.array([cols.count(c) for c in range(m)], dtype=dtype) @ table
     if (sums % q).any():  # pragma: no cover - the all-ones matrix row forces this
         raise NonIntegralHeightError("element with non-integral coordinate sum")
-    # The first key holds the height and column 0, as sums + c_0 =
-    # height * q + c_0 < k * q, and takes more columns while it stays below
-    # k * q**a <= INT64_LIMIT for its a columns; each later key stays below
-    # q**b <= INT64_LIMIT for its b columns. On int64, k * q < INT64_LIMIT.
-    keys, span = [sums + table[0]], k * q
-    for c in range(1, m):
+    # The first key holds the height and, unless it is the last, column 0,
+    # as sums + c_0 = height * q + c_0 < k * q, and takes more columns
+    # while it stays below k * q**a <= INT64_LIMIT for its a columns; each
+    # later key stays below q**b <= INT64_LIMIT for its b columns. On
+    # int64, k * q < INT64_LIMIT.
+    keys, span = [sums if m == 1 else sums + table[0]], k * q
+    for c in range(1, m - 1):
         if span * q <= INT64_LIMIT:
             keys[-1] = keys[-1] * q + table[c]
             span *= q

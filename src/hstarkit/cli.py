@@ -21,11 +21,7 @@ from .errors import (
     HypothesisNotMetError,
     InternalCheckError,
     InvalidParametersError,
-    NotASimplexError,
-    DimensionMismatchError,
-    PreconditionNotMetError,
     ScanTooLargeError,
-    TooManyFacesError,
     VolumeTooLargeError,
 )
 from .hstar import HStarVector, ehrhart_from_hstar, hstar_from_box_group
@@ -286,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_caps(p) -> None:
         p.add_argument("--volume-cap", type=int, default=DEFAULT_VOLUME_CAP,
                        help="largest group order that will be enumerated")
-        p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP,
-                       help="largest bounding-box candidate count for scans")
 
     p = sub.add_parser("hstar", parents=[common], help="h* via the weight-group path")
     p.add_argument("file")
@@ -311,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group path against counting oracle")
     p.add_argument("file")
     add_caps(p)
+    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP,
+                   help="largest bounding-box candidate count for scans")
     p.set_defaults(fn=cmd_oracle_verify)
 
     p = sub.add_parser("extract-face", parents=[common],
@@ -391,18 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         log.error("internal check failed: %s", exc)
         return EXIT_MISMATCH
-    except (
-        DocumentError,
-        InvalidParametersError,
-        NotASimplexError,
-        DimensionMismatchError,
-        PreconditionNotMetError,
-        TooManyFacesError,
-        OSError,
-    ) as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except HstarkitError as exc:
+    except (HstarkitError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
 

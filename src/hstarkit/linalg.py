@@ -7,9 +7,9 @@ to limit entry growth. The Smith form tracks only W and D, which is all the
 weight group reads: its column operations run on the active block of rows
 not yet finished, and a pivot of +-1 skips the divisibility scan. The
 Hermite form is one elimination over rows that may carry extra entries:
-``hermite_normal_form`` appends identity rows to get its transform U, which
-the left kernel reads, and the triangular simplex model passes bare rows
-and builds no transform.
+``hermite_normal_form`` appends identity rows to get its transform U, and
+the triangular simplex model and the cyclic realization pass bare rows and
+build no transform.
 Determinants, ranks, solves and adjugates all come from one fraction-free
 (Bareiss) elimination.
 """
@@ -161,13 +161,6 @@ def hermite_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         IntMatrix.from_rows((row[:n] for row in a), ncols=n),
         IntMatrix.from_rows((row[n:] for row in a), ncols=m),
     )
-
-
-def left_kernel(matrix: IntMatrix) -> IntMatrix:
-    """Basis (as rows) of {x integer : x @ M == 0}; saturated by construction."""
-    h, u = hermite_normal_form(matrix)
-    rows = [u.rows[i] for i in range(matrix.nrows) if not any(h.rows[i])]
-    return IntMatrix.from_rows(rows, ncols=matrix.nrows)
 
 
 def _min_abs_entry(a: list[list[int]], t: int, n: int) -> tuple[int, int] | None:

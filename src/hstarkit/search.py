@@ -10,6 +10,7 @@ face. Purely empirical: emits instances, never claims answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from typing import Iterator
 
@@ -78,49 +79,27 @@ def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
     """A simplex whose weight group is exactly the cyclic group generated by
     generator/q.
 
-    Build an integer matrix of determinant +-q whose rows annihilate the
-    generator mod q, with the homogenizing all-ones row last; its columns
-    minus that row are the vertices. Verified on the way out by
-    re-enumerating the group.
+    With n = len(generator) - 1 and g' = (g_1, ..., g_n), the rows g',
+    q*e_1, ..., q*e_n span q*(Z^n + Z*g'/q). Their Hermite form has a zero
+    top row over a lower-triangular basis T of that lattice, det T =
+    q^(n-1). The vertices are the origin and the rows of V = q*T^-1 =
+    q*adj(T)/det T. A point sum_i w_i v_i is then a lattice point exactly
+    when (w_1, ..., w_n) lies in Z^n V^-1 = Z^n + Z*g'/q, so vertex i
+    carries g_i/q and the origin g_0/q, which makes the weights sum to an
+    integer. Verified on the way out by re-enumerating the group.
     """
-    length = len(generator)
+    n = len(generator) - 1
     if q < 1 or any(a < 0 or a >= q for a in generator):
         raise InvalidParametersError("generator entries must lie in [0, q)")
     if sum(generator) % q:
         raise InvalidParametersError("generator's coordinate sum must be divisible by q")
     if gcd(q, *generator) != 1:
         raise InvalidParametersError("generator must have order exactly q")
-    stack = linalg.IntMatrix.from_rows([[a] for a in generator] + [[q]], ncols=1)
-    kernel = linalg.left_kernel(stack)
-    basis = linalg.IntMatrix.from_rows(
-        [row[:length] for row in kernel.rows], ncols=length
-    )
-    if abs(linalg.det(basis)) != q:  # pragma: no cover - kernel theory
-        raise InternalCheckError("annihilator basis has wrong determinant")
-    ones = [1] * length
-    sol = linalg.solve_rational(basis.transpose(), ones)
-    c = []
-    for val in sol:
-        if val.denominator != 1:  # pragma: no cover - all-ones lies in the lattice
-            raise InternalCheckError("all-ones row not expressible in basis")
-        c.append(int(val))
-    # Complete the primitive vector c to a unimodular matrix with c as the
-    # last row: reduce c (as a column) to e_last by row operations U, then
-    # transpose the integer inverse of U, which is det(U) * adj(U) with
-    # det(U) = +-1.
-    c_col = linalg.IntMatrix.from_rows([[x] for x in c], ncols=1)
-    reduced, u = linalg.hermite_normal_form(c_col)
-    if reduced.rows[-1][0] != 1:  # pragma: no cover - gcd(c) is 1
-        raise InternalCheckError("all-ones coordinates are not primitive")
-    adj_u, det_u = linalg.adjugate(u)
-    r_mat = linalg.IntMatrix.from_rows(
-        [[det_u * x for x in col] for col in zip(*adj_u.rows)], ncols=length
-    )
-    matrix = r_mat @ basis
-    if list(matrix.rows[-1]) != ones:  # pragma: no cover - construction
-        raise InternalCheckError("homogenizing row is not all ones")
-    verts = [tuple(matrix.rows[i][j] for i in range(length - 1)) for j in range(length)]
-    simplex = from_vertices(length - 1, verts)
+    rows = [list(generator[1:])] + [[q * (i == j) for j in range(n)] for i in range(n)]
+    linalg.hermite_rows(rows, n)
+    adj, det_t = linalg.adjugate(linalg.IntMatrix.from_rows(rows[1:], ncols=n))
+    verts = [(0,) * n] + [tuple(q * x // det_t for x in row) for row in adj.rows]
+    simplex = from_vertices(n, verts)
     group = enumerate_box_group(simplex)
     expected = np.unique(np.arange(q)[:, None] * np.array(generator) % q, axis=0)
     if group.exponent != q or not np.array_equal(
@@ -135,47 +114,15 @@ def _window_holds(counts: dict[int, int], k: int, window: str) -> bool:
     return all(counts.get(h, 0) == 0 for h in range(k + 1, top + 1))
 
 
-def search_windows(
-    k: int,
-    window: str,
-    max_order: int,
-    max_dim: int,
-    limit: int | None = None,
-) -> Iterator[SearchHit]:
-    """All canonical cyclic instances matching the window, in deterministic
-    order (group order, then dimension, then lexicographic generator)."""
-    if window not in ("weak", "strong"):
-        raise InvalidParametersError("window must be weak or strong")
-    if k < 1:
-        raise InvalidParametersError("k must be >= 1")
-    if not 1 <= max_order <= MAX_ORDER:
-        raise InvalidParametersError(f"max order must be in 1..{MAX_ORDER}")
-    if not 1 <= max_dim <= MAX_DIM:
-        raise InvalidParametersError(f"max dim must be in 1..{MAX_DIM}")
-    emitted = 0
+def _window_generators(
+    k: int, window: str, max_order: int, max_dim: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(q, generator) of every canonical cyclic group matching the window,
+    in search order. Order 1 is the trivial group of the unit segment."""
+    yield 1, (0, 0)
     seen: set[tuple] = set()
-    for q in range(1, max_order + 1):
-        if limit is not None and emitted >= limit:
-            return
-        if q == 1:
-            simplex = from_vertices(1, [(0,), (1,)])
-            cert = extract_face(simplex, max(k, 1))
-            yield SearchHit(
-                order=1,
-                dim=1,
-                generator=(0, 0),
-                hstar=cert.hstar,
-                k=k,
-                window=window,
-                face_realizes_truncation=cert.hstar_match,
-                face_hstar=cert.face_hstar,
-                face_selector=cert.face_selector.indices,
-            )
-            emitted += 1
-            continue
+    for q in range(2, max_order + 1):
         for length in range(2, max_dim + 2):
-            if limit is not None and emitted >= limit:
-                return
             for gen in _nondecreasing_tuples(q, length):
                 if gcd(q, *gen) != 1:
                     continue
@@ -190,19 +137,38 @@ def search_windows(
                 if signature in seen:
                     continue
                 seen.add(signature)
-                simplex = realize_cyclic_group(gen, q)
-                cert = extract_face(simplex, k)
-                yield SearchHit(
-                    order=q,
-                    dim=length - 1,
-                    generator=gen,
-                    hstar=cert.hstar,
-                    k=k,
-                    window=window,
-                    face_realizes_truncation=cert.hstar_match,
-                    face_hstar=cert.face_hstar,
-                    face_selector=cert.face_selector.indices,
-                )
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
+                yield q, gen
+
+
+def search_windows(
+    k: int,
+    window: str,
+    max_order: int,
+    max_dim: int,
+    limit: int | None = None,
+) -> Iterator[SearchHit]:
+    """All canonical cyclic instances matching the window, in deterministic
+    order (group order, then dimension, then lexicographic generator), at
+    most ``limit`` of them."""
+    if window not in ("weak", "strong"):
+        raise InvalidParametersError("window must be weak or strong")
+    if k < 1:
+        raise InvalidParametersError("k must be >= 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise InvalidParametersError(f"max order must be in 1..{MAX_ORDER}")
+    if not 1 <= max_dim <= MAX_DIM:
+        raise InvalidParametersError(f"max dim must be in 1..{MAX_DIM}")
+    generators = _window_generators(k, window, max_order, max_dim)
+    for q, gen in islice(generators, None if limit is None else max(limit, 0)):
+        cert = extract_face(realize_cyclic_group(gen, q), k)
+        yield SearchHit(
+            order=q,
+            dim=len(gen) - 1,
+            generator=gen,
+            hstar=cert.hstar,
+            k=k,
+            window=window,
+            face_realizes_truncation=cert.hstar_match,
+            face_hstar=cert.face_hstar,
+            face_selector=cert.face_selector.indices,
+        )

@@ -26,25 +26,16 @@ from .hstar import HStarVector, hstar_from_box_group
 from .simplex import FaceSelector, LatticeSimplex, face, restrict_to_affine_lattice
 
 
-@dataclass(frozen=True)
-class ZeroWindowQuery:
-    """Window parameter k; the face-extraction theorem assumes k >= 3, and
-    smaller k is allowed only as an exploratory relaxation."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidParametersError("window parameter k must be >= 1")
-
-    @property
-    def below_theorem_range(self) -> bool:
-        return self.k < 3
+def _check_k(k: int) -> None:
+    """The window parameter must be at least 1. The face-extraction theorem
+    assumes k >= 3; smaller k is allowed only as an exploratory relaxation."""
+    if k < 1:
+        raise InvalidParametersError("window parameter k must be >= 1")
 
 
 def check_zero_window(h: HStarVector, k: int) -> bool:
     """True iff coefficients k+1 through 2k (inclusive) are all zero."""
-    ZeroWindowQuery(k)
+    _check_k(k)
     return all(h.coefficient(i) == 0 for i in range(k + 1, 2 * k + 1))
 
 
@@ -254,12 +245,12 @@ def extract_face(
     truncation exactly when h_1..h_k vanish, which is the only way the
     support can be empty under the hypothesis.
     """
-    query = ZeroWindowQuery(k)
+    _check_k(k)
     full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
     group = enumerate_box_group(full, volume_cap=volume_cap)
     h = hstar_from_box_group(group)
     window_ok = check_zero_window(h, k)
-    hypothesis_met = window_ok and not query.below_theorem_range
+    hypothesis_met = window_ok and k >= 3
     if strict and not hypothesis_met:
         raise HypothesisNotMetError(
             f"k={k} with h*={h.coeffs}: zero window "

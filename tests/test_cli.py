@@ -304,6 +304,18 @@ class TestReportCommands:
         assert res.returncode == 3
         assert "weight-group enumeration: normalized volume 9 exceeds cap 5" in res.stderr
 
+    def test_k_is_checked_before_the_volume_cap(self, run_cli, tmp_path):
+        path = write_doc(tmp_path, "s.json", PROP43_DOC)
+        res = run_cli("extract-face", str(path), "--k", "0", "--volume-cap", "5")
+        assert res.returncode == 2
+        assert "window parameter k must be >= 1" in res.stderr
+
+    @pytest.mark.parametrize("command", ["hstar", "box-group", "extract-face --k 3"])
+    def test_scan_cap_only_where_a_scan_runs(self, run_cli, tmp_path, command):
+        path = write_doc(tmp_path, "s.json", PROP43_DOC)
+        res = run_cli(*command.split(), str(path), "--scan-cap", "100")
+        assert res.returncode == 2 and res.stdout == ""
+
     def test_scan_cap_exit_code(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
         res = run_cli("oracle-verify", str(path), "--scan-cap", "100")

@@ -1,0 +1,69 @@
+from math import gcd
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hstarkit.boxgroup import enumerate_box_group
+from hstarkit.errors import InvalidParametersError
+from hstarkit.search import realize_cyclic_group
+
+
+@st.composite
+def cyclic_generators(draw):
+    """(generator, q): entries in [0, q) (zeros likely), sum divisible by q,
+    order exactly q, in a random vertex order."""
+    q = draw(st.integers(1, 60))
+    length = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    head = draw(st.lists(entry, min_size=length - 1, max_size=length - 1))
+    generator = tuple(draw(st.permutations(head + [-sum(head) % q])))
+    assume(gcd(q, *generator) == 1)
+    return generator, q
+
+
+def assert_realizes(generator, q):
+    simplex = realize_cyclic_group(generator, q)
+    assert simplex.dimension == len(generator) - 1
+    group = enumerate_box_group(simplex)
+    multiples = np.arange(q)[:, None] * np.array(generator, dtype=np.int64) % q
+    assert group.order == group.exponent == q
+    assert sorted(map(tuple, group.residues.tolist())) == sorted(map(tuple, multiples.tolist()))
+
+
+def assert_invalid_variants_raise(generator, q):
+    out_of_range = (generator[0] + q,) + generator[1:]
+    with pytest.raises(InvalidParametersError, match=r"lie in \[0, q\)"):
+        realize_cyclic_group(out_of_range, q)
+    if q > 1:
+        with pytest.raises(InvalidParametersError, match="divisible by q"):
+            realize_cyclic_group(generator + (1,), q)
+    with pytest.raises(InvalidParametersError, match="order exactly q"):
+        realize_cyclic_group(tuple(2 * a for a in generator), 2 * q)
+
+
+class TestRealizeCyclicGroup:
+    @given(cyclic_generators())
+    @settings(max_examples=200, deadline=None)
+    def test_group_is_the_multiples_of_the_generator(self, case):
+        assert_realizes(*case)
+        assert_invalid_variants_raise(*case)
+
+    @pytest.mark.parametrize(
+        "generator, q",
+        [
+            ((0,), 1),
+            ((0, 0), 1),
+            ((0, 0, 0), 1),
+            ((0, 1, 5), 6),
+            ((1, 2, 3, 5, 99980), 99991),
+            ((99990, 0, 7, 0, 99985, 0, 0), 99991),
+        ],
+    )
+    def test_trivial_and_large_orders(self, generator, q):
+        assert_realizes(generator, q)
+        assert_invalid_variants_raise(generator, q)
+
+    def test_order_one_is_the_unit_segment(self):
+        assert realize_cyclic_group((0, 0), 1).vertices == ((0,), (1,))

@@ -48,8 +48,11 @@ class TestZeroWindow:
         assert check_zero_window(h, 1)
 
     def test_k_validation(self):
-        with pytest.raises(InvalidParametersError):
+        with pytest.raises(InvalidParametersError, match="window parameter k must be >= 1"):
             check_zero_window(H([1]), 0)
+        # k is checked before the group is enumerated: the cap is not reached.
+        with pytest.raises(InvalidParametersError, match="window parameter k must be >= 1"):
+            extract_face(prop43_instance(3, 4), 0, volume_cap=1)
 
 
 class TestLowSubgroup:
