@@ -207,9 +207,7 @@ def enumerate_box_group(
     into as few integer keys as stay below ``INT64_LIMIT``: one key is
     sorted by ``argsort``, more by ``lexsort``.
     """
-    matrix = homogenize(simplex)
-    dec = linalg.smith_normal_form(matrix)
-    factors = dec.invariant_factors
+    factors, w = linalg.smith_normal_form(homogenize(simplex))
     order = prod(factors)
     if order > volume_cap:
         raise VolumeTooLargeError(order, volume_cap, "weight-group enumeration")
@@ -219,7 +217,7 @@ def enumerate_box_group(
     # Row i of W gives the step tuple of column i. W entries can be huge:
     # steps are reduced in Python before numpy sees them. With no
     # nontrivial factor every step tuple is empty.
-    tuples = list(zip(*[[row[j] * (q // d) % q for row in dec.W.rows] for j, d in active]))
+    tuples = list(zip(*[[row[j] * (q // d) % q for row in w] for j, d in active]))
     # Distinct step tuples, numbered in order of first appearance.
     first: dict[tuple[int, ...], int] = {}
     cols = [first.setdefault(t, len(first)) for t in tuples or [()] * k]
@@ -298,12 +296,9 @@ def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[np.n
     volume = prod(diagonal)
     if volume > cap:
         raise VolumeTooLargeError(volume, cap, "box scan")
-    edges = linalg.IntMatrix.from_rows(
-        [[v[i] for v in model.vertices[1:]] for i in range(n)], ncols=n
-    )
-    adj, _ = linalg.adjugate(edges)
+    adj, _ = linalg.adjugate([[v[i] for v in model.vertices[1:]] for i in range(n)])
     dtype = np.int64 if n * volume * volume < INT64_LIMIT else object
-    forms = np.array([[x % volume for x in row] for row in adj.rows], dtype=dtype).reshape(n, n)
+    forms = np.array([[x % volume for x in row] for row in adj], dtype=dtype).reshape(n, n)
     reps = np.indices(diagonal).reshape(n, volume).astype(dtype)
     weights = (forms @ reps % volume).T
     sums = weights.sum(axis=1)

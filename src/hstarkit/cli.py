@@ -269,50 +269,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hstarkit",
         description="Exact h*-polynomials of lattice simplices, two independent ways.",
     )
-    # Global flags accepted by every subcommand: --json is the default output
-    # format everywhere except the check-conditions table, --strict only
-    # changes behavior where a hypothesis can be enforced.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output (default for report commands)")
-    common.add_argument("--strict", action="store_true",
-                        help="enforce stated hypotheses instead of reporting")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p) -> None:
         p.add_argument("--volume-cap", type=int, default=DEFAULT_VOLUME_CAP,
                        help="largest group order that will be enumerated")
 
-    p = sub.add_parser("hstar", parents=[common], help="h* via the weight-group path")
+    p = sub.add_parser("hstar", help="h* via the weight-group path")
     p.add_argument("file")
     add_caps(p)
     p.set_defaults(fn=cmd_hstar)
 
-    p = sub.add_parser("box-group", parents=[common],
-                       help="full weight group with level counts")
+    p = sub.add_parser("box-group", help="full weight group with level counts")
     p.add_argument("file")
     add_caps(p)
     p.set_defaults(fn=cmd_box_group)
 
-    p = sub.add_parser("ehrhart", parents=[common],
-                       help="lattice-point count of a dilate")
+    p = sub.add_parser("ehrhart", help="lattice-point count of a dilate")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
     add_caps(p)
     p.set_defaults(fn=cmd_ehrhart)
 
-    p = sub.add_parser("oracle-verify", parents=[common],
-                       help="group path against counting oracle")
+    p = sub.add_parser("oracle-verify", help="group path against counting oracle")
     p.add_argument("file")
     add_caps(p)
     p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP,
                    help="largest bounding-box candidate count for scans")
     p.set_defaults(fn=cmd_oracle_verify)
 
-    p = sub.add_parser("extract-face", parents=[common],
-                       help="face extraction certificate")
+    p = sub.add_parser("extract-face", help="face extraction certificate")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--strict", action="store_true",
+                   help="enforce stated hypotheses instead of reporting")
     add_caps(p)
     p.set_defaults(fn=cmd_extract_face)
 
@@ -339,25 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--right", required=True)
     for f_parser in fam_sub.choices.values():
         f_parser.add_argument("--name")
-        f_parser.add_argument("--json", action="store_true")
-        f_parser.add_argument("--strict", action="store_true")
         f_parser.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("check-conditions", parents=[common],
-                       help="condition report for a bare h*")
+    p = sub.add_parser("check-conditions", help="condition report for a bare h*")
     p.add_argument("--hstar", required=True, help='comma-separated, e.g. "1,7,1"')
     p.add_argument("--dim", type=int)
+    p.add_argument("--json", action="store_true",
+                   help="JSON output instead of the table")
     p.set_defaults(fn=cmd_check_conditions)
 
-    p = sub.add_parser("verify-suite", parents=[common],
-                       help="run every invariant over a corpus")
+    p = sub.add_parser("verify-suite", help="run every invariant over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--max-volume", type=int, default=DEFAULT_VOLUME_CAP)
     p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
     p.set_defaults(fn=cmd_verify_suite)
 
-    p = sub.add_parser("search", parents=[common],
-                       help="bounded search over cyclic weight groups")
+    p = sub.add_parser("search", help="bounded search over cyclic weight groups")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--window", choices=("weak", "strong"), required=True)
     p.add_argument("--max-order", type=int, required=True)

@@ -1,105 +1,44 @@
 """Exact dense integer linear algebra on small matrices.
 
+A matrix is a sequence of integer rows; every function takes one and
+returns plain lists of lists. The public entries reject ragged rows, and
+the square-only ones non-square rows, with DimensionMismatchError. A
+matrix of no rows has no columns: its rank is 0, its determinant 1 and its
+adjugate empty.
+
 Everything runs over Python's arbitrary-precision integers, and no
 floating point is used anywhere; ``fractions.Fraction`` is used only for
 solve results. The normal-form routines pick minimal-absolute-value pivots
-to limit entry growth. The Smith form tracks only W and D, which is all the
-weight group reads: its column operations run on the active block of rows
-not yet finished, and a pivot of +-1 skips the divisibility scan. The
-Hermite form is one elimination over rows that may carry extra entries:
-``hermite_normal_form`` appends identity rows to get its transform U, and
-the triangular simplex model and the cyclic realization pass bare rows and
-build no transform.
+to limit entry growth. The Smith form tracks only W and the diagonal,
+which is all the weight group reads: its column operations run on the
+active block of rows not yet finished, and a pivot of +-1 skips the
+divisibility scan. The Hermite form is one elimination over rows that may
+carry extra entries: ``hermite_normal_form`` appends identity rows to get
+its transform U, and the triangular simplex model and the cyclic
+realization pass bare rows and build no transform.
 Determinants, ranks, solves and adjugates all come from one fraction-free
 (Bareiss) elimination.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable row-major integer matrix."""
-
-    rows: tuple[tuple[int, ...], ...]
-    ncols_hint: int = 0  # disambiguates the column count of 0-row matrices
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], ncols: int | None = None) -> "IntMatrix":
-        tup = tuple(tuple(map(int, row)) for row in rows)
-        widths = {len(r) for r in tup}
-        if len(widths) > 1:
-            raise DimensionMismatchError("ragged rows")
-        width = widths.pop() if widths else (ncols or 0)
-        if ncols is not None and tup and width != ncols:
-            raise DimensionMismatchError("ncols does not match row width")
-        return cls(tup, width)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else self.ncols_hint
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            (self.column(j) for j in range(self.ncols)), ncols=self.nrows
-        )
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatchError("matmul shape mismatch")
-        cols = [other.column(j) for j in range(other.ncols)]
-        return IntMatrix.from_rows(
-            (
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            ),
-            ncols=other.ncols,
-        )
-
-    def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise DimensionMismatchError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Unimodular W and diagonal D with U @ M @ W == D for some unimodular U.
-
-    U itself is not kept: the weight group reads only W and the invariant
-    factors, the diagonal of D.
-    """
-
-    W: IntMatrix
-    D: IntMatrix
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.D.diagonal()
+def _checked(rows: Sequence[Sequence[int]], square: bool = False) -> int:
+    """The column count of ``rows``, 0 for no rows; raises
+    DimensionMismatchError on ragged rows, or on non-square rows when
+    ``square``."""
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise DimensionMismatchError("ragged rows")
+    n = widths.pop() if widths else 0
+    if square and n != len(rows):
+        raise DimensionMismatchError("matrix is not square")
+    return n
 
 
 def hermite_rows(a: list[list[int]], n: int) -> None:
@@ -144,8 +83,9 @@ def hermite_rows(a: list[list[int]], n: int) -> None:
         pivot_row -= 1
 
 
-def hermite_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-operation Hermite normal form H = U @ M, U unimodular.
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-operation Hermite normal form H = U @ M, U unimodular, as row
+    lists (H, U).
 
     Each row of M carries the matching row of the identity through
     ``hermite_rows``, and H and U are split off at column n. A square
@@ -154,13 +94,14 @@ def hermite_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     (rank-deficient input) collect at the top; the matching rows of U form
     a basis of the left kernel.
     """
-    m, n = matrix.nrows, matrix.ncols
-    a = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(matrix.rows)]
+    n = _checked(rows)
+    m = len(rows)
+    a = [
+        [*map(operator.index, row), *(int(i == j) for j in range(m))]
+        for i, row in enumerate(rows)
+    ]
     hermite_rows(a, n)
-    return (
-        IntMatrix.from_rows((row[:n] for row in a), ncols=n),
-        IntMatrix.from_rows((row[n:] for row in a), ncols=m),
-    )
+    return [row[:n] for row in a], [row[n:] for row in a]
 
 
 def _min_abs_entry(a: list[list[int]], t: int, n: int) -> tuple[int, int] | None:
@@ -176,12 +117,15 @@ def _min_abs_entry(a: list[list[int]], t: int, n: int) -> tuple[int, int] | None
     return best
 
 
-def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
-    """Smith normal form of a square nonsingular integer matrix.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Smith normal form of a square nonsingular integer matrix, given by
+    its rows.
 
-    Raises SingularMatrixError when det M == 0; otherwise returns W and D
-    such that U @ M @ W == D for some unimodular U, which is not tracked.
-    The diagonal entries of D are positive and each divides the next.
+    Raises SingularMatrixError when det M == 0; otherwise returns the
+    invariant factors d_1 | d_2 | ... (all positive) and the rows of a
+    unimodular W such that U @ M @ W == diag(d) for some unimodular U,
+    which is not tracked. D is never built as a matrix: the weight group
+    reads only its diagonal.
 
     Step t takes the entry of least absolute value in the trailing block
     as pivot and runs Euclid steps on its row and column. Once step t is
@@ -190,10 +134,8 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
     the trailing block, and a pivot of +-1 skips it: every integer is
     divisible by +-1.
     """
-    if not matrix.is_square:
-        raise DimensionMismatchError("Smith normal form requires a square matrix")
-    n = matrix.nrows
-    a = [list(row) for row in matrix.rows]
+    n = _checked(rows, square=True)
+    a = [list(map(operator.index, row)) for row in rows]
     wt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]  # rows are columns of W
 
     def col_sub(j: int, k: int, q: int) -> None:
@@ -251,13 +193,14 @@ def smith_normal_form(matrix: IntMatrix) -> SmithDecomposition:
             a[t] = [x + y for x, y in zip(a[t], a[viol])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-    return SmithDecomposition(W=IntMatrix(tuple(zip(*wt)), n), D=IntMatrix(tuple(map(tuple, a)), n))
+    return tuple(a[t][t] for t in range(n)), [list(row) for row in zip(*wt)]
 
 
 def _eliminate(
-    matrix: IntMatrix, columns: Sequence[Sequence[int]] = ()
+    rows: Sequence[Sequence[int]], n: int, columns: Sequence[Sequence[int]] = ()
 ) -> tuple[list[list[int]], int, int]:
-    """Fraction-free Gauss-Jordan elimination of [M | b_1 ... b_k].
+    """Fraction-free Gauss-Jordan elimination of [M | b_1 ... b_k], M with
+    n columns.
 
     Returns the reduced rows, the rank of M and the signed pivot
     determinant. Each step replaces every non-pivot row by
@@ -267,10 +210,10 @@ def _eliminate(
     determinant: for square nonsingular M the last pivot is det M, the left
     block ends as det(M) * I and the right block as adj(M) @ [b_1 ... b_k].
     """
-    m, n = matrix.nrows, matrix.ncols
+    m = len(rows)
     a = [
-        list(row) + [operator.index(b[i]) for b in columns]
-        for i, row in enumerate(matrix.rows)
+        [*map(operator.index, row), *(operator.index(b[i]) for b in columns)]
+        for i, row in enumerate(rows)
     ]
     r, prev = 0, 1
     for col in range(n):
@@ -292,39 +235,35 @@ def _eliminate(
     return a, r, prev
 
 
-def det(matrix: IntMatrix) -> int:
+def det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant, the last pivot of the fraction-free elimination."""
-    if not matrix.is_square:
-        raise DimensionMismatchError("determinant requires a square matrix")
-    _, r, d = _eliminate(matrix)
-    return d if r == matrix.nrows else 0
+    n = _checked(rows, square=True)
+    _, r, d = _eliminate(rows, n)
+    return d if r == n else 0
 
 
-def rank(matrix: IntMatrix) -> int:
+def rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals (exact)."""
-    return _eliminate(matrix)[1]
+    return _eliminate(rows, _checked(rows))[1]
 
 
-def solve_rational(matrix: IntMatrix, b: Sequence[int]) -> tuple[Fraction, ...]:
+def solve_rational(rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[Fraction, ...]:
     """Exact x with M x = b, the right column of the elimination of [M | b];
     raises SingularMatrixError when det M == 0."""
-    if not matrix.is_square:
-        raise DimensionMismatchError("solve requires a square matrix")
-    n = matrix.nrows
+    n = _checked(rows, square=True)
     if len(b) != n:
         raise DimensionMismatchError("right-hand side length mismatch")
-    a, r, d = _eliminate(matrix, [b])
+    a, r, d = _eliminate(rows, n, [b])
     if r < n:
         raise SingularMatrixError("matrix is singular")
     return tuple(Fraction(row[n], d) for row in a)
 
 
-def adjugate(matrix: IntMatrix) -> tuple[IntMatrix, int]:
-    """(adj M, det M): the right block of the elimination of [M | I]."""
-    if not matrix.is_square:
-        raise DimensionMismatchError("adjugate requires a square matrix")
-    n = matrix.nrows
-    a, r, d = _eliminate(matrix, IntMatrix.identity(n).rows)
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj M, det M), adj M as a row list: the right block of the
+    elimination of [M | I]."""
+    n = _checked(rows, square=True)
+    a, r, d = _eliminate(rows, n, [[int(i == j) for i in range(n)] for j in range(n)])
     if r < n:
         raise SingularMatrixError("adjugate of a singular matrix is not supported")
-    return IntMatrix.from_rows((row[n:] for row in a), ncols=n), d
+    return [row[n:] for row in a], d

@@ -90,12 +90,9 @@ def _model(simplex: LatticeSimplex) -> tuple[tuple[tuple[int, ...], ...], int, t
     d = model.dimension
     if d == 0:
         return (), 1, ()
-    edges = linalg.IntMatrix.from_rows(
-        [[v[i] for v in model.vertices[1:]] for i in range(d)], ncols=d
-    )
-    adj, det_h = linalg.adjugate(edges)
+    adj, det_h = linalg.adjugate([[v[i] for v in model.vertices[1:]] for i in range(d)])
     spread = tuple(max(abs(v[j]) for v in model.vertices) for j in range(d))
-    return adj.rows, det_h, spread
+    return tuple(map(tuple, adj)), det_h, spread
 
 
 def _count_lifts(forms, total: int, s: int, dtype) -> int:

@@ -97,8 +97,8 @@ def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
         raise InvalidParametersError("generator must have order exactly q")
     rows = [list(generator[1:])] + [[q * (i == j) for j in range(n)] for i in range(n)]
     linalg.hermite_rows(rows, n)
-    adj, det_t = linalg.adjugate(linalg.IntMatrix.from_rows(rows[1:], ncols=n))
-    verts = [(0,) * n] + [tuple(q * x // det_t for x in row) for row in adj.rows]
+    adj, det_t = linalg.adjugate(rows[1:])
+    verts = [(0,) * n] + [tuple(q * x // det_t for x in row) for row in adj]
     simplex = from_vertices(n, verts)
     group = enumerate_box_group(simplex)
     expected = np.unique(np.arange(q)[:, None] * np.array(generator) % q, axis=0)

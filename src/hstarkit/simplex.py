@@ -80,27 +80,22 @@ def from_vertices(ambient_dim: int, vertex_list: Sequence[Sequence[int]]) -> Lat
     if n > ambient_dim:
         raise NotASimplexError("more vertices than an independent set allows")
     if n > 0:
-        diffs = linalg.IntMatrix.from_rows(
-            [tuple(a - b for a, b in zip(verts[i], verts[0])) for i in range(1, n + 1)],
-            ncols=ambient_dim,
-        )
+        diffs = [[a - b for a, b in zip(verts[i], verts[0])] for i in range(1, n + 1)]
         if linalg.rank(diffs) != n:
             raise NotASimplexError("vertices are affinely dependent")
     return LatticeSimplex(ambient_dim, verts)
 
 
-def homogenize(simplex: LatticeSimplex) -> linalg.IntMatrix:
-    """Square matrix whose columns are the vertices extended by a final 1.
+def homogenize(simplex: LatticeSimplex) -> tuple[tuple[int, ...], ...]:
+    """Rows of the square matrix whose columns are the vertices extended by
+    a final 1.
 
     Requires a full-dimensional simplex; the absolute determinant equals the
     normalized volume.
     """
     if not simplex.is_full_dimensional:
         raise DimensionMismatchError("homogenize requires a full-dimensional simplex")
-    rows = list(zip(*simplex.vertices))
-    rows.append((1,) * len(simplex.vertices))
-    # The vertices are validated integer tuples; from_rows would check again.
-    return linalg.IntMatrix(tuple(rows), simplex.ambient_dim + 1)
+    return (*zip(*simplex.vertices), (1,) * len(simplex.vertices))
 
 
 def restrict_to_affine_lattice(simplex: LatticeSimplex) -> LatticeSimplex:

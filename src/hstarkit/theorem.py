@@ -427,16 +427,10 @@ class ConditionEntry:
     detail: dict
 
 
-def condition_report(
-    h: HStarVector,
-    dim: int | None = None,
-    support_size: int | None = None,
-) -> tuple[ConditionEntry, ...]:
+def condition_report(h: HStarVector, dim: int | None = None) -> tuple[ConditionEntry, ...]:
     """All condition verdicts for one vector, as data.
 
-    ``dim`` gates the dimension-indexed checks; ``support_size`` (the joint
-    support of the computed weight group) switches the prime-volume check
-    from center search to the exact center.
+    ``dim`` gates the dimension-indexed checks.
     """
     entries: list[ConditionEntry] = []
 
@@ -501,20 +495,12 @@ def condition_report(
             )
         )
 
-    if support_size is not None and is_prime(h.normalized_volume):
-        status = "holds" if check_shifted_symmetric(h, support_size - 1) else "fails"
-        entries.append(
-            ConditionEntry(
-                "prime_symmetry", status, {"center": support_size, "p": h.normalized_volume}
-            )
+    pv = prime_volume_obstruction(h)
+    entries.append(
+        ConditionEntry(
+            "prime_symmetry",
+            pv.status.lower(),
+            {"p": pv.volume, "valid_center": pv.valid_center},
         )
-    else:
-        pv = prime_volume_obstruction(h)
-        entries.append(
-            ConditionEntry(
-                "prime_symmetry",
-                pv.status.lower(),
-                {"p": pv.volume, "valid_center": pv.valid_center},
-            )
-        )
+    )
     return tuple(entries)

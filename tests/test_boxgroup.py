@@ -171,13 +171,12 @@ def huge_unimodular_image(simplex):
 def reference_residues(simplex):
     """Residue rows by an explicit loop over the Smith residue tuples,
     sorted by (height, residues)."""
-    dec = smith_normal_form(homogenize(simplex))
-    factors = dec.invariant_factors
+    factors, w = smith_normal_form(homogenize(simplex))
     k, q = len(factors), factors[-1]
     rows = set()
     for ys in product(*(range(d) for d in factors)):
         rows.add(tuple(
-            sum(dec.W.rows[i][j] * (q // d) * y for j, (d, y) in enumerate(zip(factors, ys))) % q
+            sum(w[i][j] * (q // d) * y for j, (d, y) in enumerate(zip(factors, ys))) % q
             for i in range(k)
         ))
     return sorted(rows, key=lambda t: (sum(t) // q, t))
@@ -190,15 +189,14 @@ def reference_enumeration(simplex):
     """The earlier enumeration, kept as the differential reference: the
     full (order, n+1) array, built one invariant factor at a time over every
     column, sorted by a lexsort with one key per column after the height."""
-    dec = smith_normal_form(homogenize(simplex))
-    factors = dec.invariant_factors
+    factors, w = smith_normal_form(homogenize(simplex))
     k, q = len(factors), factors[-1]
     dtype = np.int64 if max(q * q + q, k * q) < boxgroup.INT64_LIMIT else object
     arr = np.zeros((1, k), dtype=dtype)
     for j, d in enumerate(factors):
         if d == 1:
             continue
-        step = np.array([dec.W.rows[i][j] * (q // d) % q for i in range(k)], dtype=dtype)
+        step = np.array([w[i][j] * (q // d) % q for i in range(k)], dtype=dtype)
         multiples = np.arange(d, dtype=dtype)[:, None] * step
         arr = ((arr[:, None, :] + multiples) % q).reshape(-1, k)
     heights = (arr.sum(axis=1) // q).astype(np.int64)
@@ -407,13 +405,13 @@ def reference_box_scan(simplex, cap=200):
     volume = abs(det_m)
     if volume > cap:
         raise VolumeTooLargeError(volume, cap, "box scan")
-    k = matrix.nrows
+    k = len(matrix)
     sign = 1 if det_m > 0 else -1
-    rows = [[sign * adj.rows[i][j] for j in range(k)] for i in range(k)]
+    rows = [[sign * adj[i][j] for j in range(k)] for i in range(k)]
     los = []
     his = []
     for i in range(k):
-        row = matrix.rows[i]
+        row = matrix[i]
         los.append(sum(min(x, 0) for x in row))
         his.append(sum(max(x, 0) for x in row))
     found = []

@@ -316,6 +316,16 @@ class TestReportCommands:
         res = run_cli(*command.split(), str(path), "--scan-cap", "100")
         assert res.returncode == 2 and res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        ["hstar {path} --strict", "box-group {path} --json", "gen unit --dim 2 --json"],
+    )
+    def test_flags_only_where_they_act(self, run_cli, tmp_path, command):
+        # --json belongs to check-conditions and --strict to extract-face.
+        path = write_doc(tmp_path, "s.json", PROP43_DOC)
+        res = run_cli(*command.format(path=path).split())
+        assert res.returncode == 2 and res.stdout == ""
+
     def test_scan_cap_exit_code(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
         res = run_cli("oracle-verify", str(path), "--scan-cap", "100")

@@ -114,7 +114,7 @@ def brute_force_counts(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
     k = d + 1
     adj, det_m = linalg.adjugate(homogenize(simplex))
     sign = 1 if det_m > 0 else -1
-    forms = [[sign * adj.rows[i][j] for j in range(k)] for i in range(k)]
+    forms = [[sign * adj[i][j] for j in range(k)] for i in range(k)]
     base = [forms[i][d] * n for i in range(k)]
     los = [n * min(v[j] for v in simplex.vertices) for j in range(d)]
     his = [n * max(v[j] for v in simplex.vertices) for j in range(d)]
@@ -166,9 +166,9 @@ def brute_force_counts_embedded(simplex: LatticeSimplex, n: int) -> tuple[int, i
     block = next(
         rows
         for rows in combinations(range(simplex.ambient_dim), d)
-        if linalg.det(linalg.IntMatrix.from_rows([edges[i] for i in rows], ncols=d))
+        if linalg.det([edges[i] for i in rows])
     )
-    square = linalg.IntMatrix.from_rows([edges[i] for i in block], ncols=d)
+    square = [edges[i] for i in block]
     weak = strict = 0
     for x in iter_product(*(range(n * min(c), n * max(c) + 1) for c in zip(*simplex.vertices))):
         rhs = [x[i] - n * v0[i] for i in range(simplex.ambient_dim)]
@@ -305,7 +305,7 @@ class TestLineKernel:
         # The facet x_2 = 0 of this triangle is flat along the axis x_1.
         tri = from_vertices(2, [(0, 0), (7, 0), (-3, 2)])
         adj, _ = linalg.adjugate(homogenize(tri))
-        assert 0 in [row[0] for row in adj.rows]
+        assert 0 in [row[0] for row in adj]
         assert oracle._scan.__wrapped__(tri, 2, 10**8) == brute_force_counts(tri, 2)
 
     @given(unimodular_images(), st.integers(1, 3))

@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -57,7 +58,7 @@ def minor_gcd(s) -> int:
     edges = [[a - b for a, b in zip(v, base)] for v in s.vertices[1:]]
     g = 0
     for cols in combinations(range(s.ambient_dim), s.dimension):
-        g = gcd(g, linalg.det(linalg.IntMatrix.from_rows([[e[c] for c in cols] for e in edges])))
+        g = gcd(g, linalg.det([[e[c] for c in cols] for e in edges]))
     return g
 
 
@@ -104,7 +105,7 @@ class TestHomogenize:
 
     def test_last_row_is_ones(self):
         m = homogenize(unit_simplex(3))
-        assert m.rows[-1] == (1, 1, 1, 1)
+        assert m[-1] == (1, 1, 1, 1)
 
     def test_lower_dimensional_rejected(self):
         seg = from_vertices(2, [(0, 0), (2, 0)])
@@ -192,7 +193,7 @@ def edge_simplices(draw):
         cols[-1] = [c * x for x in cols[0]]
     base = draw(column)
     verts = (tuple(base),) + tuple(tuple(b + x for b, x in zip(base, col)) for col in cols)
-    edges = linalg.IntMatrix.from_rows(zip(*cols) if n else [()] * big_d, ncols=n)
+    edges = [list(row) for row in zip(*cols)] if n else [[]] * big_d
     return LatticeSimplex(big_d, verts), edges
 
 
@@ -208,8 +209,8 @@ class TestRestrictIsTheHermiteForm:
             return
         h, _ = linalg.hermite_normal_form(edges)
         model = restrict_to_affine_lattice(s)
-        tri = tuple(tuple(v[i] for v in model.vertices[1:]) for i in range(n))
-        assert tri == h.rows[big_d - n :]
+        tri = [[v[i] for v in model.vertices[1:]] for i in range(n)]
+        assert tri == h[big_d - n :]
         assert model.vertices[0] == (0,) * n
 
     def test_no_transform_is_built(self, monkeypatch):
@@ -304,11 +305,10 @@ def _unimodular_images():
             assume(False)
         lower = [[draw(big) if i > j else int(i == j) for j in range(big_d)] for i in range(big_d)]
         upper = [[draw(big) if i < j else int(i == j) for j in range(big_d)] for i in range(big_d)]
-        a = linalg.IntMatrix.from_rows(lower) @ linalg.IntMatrix.from_rows(upper)
+        a = np.array(lower, dtype=object) @ np.array(upper, dtype=object)
         shift = [draw(big) for _ in range(big_d)]
-        image = from_vertices(
-            big_d, [[x + t for x, t in zip(a.mul_vector(v), shift)] for v in s.vertices]
-        )
+        images = a @ np.array(s.vertices, dtype=object).T
+        image = from_vertices(big_d, [[x + t for x, t in zip(col, shift)] for col in images.T])
         return s, image
 
     return build()

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hstarkit import theorem
-from hstarkit.boxgroup import BoxPoint, add, enumerate_box_group, neg
+from hstarkit import oracle, theorem, verify
+from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, BoxPoint, add, enumerate_box_group, neg
 from hstarkit.errors import (
     HypothesisNotMetError,
     InvalidParametersError,
     PreconditionNotMetError,
 )
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
-from hstarkit.hstar import HStarVector
+from hstarkit.hstar import HStarVector, hstar_from_box_group
+from hstarkit.io import SimplexDocument
 from hstarkit.theorem import (
     _closure_check,
     _low_subgroup_verdict,
@@ -463,14 +464,26 @@ class TestConditionReport:
         assert entries["lemma_hhh"].status == "inconclusive"
 
     def test_computed_simplex_uses_support_center(self):
-        g = enumerate_box_group(remark44_simplex(2))
-        from hstarkit.hstar import hstar_from_box_group
-
+        # The exact center of a computed group is verify's business: its
+        # prime-volume-symmetry record checks the symmetry about the joint
+        # support size.
+        simplex = remark44_simplex(2)
+        g = enumerate_box_group(simplex)
         h = hstar_from_box_group(g)
         supp = len({i for p in g.elements for i in p.support})
-        entries = {e.name: e for e in condition_report(h, dim=5, support_size=supp)}
-        assert entries["prime_symmetry"].status == "holds"
+        assert is_prime(g.order)
+        assert check_shifted_symmetric(h, supp - 1)
+        doc = SimplexDocument.from_simplex(simplex, name="remark44-k2")
+        records = verify._instance_records(
+            "remark44-k2", doc, DEFAULT_VOLUME_CAP, oracle.DEFAULT_SCAN_CAP
+        )
+        record = next(r for r in records if r.invariant == "prime-volume-symmetry")
+        assert (record.status, record.detail) == ("pass", {"center": supp})
+        entries = {e.name: e for e in condition_report(h, dim=5)}
         assert entries["shifted_symmetric"].status == "holds"
+        # condition_report knows no group: it finds the center by search.
+        sym = entries["prime_symmetry"]
+        assert (sym.status, sym.detail["valid_center"]) == ("inconclusive", supp)
 
     def test_hibi_and_eq1(self):
         entries = {e.name: e for e in condition_report(H([1, 2, 3, 2]), dim=3)}
