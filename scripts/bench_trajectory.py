@@ -18,13 +18,15 @@ one; the side that runs first alternates with the seed. The file then also
 holds the parent's statistics under "parent" and, per metric, in how many
 pairs this checkout read lower under "change_lower".
 
-Per seed and side it also times, once each, three end-to-end commands that
-the benchmark does not cover: `scripts/zero_window_regression.py` (the
-whole face-extraction cohort), a CLI cold start on the unit triangle, and
-a strong-window `search`, the one run of the cyclic realization (a
-Hermite basis and an adjugate per hit). A run whose exit code is not 0
-counts as failed. Their `wall_s` statistics go under "extras": "change",
-and with --parent also "parent" and "change_lower".
+Per seed and side it also times three end-to-end commands that the
+benchmark does not cover: `scripts/zero_window_regression.py` (the whole
+face-extraction cohort), a CLI cold start on the unit triangle, and a
+strong-window `search`, the one run of the cyclic realization (a Hermite
+basis and an adjugate per hit). Each is run EXTRA_REPEATS times per seed
+and side, the sides alternating from one repeat to the next, and the
+median of those runs is that seed's `wall_s`; a run whose exit code is not
+0 counts as failed. Their statistics go under "extras": "change", and with
+--parent also "parent" and "change_lower".
 """
 from __future__ import annotations
 
@@ -46,6 +48,9 @@ EXTRAS = {
     "search-strong-k2": ["-m", "hstarkit", "search", "--k", "2", "--window", "strong",
                          "--max-order", "24", "--max-dim", "4"],
 }
+# Runs of each extra per seed and side; one run could not resolve a change
+# of less than about a third in the search's wall time.
+EXTRA_REPEATS = 5
 
 
 def parse_run(stdout: str) -> dict:
@@ -137,6 +142,14 @@ def time_extra(name: str, seed: int, root: Path = REPO) -> dict:
             "metrics": {"wall_s": wall}, "units": {"wall_s": "s"}}
 
 
+def median_run(runs: list[dict]) -> dict:
+    """One seed's repeated runs of an extra as one run: the median wall
+    time and the summed checks."""
+    return {**runs[0], "failed": sum(run["failed"] for run in runs),
+            "attempted": sum(run["attempted"] for run in runs),
+            "metrics": {"wall_s": statistics.median(run["metrics"]["wall_s"] for run in runs)}}
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -154,21 +167,32 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     sides = ["parent", "change"] if args.parent else ["change"]
+    roots = {"change": {}, "parent": {"root": args.parent.resolve()} if args.parent else {}}
     runs: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
     extras: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
-    jobs = [(w, runs) for w in args.workloads] + [(e, extras) for e in EXTRAS]
-    for name, into in jobs:
+
+    def order(turn: int) -> list[str]:
+        return sides if turn % 2 else sides[::-1]
+
+    def record(into: dict, name: str, side: str, seed: int, run: dict) -> None:
+        into[side].setdefault(name, []).append(run)
+        print(f"{name} seed {seed} {side}: failed {run['failed']}/{run['attempted']} "
+              + " ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items())),
+              flush=True)
+
+    for name in args.workloads:
         for seed in args.seeds:
-            for side in sides if seed % 2 else sides[::-1]:
-                root = {} if side == "change" else {"root": args.parent.resolve()}
-                if into is runs:
-                    run = run_benchmark(name, seed, args.seconds, **root)
-                else:
-                    run = time_extra(name, seed, **root)
-                into[side].setdefault(name, []).append(run)
-                print(f"{name} seed {seed} {side}: failed {run['failed']}/{run['attempted']} "
-                      + " ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items())),
-                      flush=True)
+            for side in order(seed):
+                record(runs, name, side, seed,
+                       run_benchmark(name, seed, args.seconds, **roots[side]))
+    for name in EXTRAS:
+        for seed in args.seeds:
+            repeats: dict[str, list[dict]] = {side: [] for side in sides}
+            for turn in range(seed, seed + EXTRA_REPEATS):
+                for side in order(turn):
+                    repeats[side].append(time_extra(name, seed, **roots[side]))
+            for side in sides:
+                record(extras, name, side, seed, median_run(repeats[side]))
     report = {"label": args.label, "seconds": args.seconds, **aggregate(runs["change"]),
               "extras": {"change": aggregate(extras["change"])["workloads"]}}
     if args.parent:

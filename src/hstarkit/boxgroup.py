@@ -9,21 +9,24 @@ coordinate sum of an element is its height; the number of elements of height
 h is exactly the h-th coefficient of the simplex's h*-polynomial, which is
 how everything downstream computes h*.
 
-A ``BoxGroup`` stores the whole group as one integer array: row i holds the
-numerators of element i over the group exponent q, next to an array of the
-row heights. h* is a count over the heights. ``enumerate_box_group`` builds
-and sorts only the m distinct columns of that array, which the Smith form
-shows before any array exists, at O(order * m) cost, and widens the sorted
-rows to all n+1 columns once. Its sort packs (height, distinct columns but
-the last, which the others fix) base q into as few int64 keys as stay below
-``INT64_LIMIT``.
+A ``BoxGroup`` stores the whole group as its sorted table of distinct
+residue columns: the Smith form shows which of the n+1 vertex columns are
+equal before any array exists, so the group holds the m distinct columns
+over the group exponent q, the map from each vertex to its column, and the
+element heights. h* is a count over the heights. ``enumerate_box_group``
+builds and sorts that table at O(order * m) cost; its sort packs (height,
+distinct columns but the last, which the others fix) base q into as few
+int64 keys as stay below ``INT64_LIMIT``. The (order, n+1) residue array,
+row i the numerators of element i over q, is widened from the table on the
+first read of ``residues``, at O(order * (n+1)), and only callers that read
+rows pay for it.
 
 Single elements are ``BoxPoint`` objects (reduced integer numerators over
 their own denominator, which keeps the group law in pure integer
 arithmetic; ``coords`` exposes the exact rationals); a group builds them
 only when a caller asks for its elements. ``add`` and ``neg`` are the group
 law on single elements, a public view: the package itself works on the
-residue array.
+residue columns and rows.
 
 ``enumerate_by_box_scan`` is an independent second enumeration, used to
 check the first: no Smith form, no ``BoxGroup``. It reads the group off the
@@ -137,18 +140,28 @@ def neg(a: BoxPoint) -> BoxPoint:
 class BoxGroup:
     """Complete fractional-weight group of a full-dimensional simplex.
 
-    ``residues`` is a read-only (order, n+1) integer array: row i holds the
-    numerators of element i over the exponent q. ``heights`` holds the row
-    heights. Rows are sorted by (height, coordinates) so that every
-    downstream report is deterministic. ``elements`` is the same group as
+    ``columns`` is a read-only (m, order) integer array of the distinct
+    residue columns over the exponent q, and vertex i has column
+    ``column_map[i]``. ``heights`` holds the element heights. Elements are
+    sorted by (height, coordinates) so that every downstream report is
+    deterministic. ``residues`` is the read-only (order, n+1) array whose
+    row i holds the numerators of element i, widened from the columns on
+    first read at O(order * (n+1)); ``elements`` is the same group as
     ``BoxPoint`` objects, built on first use.
     """
 
     simplex: LatticeSimplex
     order: int
     invariant_factors: tuple[int, ...]
-    residues: np.ndarray
+    columns: np.ndarray
+    column_map: tuple[int, ...]
     heights: np.ndarray
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        rows = self.columns.T.take(self.column_map, axis=1)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def elements(self) -> tuple[BoxPoint, ...]:
@@ -169,7 +182,7 @@ class BoxGroup:
 
     @property
     def zero(self) -> BoxPoint:
-        return BoxPoint.zero(self.residues.shape[1])
+        return BoxPoint.zero(len(self.column_map))
 
     @property
     def exponent(self) -> int:
@@ -192,11 +205,12 @@ def enumerate_box_group(
     once. Column i of the residue array over q is sum_j y_j * S_ij mod q,
     with steps S_ij = W_ij * (q / d_j) over the nontrivial factors d_j, so
     columns with equal step tuples are equal. The m distinct columns are
-    built by broadcasting, one nontrivial factor at a time, and sorted; the
-    array is widened to all k = n+1 columns once, after the permutation.
-    That costs O(order * m) integer operations for the build and the sort
-    keys, and O(order * k) for the widened copy, after the decomposition,
-    independent of coordinate sizes.
+    built by broadcasting, one nontrivial factor at a time, sorted, and
+    kept as the group's ``columns``, with ``column_map`` sending each of
+    the k = n+1 vertices to its column. That costs O(order * m) integer
+    operations for the build, the checks and the sort keys, after the
+    decomposition, independent of coordinate sizes; the first read of
+    ``residues`` adds O(order * k) for the widened copy.
 
     The sort key is (height, distinct columns in order of first
     appearance, but the last). It gives the (height, coordinates) order of
@@ -231,7 +245,9 @@ def enumerate_box_group(
         table = (table[:, :, None] + multiples[:, None, :]).reshape(m, -1)
         np.subtract(table, q, out=table, where=table >= q)
     sums = np.array([cols.count(c) for c in range(m)], dtype=dtype) @ table
-    if (sums % q).any():  # pragma: no cover - the all-ones matrix row forces this
+    # The checks count with np.count_nonzero, which costs a third of
+    # ndarray.any on the tiny arrays of the many order-1 face groups.
+    if np.count_nonzero(sums % q):  # pragma: no cover - the all-ones matrix row forces this
         raise NonIntegralHeightError("element with non-integral coordinate sum")
     # The first key holds the height and, unless it is the last, column 0,
     # as sums + c_0 = height * q + c_0 < k * q, and takes more columns
@@ -252,17 +268,18 @@ def enumerate_box_group(
     ties = sorted_keys[0][1:] == sorted_keys[0][:-1]
     for key in sorted_keys[1:]:
         ties &= key[1:] == key[:-1]
-    if ties.any():  # pragma: no cover - unimodularity
+    if np.count_nonzero(ties):  # pragma: no cover - unimodularity
         raise NonIntegralHeightError("enumeration produced duplicate elements")
-    residues = table.take(perm, axis=1).T.take(cols, axis=1)
+    columns = table.take(perm, axis=1)
     heights = (sums[perm] // q).astype(np.int64, copy=False)
-    residues.flags.writeable = False
+    columns.flags.writeable = False
     heights.flags.writeable = False
     return BoxGroup(
         simplex=simplex,
         order=order,
         invariant_factors=factors,
-        residues=residues,
+        columns=columns,
+        column_map=tuple(cols),
         heights=heights,
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import signal
 import subprocess
 import sys
@@ -31,6 +32,15 @@ def time_limit(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def with_rows(group, rows, heights=None):
+    """The group with its residue rows, and optionally its heights,
+    replaced: ``rows`` become one column per vertex, so ``residues`` reads
+    them back exactly."""
+    changes = {} if heights is None else {"heights": heights}
+    return dataclasses.replace(
+        group, columns=rows.T, column_map=tuple(range(rows.shape[1])), **changes)
 
 
 @pytest.fixture(scope="session")

@@ -34,11 +34,14 @@ RUNS = [(11, 7.0), (12, 9.0), (13, 8.0), (14, 6.0), (15, 10.0)]
 
 def fake_extra(calls, walls=None):
     """A stand-in for `time_extra` that records its calls and reads canned
-    wall times: walls[(side, seed)], or 1.0."""
+    wall times: walls[(side, seed)], a number for every repeat or a list
+    with one per repeat, or 1.0."""
     def run(name, seed, root=bench.REPO):
         side = "change" if root == bench.REPO else "parent"
-        calls.append((name, seed, side))
         wall = (walls or {}).get((side, seed), 1.0)
+        if isinstance(wall, list):
+            wall = wall[sum(call[1:] == (seed, side) for call in calls if call[0] == name)]
+        calls.append((name, seed, side))
         return {"seed": seed, "machine": {}, "failed": 0, "attempted": 1,
                 "metrics": {"wall_s": wall}, "units": {"wall_s": "s"}}
     return run
@@ -89,7 +92,7 @@ def test_main_writes_trajectory_file(tmp_path, monkeypatch):
     assert code == 0
     assert calls == [("verify-corpus", seed, 30) for seed in range(11, 16)]
     assert extra_calls == [(name, seed, "change") for name in bench.EXTRAS
-                           for seed in range(11, 16)]
+                           for seed in range(11, 16) for _ in range(bench.EXTRA_REPEATS)]
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert report["label"] == "t" and report["seconds"] == 30
     assert report["workloads"]["verify-corpus"]["metrics"]["pass_rel"]["median"] == 8.0
@@ -143,9 +146,13 @@ def test_extras_pair_alternate_and_count_lower_readings(tmp_path, monkeypatch):
                        "--out", str(tmp_path)])
     assert code == 0
     name = next(iter(bench.EXTRAS))
+    # Within a seed the first side alternates from repeat to repeat,
+    # starting with the parent on odd seeds.
+    repeats = 2 * bench.EXTRA_REPEATS
     assert calls[:4] == [(name, 11, "parent"), (name, 11, "change"),
-                         (name, 12, "change"), (name, 12, "parent")]
-    assert len(calls) == 10 * len(bench.EXTRAS)
+                         (name, 11, "change"), (name, 11, "parent")]
+    assert calls[repeats:repeats + 2] == [(name, 12, "change"), (name, 12, "parent")]
+    assert len(calls) == 10 * len(bench.EXTRAS) * bench.EXTRA_REPEATS
     extras = json.loads((tmp_path / "BENCH_t.json").read_text())["extras"]
     for name in bench.EXTRAS:
         assert extras["parent"][name]["metrics"]["wall_s"]["median"] == 2.0
@@ -153,6 +160,35 @@ def test_extras_pair_alternate_and_count_lower_readings(tmp_path, monkeypatch):
             "median": 1.5, "q1": 1.5, "q3": 2.0, "n": 5, "unit": "s"
         }
         assert extras["change_lower"][name]["wall_s"] == {"lower": 3, "pairs": 5}
+
+
+def test_extra_repeats_give_their_median_and_summed_checks(tmp_path, monkeypatch):
+    assert bench.EXTRA_REPEATS >= 3
+    slow = [9.0] * (bench.EXTRA_REPEATS // 2)
+    fast = [1.0] * (bench.EXTRA_REPEATS - len(slow))
+    walls = {("parent", 11): slow + [2.0] * len(fast), ("change", 11): fast + slow}
+    calls = []
+    real = fake_extra(calls, walls)
+
+    def flaky(name, seed, root=bench.REPO):
+        run = real(name, seed, root)
+        return {**run, "failed": int(root != bench.REPO and len(calls) == 1)}
+
+    monkeypatch.setattr(bench, "run_benchmark",
+                        lambda w, seed, seconds, root=bench.REPO: bench.parse_run(canned_stdout(seed, 1.0)))
+    monkeypatch.setattr(bench, "time_extra", flaky)
+    code = bench.main(["--label", "t", "--seeds", "11", "--seconds", "30",
+                       "--workloads", "hstar-large", "--parent", str(tmp_path / "parent"),
+                       "--out", str(tmp_path)])
+    assert code == 1
+    extras = json.loads((tmp_path / "BENCH_t.json").read_text())["extras"]
+    name = next(iter(bench.EXTRAS))
+    assert extras["parent"][name]["metrics"]["wall_s"]["median"] == 2.0
+    assert extras["change"][name]["metrics"]["wall_s"]["median"] == 1.0
+    assert extras["change_lower"][name]["wall_s"] == {"lower": 1, "pairs": 1}
+    assert (extras["parent"][name]["failed"], extras["parent"][name]["attempted"]) == (
+        1, bench.EXTRA_REPEATS)
+    assert extras["change"][name]["failed"] == 0
 
 
 def test_time_extra_runs_in_the_checkout_and_fails_on_nonzero_exit(tmp_path, monkeypatch):
@@ -188,4 +224,4 @@ def test_failed_extra_makes_the_exit_code_nonzero(tmp_path, monkeypatch):
                        "--workloads", "hstar-large", "--out", str(tmp_path)])
     assert code == 1
     extras = json.loads((tmp_path / "BENCH_t.json").read_text())["extras"]
-    assert all(extras["change"][name]["failed"] == 1 for name in bench.EXTRAS)
+    assert all(extras["change"][name]["failed"] == bench.EXTRA_REPEATS for name in bench.EXTRAS)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import boxgroup, linalg
+from hstarkit import boxgroup, linalg, theorem
 from hstarkit.boxgroup import (
     BoxPoint,
     add,
@@ -206,6 +206,10 @@ def reference_enumeration(simplex):
 
 def assert_matches_reference(simplex):
     group = enumerate_box_group(simplex)
+    # The enumeration keeps the distinct columns and widens nothing.
+    assert "residues" not in vars(group)
+    assert len(group.column_map) == simplex.n_vertices
+    assert group.columns.shape == (max(group.column_map) + 1, group.order)
     residues, heights = reference_enumeration(simplex)
     assert group.residues.dtype == residues.dtype
     assert group.heights.dtype == heights.dtype == np.int64
@@ -285,6 +289,45 @@ class TestArrayRepresentation:
 
     @pytest.mark.parametrize(
         "simplex",
+        [delta_cm(99999, 3), join(delta_cm(299, 3), delta_cm(299, 4)), unit_simplex(3)],
+        ids=["cyclic-1e5", "z300-squared", "unit"],
+    )
+    def test_hstar_and_zero_leave_the_rows_unbuilt(self, simplex):
+        g = enumerate_box_group(simplex)
+        h = hstar_from_box_group(g)
+        assert list(h.coeffs) == [g.level_counts().get(i, 0) for i in range(h.degree + 1)]
+        assert g.zero == BoxPoint.zero(simplex.n_vertices)
+        assert "residues" not in vars(g)
+
+    def test_extract_face_never_widens_its_face_group(self, monkeypatch):
+        groups = []
+        real = theorem.enumerate_box_group
+
+        def spy(simplex, **kwargs):
+            groups.append(real(simplex, **kwargs))
+            return groups[-1]
+
+        monkeypatch.setattr(theorem, "enumerate_box_group", spy)
+        cert = theorem.extract_face(join(delta_cm(3, 3), delta_cm(2, 7)), k=3)
+        assert cert.hypothesis_met and cert.hstar_match and len(groups) == 2
+        group, face_group = groups
+        assert "residues" in vars(group)  # the lemmas read its low rows
+        assert "residues" not in vars(face_group)
+        assert cert.face_hstar == hstar_from_box_group(face_group)
+
+    def test_residues_are_cached_and_read_only(self):
+        g = enumerate_box_group(NON_CYCLIC)
+        rows = g.residues
+        assert g.residues is rows and vars(g)["residues"] is rows
+        assert rows.shape == (g.order, len(g.column_map))
+        assert rows.tolist() == g.columns.T[:, list(g.column_map)].tolist()
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        with pytest.raises(AttributeError):
+            g.residues = rows.copy()
+
+    @pytest.mark.parametrize(
+        "simplex",
         [prop43_instance(3, 4), remark44_simplex(3), NON_CYCLIC, join(delta_cm(2, 3), unit_simplex(0))],
         ids=["explicit5", "r44k3", "join", "join-point"],
     )
@@ -300,6 +343,8 @@ class TestArrayRepresentation:
 
     def test_arrays_are_read_only(self):
         g = enumerate_box_group(TRI_VOL2)
+        with pytest.raises(ValueError):
+            g.columns[0, 0] = 1
         with pytest.raises(ValueError):
             g.residues[0, 0] = 1
         with pytest.raises(ValueError):

@@ -31,6 +31,8 @@ from hstarkit.theorem import (
     verify_lemma32,
 )
 
+from conftest import with_rows
+
 H = HStarVector.of
 
 
@@ -177,7 +179,7 @@ CLOSURE_GROUPS = [
 ]
 # The same groups on exact Python integers, the path huge exponents take.
 CLOSURE_GROUPS += [
-    dataclasses.replace(g, residues=g.residues.astype(object)) for g in CLOSURE_GROUPS[:3]
+    with_rows(g, g.residues.astype(object)) for g in CLOSURE_GROUPS[:3]
 ]
 
 

@@ -21,6 +21,8 @@ from hstarkit.simplex import (
     restrict_to_affine_lattice,
 )
 
+from conftest import with_rows
+
 SKEW = SimplexDocument(3, ((1, 0, 2), (2, 3, 1), (0, 1, 5)), name="skew")
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_DOCS = {p.name: load_simplex_document(p) for p in sorted(CORPUS.glob("*.json"))}
@@ -118,7 +120,7 @@ def input_group_edit(fn):
         if i:
             return group
         residues, heights = fn(group.residues.copy(), group.heights.copy(), group.exponent)
-        return dataclasses.replace(group, residues=residues, heights=heights)
+        return with_rows(group, residues, heights)
 
     return edit
 
@@ -204,7 +206,7 @@ def later_groups_over_five_times_their_exponent(i, group):
     if not i:
         return group
     factors = group.invariant_factors[:-1] + (5 * group.exponent,)
-    return dataclasses.replace(group, invariant_factors=factors, residues=5 * group.residues)
+    return with_rows(dataclasses.replace(group, invariant_factors=factors), 5 * group.residues)
 
 
 class TestTamperedGroup:
