@@ -167,12 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     sides = ["parent", "change"] if args.parent else ["change"]
-    roots = {"change": {}, "parent": {"root": args.parent.resolve()} if args.parent else {}}
     runs: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
     extras: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
-
-    def order(turn: int) -> list[str]:
-        return sides if turn % 2 else sides[::-1]
 
     def record(into: dict, name: str, side: str, seed: int, run: dict) -> None:
         into[side].setdefault(name, []).append(run)
@@ -182,15 +178,16 @@ def main(argv: list[str] | None = None) -> int:
 
     for name in args.workloads:
         for seed in args.seeds:
-            for side in order(seed):
-                record(runs, name, side, seed,
-                       run_benchmark(name, seed, args.seconds, **roots[side]))
+            for side in sides if seed % 2 else sides[::-1]:
+                root = {} if side == "change" else {"root": args.parent.resolve()}
+                record(runs, name, side, seed, run_benchmark(name, seed, args.seconds, **root))
     for name in EXTRAS:
         for seed in args.seeds:
             repeats: dict[str, list[dict]] = {side: [] for side in sides}
             for turn in range(seed, seed + EXTRA_REPEATS):
-                for side in order(turn):
-                    repeats[side].append(time_extra(name, seed, **roots[side]))
+                for side in sides if turn % 2 else sides[::-1]:
+                    root = {} if side == "change" else {"root": args.parent.resolve()}
+                    repeats[side].append(time_extra(name, seed, **root))
             for side in sides:
                 record(extras, name, side, seed, median_run(repeats[side]))
     report = {"label": args.label, "seconds": args.seconds, **aggregate(runs["change"]),

@@ -136,6 +136,24 @@ def neg(a: BoxPoint) -> BoxPoint:
     return BoxPoint.from_scaled([(-x) % a.den for x in a.nums], a.den)
 
 
+class _RowsOnFirstRead:
+    """``BoxGroup.residues``: the distinct columns widened to one per vertex
+    on first read and stored on the group, where later reads find them
+    first. ``functools.cached_property`` would do the same, but on Python
+    3.11 it takes a lock on every first read, which costs about as much as
+    the widening itself on the tiny groups that verify reads by the
+    hundred. Two threads that read at once may both widen; they build
+    equal arrays."""
+
+    def __get__(self, group: BoxGroup | None, owner: type | None = None):
+        if group is None:
+            return self
+        rows = group.columns.T.take(group.column_map, axis=1)
+        rows.flags.writeable = False
+        group.__dict__["residues"] = rows
+        return rows
+
+
 @dataclass(frozen=True, eq=False)
 class BoxGroup:
     """Complete fractional-weight group of a full-dimensional simplex.
@@ -157,11 +175,7 @@ class BoxGroup:
     column_map: tuple[int, ...]
     heights: np.ndarray
 
-    @cached_property
-    def residues(self) -> np.ndarray:
-        rows = self.columns.T.take(self.column_map, axis=1)
-        rows.flags.writeable = False
-        return rows
+    residues = _RowsOnFirstRead()
 
     @cached_property
     def elements(self) -> tuple[BoxPoint, ...]:

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
-import numpy as np
-
 from .boxgroup import BoxGroup
 from .errors import InternalCheckError, ScanTooLargeError
 from .simplex import LatticeSimplex
@@ -75,8 +73,11 @@ class HStarVector:
 
 def hstar_from_box_group(group: BoxGroup) -> HStarVector:
     """Coefficient h equals the number of group elements of height h."""
-    counts = np.bincount(group.heights).tolist()
-    return HStarVector.of(counts, dim_context=group.simplex.dimension)
+    counts = group.level_counts()
+    out = [0] * (max(counts) + 1)
+    for h, c in counts.items():
+        out[h] = c
+    return HStarVector.of(out, dim_context=group.simplex.dimension)
 
 
 def ehrhart_from_hstar(h: HStarVector, d: int, n: int) -> int:
