@@ -16,10 +16,9 @@ over the group exponent q, the map from each vertex to its column, and the
 element heights. h* is a count over the heights. ``enumerate_box_group``
 builds and sorts that table at O(order * m) cost; its sort packs (height,
 distinct columns but the last, which the others fix) base q into as few
-int64 keys as stay below ``INT64_LIMIT``. The (order, n+1) residue array,
-row i the numerators of element i over q, is widened from the table on the
-first read of ``residues``, at O(order * (n+1)), and only callers that read
-rows pay for it.
+int64 keys as stay below ``INT64_LIMIT``. ``BoxGroup.rows`` gathers the
+residue rows of just the s elements a caller selects, one numerator over q
+per vertex, at O(s * (n+1)); no row is stored or cached.
 
 Single elements are ``BoxPoint`` objects (reduced integer numerators over
 their own denominator, which keeps the group law in pure integer
@@ -136,24 +135,6 @@ def neg(a: BoxPoint) -> BoxPoint:
     return BoxPoint.from_scaled([(-x) % a.den for x in a.nums], a.den)
 
 
-class _RowsOnFirstRead:
-    """``BoxGroup.residues``: the distinct columns widened to one per vertex
-    on first read and stored on the group, where later reads find them
-    first. ``functools.cached_property`` would do the same, but on Python
-    3.11 it takes a lock on every first read, which costs about as much as
-    the widening itself on the tiny groups that verify reads by the
-    hundred. Two threads that read at once may both widen; they build
-    equal arrays."""
-
-    def __get__(self, group: BoxGroup | None, owner: type | None = None):
-        if group is None:
-            return self
-        rows = group.columns.T.take(group.column_map, axis=1)
-        rows.flags.writeable = False
-        group.__dict__["residues"] = rows
-        return rows
-
-
 @dataclass(frozen=True, eq=False)
 class BoxGroup:
     """Complete fractional-weight group of a full-dimensional simplex.
@@ -162,10 +143,9 @@ class BoxGroup:
     residue columns over the exponent q, and vertex i has column
     ``column_map[i]``. ``heights`` holds the element heights. Elements are
     sorted by (height, coordinates) so that every downstream report is
-    deterministic. ``residues`` is the read-only (order, n+1) array whose
-    row i holds the numerators of element i, widened from the columns on
-    first read at O(order * (n+1)); ``elements`` is the same group as
-    ``BoxPoint`` objects, built on first use.
+    deterministic. ``rows`` gathers the numerators of selected elements,
+    one column per vertex; ``elements`` is the whole group as ``BoxPoint``
+    objects, built on first use.
     """
 
     simplex: LatticeSimplex
@@ -175,17 +155,20 @@ class BoxGroup:
     column_map: tuple[int, ...]
     heights: np.ndarray
 
-    residues = _RowsOnFirstRead()
-
     @cached_property
     def elements(self) -> tuple[BoxPoint, ...]:
         return self.points(slice(None))
 
-    def points(self, rows) -> tuple[BoxPoint, ...]:
-        """The elements of the selected rows (a slice, mask or index array),
-        in the group's canonical order."""
+    def rows(self, select=slice(None)) -> np.ndarray:
+        """A fresh (s, n+1) array whose rows hold the numerators over q of
+        the selected elements (a slice, mask or index array), in the group's
+        canonical order, at O(s * (n+1))."""
+        return self.columns[:, select].T.take(self.column_map, axis=1)
+
+    def points(self, select) -> tuple[BoxPoint, ...]:
+        """The selected elements, in the group's canonical order."""
         q = self.exponent
-        return tuple(BoxPoint.from_scaled(r, q) for r in self.residues[rows].tolist())
+        return tuple(BoxPoint.from_scaled(r, q) for r in self.rows(select).tolist())
 
     def __iter__(self) -> Iterator[BoxPoint]:
         # Unused in the package; perfbench's tracer test iterates a group.
@@ -223,8 +206,8 @@ def enumerate_box_group(
     kept as the group's ``columns``, with ``column_map`` sending each of
     the k = n+1 vertices to its column. That costs O(order * m) integer
     operations for the build, the checks and the sort keys, after the
-    decomposition, independent of coordinate sizes; the first read of
-    ``residues`` adds O(order * k) for the widened copy.
+    decomposition, independent of coordinate sizes; no row is widened to
+    k columns until a caller gathers it with ``BoxGroup.rows``.
 
     The sort key is (height, distinct columns in order of first
     appearance, but the last). It gives the (height, coordinates) order of
@@ -304,7 +287,7 @@ def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[np.n
 
     Returns the read-only (vol, n+1) array of numerators over vol = det H,
     one row per element, sorted by (height, coordinates) like
-    ``BoxGroup.residues``, and vol itself. Rows are not reduced: a row
+    ``BoxGroup.rows()``, and vol itself. Rows are not reduced: a row
     equals a group row over q exactly when row * q == residue * vol.
 
     The model (`restrict_to_affine_lattice`) has the origin and the columns

@@ -103,7 +103,7 @@ def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
     group = enumerate_box_group(simplex)
     expected = np.unique(np.arange(q)[:, None] * np.array(generator) % q, axis=0)
     if group.exponent != q or not np.array_equal(
-        np.unique(group.residues, axis=0), expected
+        np.unique(group.rows(), axis=0), expected
     ):  # pragma: no cover - construction
         raise InternalCheckError("realized simplex has the wrong weight group")
     return simplex

@@ -115,16 +115,17 @@ def _require_window(group: BoxGroup, k: int) -> HStarVector:
     return h
 
 
-def _support_bound(group: BoxGroup, k: int, low_mask: np.ndarray) -> SupportBoundVerdict:
-    """Lemma 3.1's bound, checked on every row of height at most k (the
-    rows that ``low_mask`` selects)."""
-    low = np.flatnonzero(low_mask)
-    sizes = (group.residues[low] > 0).sum(axis=1)
-    bad = np.flatnonzero(sizes > k + group.heights[low])
+def _support_bound(
+    group: BoxGroup, k: int, low: np.ndarray, rows: np.ndarray
+) -> SupportBoundVerdict:
+    """Lemma 3.1's bound, checked on every row of height at most k: ``low``
+    is their mask and ``rows`` their residues."""
+    bad = np.flatnonzero((rows > 0).sum(axis=1) > k + group.heights[low])
     if bad.size:
         first = int(bad[0])
-        return SupportBoundVerdict(False, first + 1, group.points(low[first : first + 1])[0])
-    return SupportBoundVerdict(True, len(low))
+        point = BoxPoint.from_scaled(rows[first].tolist(), group.exponent)
+        return SupportBoundVerdict(False, first + 1, point)
+    return SupportBoundVerdict(True, len(rows))
 
 
 def verify_lemma31(group: BoxGroup, k: int) -> SupportBoundVerdict:
@@ -134,7 +135,8 @@ def verify_lemma31(group: BoxGroup, k: int) -> SupportBoundVerdict:
     proved fact, so a reported violation means the implementation is broken.
     """
     _require_window(group, k)
-    return _support_bound(group, k, group.heights <= k)
+    low = group.heights <= k
+    return _support_bound(group, k, low, group.rows(low))
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def verify_lemma32(group: BoxGroup, k: int) -> LowSubgroupVerdict:
     """
     _require_window(group, k)
     low = group.heights <= k
-    return _low_subgroup_verdict(group, k, low, group.residues[low])
+    return _low_subgroup_verdict(group, k, low, group.rows(low))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +259,9 @@ def extract_face(
             f"{'holds but k < 3' if window_ok else 'fails'}"
         )
     low = group.heights <= k
-    low_rows = group.residues[low]
+    low_rows = group.rows(low)
     low_rows.flags.writeable = False
-    lemma31 = _support_bound(group, k, low)
+    lemma31 = _support_bound(group, k, low, low_rows)
     lemma32 = _low_subgroup_verdict(group, k, low, low_rows)
     supp = lemma32.support
     selector = FaceSelector.of(supp if supp else (0,), full.n_vertices)

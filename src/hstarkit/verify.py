@@ -87,14 +87,14 @@ def _instance_records(
         yield _skip(name, "expected-hstar", "no expected_hstar in document")
 
     q = group.exponent
-    support = group.residues != 0
-    neg_heights = ((q - group.residues) % q).sum(axis=1) // q
-    bad = int((support.sum(axis=1) != group.heights + neg_heights).sum())
+    rows, heights = group.rows(), group.heights
+    support = rows != 0
+    neg_heights = ((q - rows) % q).sum(axis=1) // q
+    bad = int((support.sum(axis=1) != heights + neg_heights).sum())
     yield _ok(name, "support-height-identity", not bad, {"violations": bad})
 
     # Within these gates q <= 500, so the residues are int64. Each temporary
     # holds at most order * (n+1) entries: one operand is looped over.
-    rows, heights = group.residues, group.heights
     if group.order <= SUBGROUP_ORDER_GATE:
         sub_ok = all(
             (((a + rows) % q).sum(axis=1) // q <= ha + heights).all()
@@ -199,7 +199,7 @@ def _instance_records(
             inside = rows[~np.delete(rows, cols, axis=1).any(axis=1)][:, cols]
             # A broken face group need not have an exponent dividing q.
             m = lcm(q, face_group.exponent)
-            got = _row_set(face_group.residues * (m // face_group.exponent))
+            got = _row_set(face_group.rows() * (m // face_group.exponent))
             if got != _row_set(inside * (m // q)):
                 mismatch = cols
                 break

@@ -36,7 +36,7 @@ def time_limit(request):
 
 def with_rows(group, rows, heights=None):
     """The group with its residue rows, and optionally its heights,
-    replaced: ``rows`` become one column per vertex, so ``residues`` reads
+    replaced: ``rows`` become one column per vertex, so ``rows()`` reads
     them back exactly."""
     changes = {} if heights is None else {"heights": heights}
     return dataclasses.replace(

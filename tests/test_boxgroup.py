@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hstarkit import boxgroup, linalg, theorem
 from hstarkit.boxgroup import (
+    BoxGroup,
     BoxPoint,
     add,
     enumerate_box_group,
@@ -206,17 +208,43 @@ def reference_enumeration(simplex):
 
 def assert_matches_reference(simplex):
     group = enumerate_box_group(simplex)
-    # The enumeration keeps the distinct columns and widens nothing.
-    assert "residues" not in vars(group)
+    # The enumeration keeps the distinct columns and stores nothing else.
+    assert set(vars(group)) == {f.name for f in dataclasses.fields(group)}
     assert len(group.column_map) == simplex.n_vertices
     assert group.columns.shape == (max(group.column_map) + 1, group.order)
     residues, heights = reference_enumeration(simplex)
-    assert group.residues.dtype == residues.dtype
     assert group.heights.dtype == heights.dtype == np.int64
-    assert group.residues.shape == residues.shape
-    assert group.residues.tolist() == residues.tolist()
     assert group.heights.tolist() == heights.tolist()
+    # A slice, a mask and an index array (out of order, with a repeat)
+    # gather the rows the same selection takes from the reference.
+    selections = [
+        slice(None),
+        slice(1, None, 2),
+        np.arange(group.order) % 3 == 1,
+        np.array([group.order - 1, 0, group.order - 1]),
+    ]
+    for select in selections:
+        rows = group.rows(select)
+        assert rows.dtype == residues.dtype
+        assert rows.flags.c_contiguous
+        assert rows.shape == residues[select].shape
+        assert rows.tolist() == residues[select].tolist()
     return group
+
+
+@pytest.fixture
+def gathered(monkeypatch):
+    """Every ``BoxGroup.rows`` call, as (group, number of rows gathered)."""
+    calls = []
+    real = BoxGroup.rows
+
+    def spy(group, select=slice(None)):
+        rows = real(group, select)
+        calls.append((group, len(rows)))
+        return rows
+
+    monkeypatch.setattr(BoxGroup, "rows", spy)
+    return calls
 
 
 def sorts_of(simplex):
@@ -251,8 +279,8 @@ class TestArrayRepresentation:
     def test_residues_match_reference_loop(self, simplex):
         g = enumerate_box_group(simplex)
         q = g.exponent
-        assert g.residues.tolist() == [list(t) for t in reference_residues(simplex)]
-        assert g.heights.tolist() == [sum(r) // q for r in g.residues.tolist()]
+        assert g.rows().tolist() == [list(t) for t in reference_residues(simplex)]
+        assert g.heights.tolist() == [sum(r) // q for r in g.rows().tolist()]
 
     @pytest.mark.parametrize(
         "simplex",
@@ -261,17 +289,17 @@ class TestArrayRepresentation:
     )
     def test_object_path_matches_int64_path(self, simplex, monkeypatch):
         fast, fast_sorts = sorts_of(simplex)
-        assert fast.residues.dtype == np.int64 and fast_sorts == [("argsort", 1)]
+        assert fast.rows().dtype == np.int64 and fast_sorts == [("argsort", 1)]
         monkeypatch.setattr(boxgroup, "INT64_LIMIT", 0)
         exact, exact_sorts = sorts_of(simplex)
-        assert exact.residues.dtype == object
+        assert exact.rows().dtype == object
         # No digit is packed: the height shares a key with column 0 only,
         # and the last distinct column, which the others fix, gets none, so
         # there is one key per distinct column but the last.
-        keys = len(set(map(tuple, fast.residues.T.tolist()))) - 1
+        keys = len(set(map(tuple, fast.rows().T.tolist()))) - 1
         assert exact_sorts == [("argsort", 1) if keys == 1 else ("lexsort", keys)]
         assert_matches_reference(simplex)
-        assert exact.residues.tolist() == fast.residues.tolist()
+        assert exact.rows().tolist() == fast.rows().tolist()
         assert exact.heights.tolist() == fast.heights.tolist()
         assert exact.elements == fast.elements
         assert hstar_from_box_group(exact) == hstar_from_box_group(fast)
@@ -292,14 +320,14 @@ class TestArrayRepresentation:
         [delta_cm(99999, 3), join(delta_cm(299, 3), delta_cm(299, 4)), unit_simplex(3)],
         ids=["cyclic-1e5", "z300-squared", "unit"],
     )
-    def test_hstar_and_zero_leave_the_rows_unbuilt(self, simplex):
+    def test_hstar_and_zero_leave_the_rows_unbuilt(self, simplex, gathered):
         g = enumerate_box_group(simplex)
         h = hstar_from_box_group(g)
         assert list(h.coeffs) == [g.level_counts().get(i, 0) for i in range(h.degree + 1)]
         assert g.zero == BoxPoint.zero(simplex.n_vertices)
-        assert "residues" not in vars(g)
+        assert gathered == []
 
-    def test_extract_face_never_widens_its_face_group(self, monkeypatch):
+    def test_extract_face_never_widens_its_face_group(self, monkeypatch, gathered):
         groups = []
         real = theorem.enumerate_box_group
 
@@ -308,23 +336,27 @@ class TestArrayRepresentation:
             return groups[-1]
 
         monkeypatch.setattr(theorem, "enumerate_box_group", spy)
-        cert = theorem.extract_face(join(delta_cm(3, 3), delta_cm(2, 7)), k=3)
-        assert cert.hypothesis_met and cert.hstar_match and len(groups) == 2
-        group, face_group = groups
-        assert "residues" in vars(group)  # the lemmas read its low rows
-        assert "residues" not in vars(face_group)
-        assert cert.face_hstar == hstar_from_box_group(face_group)
+        # The second input is at the volume cap, |L'| = 1000 of 10^6 rows,
+        # and its window fails: h*_4 counts 999 elements.
+        at_cap = join(delta_cm(999, 3), delta_cm(999, 4))
+        for simplex, window in ((join(delta_cm(3, 3), delta_cm(2, 7)), True), (at_cap, False)):
+            groups.clear()
+            gathered.clear()
+            cert = theorem.extract_face(simplex, k=3)
+            assert cert.hypothesis_met == window and cert.hstar_match and len(groups) == 2
+            group, face_group = groups
+            # The lemmas gather L' once from the input group, and nothing else.
+            assert len(gathered) == 1 and gathered[0][0] is group
+            assert gathered[0][1] == len(cert.lambda_prime) == int((group.heights <= 3).sum())
+            assert cert.face_hstar == hstar_from_box_group(face_group)
 
-    def test_residues_are_cached_and_read_only(self):
+    def test_rows_are_gathered_not_stored(self):
+        # The columns are the one representation, and no `residues` is
+        # left for old code to read a stale or full-width array from.
         g = enumerate_box_group(NON_CYCLIC)
-        rows = g.residues
-        assert g.residues is rows and vars(g)["residues"] is rows
-        assert rows.shape == (g.order, len(g.column_map))
-        assert rows.tolist() == g.columns.T[:, list(g.column_map)].tolist()
-        with pytest.raises(ValueError):
-            rows[0, 0] = 1
+        assert not hasattr(BoxGroup, "residues")
         with pytest.raises(AttributeError):
-            g.residues = rows.copy()
+            g.residues
 
     @pytest.mark.parametrize(
         "simplex",
@@ -346,9 +378,12 @@ class TestArrayRepresentation:
         with pytest.raises(ValueError):
             g.columns[0, 0] = 1
         with pytest.raises(ValueError):
-            g.residues[0, 0] = 1
-        with pytest.raises(ValueError):
             g.heights[0] = 1
+        # Each read gathers a fresh array: writing into one changes no other.
+        before = g.rows().tolist()
+        for select in (slice(None), slice(0, 1), g.heights <= 1):
+            g.rows(select)[...] = 1
+        assert g.rows().tolist() == before
 
 
 class TestGroupLaws:
@@ -526,7 +561,7 @@ class TestBoxScan:
             got, volume = enumerate_by_box_scan(simplex)
             assert got.tolist() == as_rows(reference_box_scan(simplex), volume)
             g = enumerate_box_group(simplex)
-            assert np.array_equal(got * g.exponent, g.residues * volume)
+            assert np.array_equal(got * g.exponent, g.rows() * volume)
 
     @given(lower_dimensional_simplices())
     @settings(max_examples=60, deadline=None)
@@ -608,8 +643,8 @@ class TestDistinctColumnEnumeration:
         # Relabelling permutes the columns of the same group.
         back = np.argsort(order)
         base = enumerate_box_group(s)
-        assert sorted(map(tuple, group.residues[:, back].tolist())) == sorted(
-            map(tuple, base.residues.tolist())
+        assert sorted(map(tuple, group.rows()[:, back].tolist())) == sorted(
+            map(tuple, base.rows().tolist())
         )
 
     @given(full_dimensional_simplices(), st.integers(0, 3), st.booleans())
@@ -619,7 +654,7 @@ class TestDistinctColumnEnumeration:
         group = assert_matches_reference(simplex)
         # The unit simplex's u + 1 vertices carry weight 0 in every element:
         # a repeated zero column.
-        assert sum(not col.any() for col in group.residues.T) >= u + 1
+        assert sum(not col.any() for col in group.rows().T) >= u + 1
 
     @pytest.mark.parametrize(
         "simplex",
@@ -639,5 +674,5 @@ class TestDistinctColumnEnumeration:
         simplex = realize_cyclic_group((1, 2, 3, 5, q - 11), q)
         group, sorts = sorts_of(simplex)
         assert sorts == [("lexsort", 2)]
-        assert group.order == q and group.residues.dtype == np.int64
+        assert group.order == q and group.rows().dtype == np.int64
         assert_matches_reference(simplex)

@@ -375,7 +375,7 @@ class TestRouteAgreement:
         group = enumerate_box_group(simplex)
         h = hstar_from_box_group(group)
         rows, volume = enumerate_by_box_scan(simplex)
-        assert np.array_equal(rows * group.exponent, group.residues * volume)
+        assert np.array_equal(rows * group.exponent, group.rows() * volume)
         assert hstar_by_interpolation(simplex).coeffs == h.coeffs
         assert heldout_count_matches(simplex, h)
 

@@ -29,7 +29,7 @@ def assert_realizes(generator, q):
     group = enumerate_box_group(simplex)
     multiples = np.arange(q)[:, None] * np.array(generator, dtype=np.int64) % q
     assert group.order == group.exponent == q
-    assert sorted(map(tuple, group.residues.tolist())) == sorted(map(tuple, multiples.tolist()))
+    assert sorted(map(tuple, group.rows().tolist())) == sorted(map(tuple, multiples.tolist()))
 
 
 def assert_invalid_variants_raise(generator, q):

@@ -135,7 +135,7 @@ class TestLemmaHelpersMatchElementLoops:
         g = enumerate_box_group(simplex)
         low = [p for p in g.elements if p.height <= k]
         bad = [i for i, p in enumerate(low) if p.support_size > k + p.height]
-        verdict = _support_bound(g, k, g.heights <= k)
+        verdict = _support_bound(g, k, g.heights <= k, g.rows(g.heights <= k))
         assert verdict.ok == (not bad)
         if bad:
             assert verdict.checked == bad[0] + 1
@@ -150,7 +150,7 @@ class TestLemmaHelpersMatchElementLoops:
         low = set(p for p in g.elements if p.height <= k)
         closed = all(add(a, b) in low for a in low for b in low)
         supp = tuple(sorted({i for p in low for i in p.support}))
-        v = _low_subgroup_verdict(g, k, g.heights <= k, g.residues[g.heights <= k])
+        v = _low_subgroup_verdict(g, k, g.heights <= k, g.rows(g.heights <= k))
         assert v.subgroup_ok == (closed and all(neg(a) in low for a in low))
         assert v.closure_exhaustive == (len(low) < g.order)
         assert v.support == supp and v.support_size == len(supp)
@@ -179,19 +179,19 @@ CLOSURE_GROUPS = [
 ]
 # The same groups on exact Python integers, the path huge exponents take.
 CLOSURE_GROUPS += [
-    with_rows(g, g.residues.astype(object)) for g in CLOSURE_GROUPS[:3]
+    with_rows(g, g.rows().astype(object)) for g in CLOSURE_GROUPS[:3]
 ]
 
 
 def test_closure_groups_cover_non_cyclic_and_object_rows():
     assert all(g.order <= 60 for g in CLOSURE_GROUPS)
     assert sorted(sum(1 for d in g.invariant_factors if d > 1) for g in CLOSURE_GROUPS)[-1] == 3
-    assert any(g.residues.dtype == object for g in CLOSURE_GROUPS)
+    assert any(g.rows().dtype == object for g in CLOSURE_GROUPS)
 
 
 def test_closure_check_sorts_once_per_generator(monkeypatch):
     g = enumerate_box_group(join(delta_cm(2999, 3), delta_cm(1, 7)))
-    rows = g.residues[g.heights <= 3]
+    rows = g.rows(g.heights <= 3)
     sorts = []
     real = theorem._lex_sorted
     monkeypatch.setattr(theorem, "_lex_sorted", lambda a: sorts.append(len(a)) or real(a))
@@ -209,7 +209,7 @@ def test_closure_check_matches_pair_sweep(data):
     if data.draw(st.booleans()):
         picked = _generated(picked, group.zero)
     rows = data.draw(st.permutations([i for i, p in enumerate(elements) if p in picked]))
-    result = _closure_check(group.residues[rows], group)
+    result = _closure_check(group.rows(rows), group)
     add_ok = all(add(a, b) in picked for a in picked for b in picked)
     assert result.add_ok == add_ok
     assert result.zero_ok == (group.zero in picked)
@@ -279,7 +279,7 @@ class TestExtractFace:
         cert = extract_face(s, 3)
         group = enumerate_box_group(s)
         assert cert.exponent == group.exponent
-        assert cert.lambda_prime.tolist() == group.residues[group.heights <= 3].tolist()
+        assert cert.lambda_prime.tolist() == group.rows(group.heights <= 3).tolist()
         assert cert.lambda_prime_points() == group.points(group.heights <= 3)
         with pytest.raises(ValueError):
             cert.lambda_prime[0, 0] = 1

@@ -119,7 +119,7 @@ def input_group_edit(fn):
     def edit(i, group):
         if i:
             return group
-        residues, heights = fn(group.residues.copy(), group.heights.copy(), group.exponent)
+        residues, heights = fn(group.rows(), group.heights.copy(), group.exponent)
         return with_rows(group, residues, heights)
 
     return edit
@@ -206,7 +206,7 @@ def later_groups_over_five_times_their_exponent(i, group):
     if not i:
         return group
     factors = group.invariant_factors[:-1] + (5 * group.exponent,)
-    return with_rows(dataclasses.replace(group, invariant_factors=factors), 5 * group.residues)
+    return with_rows(dataclasses.replace(group, invariant_factors=factors), 5 * group.rows())
 
 
 class TestTamperedGroup:
