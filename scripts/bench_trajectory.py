@@ -165,6 +165,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="another checkout to run as the parent of each pair")
     ap.add_argument("--out", type=Path, default=REPO)
     args = ap.parse_args(argv)
+    if not args.out.is_dir():
+        ap.error(f"--out {args.out} is not a directory")
 
     sides = ["parent", "change"] if args.parent else ["change"]
     runs: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}

@@ -252,11 +252,10 @@ def cmd_verify_suite(args) -> int:
 
 
 def cmd_search(args) -> int:
+    hits = search_windows(args.k, args.window, args.max_order, args.max_dim, limit=args.limit)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for hit in search_windows(
-            args.k, args.window, args.max_order, args.max_dim, limit=args.limit
-        ):
+        for hit in hits:
             out.write(canonical_dumps(hit.to_json_dict()))
     finally:
         if args.out:

@@ -2,15 +2,18 @@
 
 Enumerates generator tuples (a_1, ..., a_L)/q with every a_i in [1, q-1],
 coordinate sum divisible by q, and gcd(a_1, ..., a_L, q) = 1, canonicalized
-up to coordinate permutation. Each group whose height distribution matches
-the requested zero window is realized as a lattice simplex and run through
-the face extraction, recording whether the truncation is realized by a
-face. Purely empirical: emits instances, never claims answers.
+up to coordinate permutation: nondecreasing, with the last entry fixed by
+the sum. Each group is listed once, as the (q, L) array of its elements,
+which gives both its heights and its signature for deduplication. Each
+group whose height distribution matches the requested zero window is
+realized as a lattice simplex and run through the face extraction,
+recording whether the truncation is realized by a face. Purely empirical:
+emits instances, never claims answers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from math import gcd
 from typing import Iterator
 
@@ -53,26 +56,12 @@ class SearchHit:
         }
 
 
-def _nondecreasing_tuples(q: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples over [1, q-1] whose sum is divisible by q."""
-    out: list[int] = []
-
-    def rec(start: int, total: int) -> Iterator[tuple[int, ...]]:
-        remaining = length - len(out)
-        if remaining == 0:
-            if total % q == 0:
-                yield tuple(out)
-            return
-        hi = total + (q - 1) * remaining
-        last_multiple = (hi // q) * q
-        for v in range(start, q):
-            if total + v * remaining > last_multiple:
-                break
-            out.append(v)
-            yield from rec(v, total + v)
-            out.pop()
-
-    yield from rec(1, 0)
+def _multiples(generator: tuple[int, ...], q: int) -> np.ndarray:
+    """The q rows j * generator mod q, j = 0, ..., q-1: every element of the
+    cyclic group, once each. Products stay below q^2 (10^8 in search, 10^12
+    under the volume cap that `realize_cyclic_group` checks first) and
+    search's row sums below (MAX_DIM + 1) * q, so int64 is exact."""
+    return np.arange(q)[:, None] * np.array(generator, dtype=np.int64) % q
 
 
 def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
@@ -101,7 +90,7 @@ def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
     verts = [(0,) * n] + [tuple(q * x // det_t for x in row) for row in adj]
     simplex = from_vertices(n, verts)
     group = enumerate_box_group(simplex)
-    expected = np.unique(np.arange(q)[:, None] * np.array(generator) % q, axis=0)
+    expected = np.unique(_multiples(generator, q), axis=0)
     if group.exponent != q or not np.array_equal(
         np.unique(group.rows(), axis=0), expected
     ):  # pragma: no cover - construction
@@ -109,31 +98,31 @@ def realize_cyclic_group(generator: tuple[int, ...], q: int) -> LatticeSimplex:
     return simplex
 
 
-def _window_holds(counts: dict[int, int], k: int, window: str) -> bool:
-    top = 2 * k - 1 if window == "weak" else 2 * k
-    return all(counts.get(h, 0) == 0 for h in range(k + 1, top + 1))
-
-
 def _window_generators(
     k: int, window: str, max_order: int, max_dim: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(q, generator) of every canonical cyclic group matching the window,
-    in search order. Order 1 is the trivial group of the unit segment."""
+    in search order. Order 1 is the trivial group of the unit segment.
+
+    A generator is a nondecreasing tuple over [1, q-1] whose last entry is
+    fixed by the sum condition; the heads come in lexicographic order. Of
+    the groups with equal multisets of sorted elements only the first is
+    kept."""
     yield 1, (0, 0)
-    seen: set[tuple] = set()
+    top = 2 * k - 1 if window == "weak" else 2 * k
     for q in range(2, max_order + 1):
         for length in range(2, max_dim + 2):
-            for gen in _nondecreasing_tuples(q, length):
-                if gcd(q, *gen) != 1:
+            seen: set[bytes] = set()  # per shape: arrays of two shapes can share bytes
+            for head in combinations_with_replacement(range(1, q), length - 1):
+                gen = head + (-sum(head) % q,)
+                if gen[-1] < head[-1] or gcd(q, *gen) != 1:
                     continue
-                elements = [tuple(j * a % q for a in gen) for j in range(q)]
-                counts: dict[int, int] = {}
-                for el in elements:
-                    h = sum(el) // q
-                    counts[h] = counts.get(h, 0) + 1
-                if not _window_holds(counts, k, window):
+                elements = _multiples(gen, q)
+                heights = elements.sum(axis=1) // q
+                if np.count_nonzero((heights > k) & (heights <= top)):
                     continue
-                signature = tuple(sorted(tuple(sorted(el)) for el in elements))
+                elements.sort(axis=1)
+                signature = elements[np.lexsort(elements.T[::-1])].tobytes()
                 if signature in seen:
                     continue
                 seen.add(signature)
@@ -149,7 +138,8 @@ def search_windows(
 ) -> Iterator[SearchHit]:
     """All canonical cyclic instances matching the window, in deterministic
     order (group order, then dimension, then lexicographic generator), at
-    most ``limit`` of them."""
+    most ``limit`` of them. The parameters are checked on the call, before
+    the first hit is asked for."""
     if window not in ("weak", "strong"):
         raise InvalidParametersError("window must be weak or strong")
     if k < 1:
@@ -158,17 +148,23 @@ def search_windows(
         raise InvalidParametersError(f"max order must be in 1..{MAX_ORDER}")
     if not 1 <= max_dim <= MAX_DIM:
         raise InvalidParametersError(f"max dim must be in 1..{MAX_DIM}")
-    generators = _window_generators(k, window, max_order, max_dim)
-    for q, gen in islice(generators, None if limit is None else max(limit, 0)):
-        cert = extract_face(realize_cyclic_group(gen, q), k)
-        yield SearchHit(
-            order=q,
-            dim=len(gen) - 1,
-            generator=gen,
-            hstar=cert.hstar,
-            k=k,
-            window=window,
-            face_realizes_truncation=cert.hstar_match,
-            face_hstar=cert.face_hstar,
-            face_selector=cert.face_selector.indices,
-        )
+    if limit is not None and limit < 0:
+        raise InvalidParametersError("limit must be >= 0")
+    generators = islice(_window_generators(k, window, max_order, max_dim), limit)
+
+    def hits() -> Iterator[SearchHit]:
+        for q, gen in generators:
+            cert = extract_face(realize_cyclic_group(gen, q), k)
+            yield SearchHit(
+                order=q,
+                dim=len(gen) - 1,
+                generator=gen,
+                hstar=cert.hstar,
+                k=k,
+                window=window,
+                face_realizes_truncation=cert.hstar_match,
+                face_hstar=cert.face_hstar,
+                face_selector=cert.face_selector.indices,
+            )
+
+    return hits()

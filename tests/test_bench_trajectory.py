@@ -128,6 +128,17 @@ def test_parent_pairs_alternate_and_count_lower_readings(tmp_path, monkeypatch):
     assert lower["peak_rss_mb"] == {"lower": 0, "pairs": 5}
 
 
+def test_missing_out_directory_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench, "run_benchmark", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(bench, "time_extra", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--label", "t", "--seeds", "11", "--seconds", "30",
+                    "--out", str(tmp_path / "missing")])
+    assert exit_info.value.code == 2 and calls == []
+    assert "not a directory" in capsys.readouterr().err
+
+
 def test_empty_output_is_an_error():
     with pytest.raises(ValueError):
         bench.parse_run("")

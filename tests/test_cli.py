@@ -778,6 +778,20 @@ class TestSearch:
                       "--max-order", "20000", "--max-dim", "5")
         assert res.returncode == 2
 
+    def test_invalid_parameters_leave_out_file_unchanged(self, run_cli, tmp_path):
+        out = tmp_path / "hits.jsonl"
+        out.write_text("earlier hits\n")
+        res = run_cli("search", "--k", "0", "--window", "weak", "--max-order", "4",
+                      "--max-dim", "3", "--out", str(out))
+        assert res.returncode == 2
+        assert out.read_text() == "earlier hits\n"
+
+    def test_negative_limit_rejected(self, run_cli):
+        res = run_cli("search", "--k", "2", "--window", "weak", "--max-order", "4",
+                      "--max-dim", "3", "--limit", "-1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "limit" in res.stderr
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, run_cli, corpus_dir):

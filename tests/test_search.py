@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit.boxgroup import enumerate_box_group
-from hstarkit.errors import InvalidParametersError
-from hstarkit.search import realize_cyclic_group
+from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
+from hstarkit.errors import InvalidParametersError, VolumeTooLargeError
+from hstarkit.search import _window_generators, realize_cyclic_group
 
 
 @st.composite
@@ -67,3 +68,38 @@ class TestRealizeCyclicGroup:
 
     def test_order_one_is_the_unit_segment(self):
         assert realize_cyclic_group((0, 0), 1).vertices == ((0,), (1,))
+
+    def test_volume_cap_checked_before_listing_the_group(self):
+        q = DEFAULT_VOLUME_CAP + 1
+        with pytest.raises(VolumeTooLargeError):
+            realize_cyclic_group((1, q - 1), q)
+
+
+def reference_window_generators(k, window, max_order, max_dim):
+    """_window_generators by brute force over tuples: every nondecreasing
+    tuple over [1, q-1] with sum divisible by q and gcd 1, its heights
+    counted one element at a time, deduplicated on tuple signatures."""
+    top = 2 * k - 1 if window == "weak" else 2 * k
+    out = [(1, (0, 0))]
+    for q in range(2, max_order + 1):
+        for length in range(2, max_dim + 2):
+            seen = set()
+            for gen in product(range(1, q), repeat=length):
+                if list(gen) != sorted(gen) or sum(gen) % q or gcd(q, *gen) != 1:
+                    continue
+                elements = [tuple(j * a % q for a in gen) for j in range(q)]
+                if any(k < sum(el) // q <= top for el in elements):
+                    continue
+                signature = tuple(sorted(tuple(sorted(el)) for el in elements))
+                if signature not in seen:
+                    seen.add(signature)
+                    out.append((q, gen))
+    return out
+
+
+class TestWindowGenerators:
+    @pytest.mark.parametrize("window", ["weak", "strong"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_brute_force_reference(self, k, window):
+        assert list(_window_generators(k, window, 10, 4)) == reference_window_generators(
+            k, window, 10, 4)
