@@ -25,8 +25,10 @@ strong-window `search`, the one run of the cyclic realization (a Hermite
 basis and an adjugate per hit). Each is run EXTRA_REPEATS times per seed
 and side, the sides alternating from one repeat to the next, and the
 median of those runs is that seed's `wall_s`; a run whose exit code is not
-0 counts as failed. Their statistics go under "extras": "change", and with
---parent also "parent" and "change_lower".
+0 counts as failed. Each seed's run record also keeps every repeat's
+`wall_s` and whether that side ran first in its repeat, under "repeats".
+Their statistics go under "extras": "change", and with --parent also
+"parent" and "change_lower".
 """
 from __future__ import annotations
 
@@ -97,8 +99,7 @@ def aggregate(runs: dict[str, list[dict]]) -> dict:
             "attempted": sum(run["attempted"] for run in parsed),
             "metrics": metrics,
             "runs": [
-                {"seed": run["seed"], "failed": run["failed"], "attempted": run["attempted"],
-                 "metrics": run["metrics"]}
+                {key: value for key, value in run.items() if key not in ("machine", "units")}
                 for run in parsed
             ],
         }
@@ -142,12 +143,15 @@ def time_extra(name: str, seed: int, root: Path = REPO) -> dict:
             "metrics": {"wall_s": wall}, "units": {"wall_s": "s"}}
 
 
-def median_run(runs: list[dict]) -> dict:
+def median_run(runs: list[dict], first: list[bool]) -> dict:
     """One seed's repeated runs of an extra as one run: the median wall
-    time and the summed checks."""
+    time, the summed checks, and each repeat's wall time with whether this
+    side ran first in it."""
+    walls = [run["metrics"]["wall_s"] for run in runs]
     return {**runs[0], "failed": sum(run["failed"] for run in runs),
             "attempted": sum(run["attempted"] for run in runs),
-            "metrics": {"wall_s": statistics.median(run["metrics"]["wall_s"] for run in runs)}}
+            "metrics": {"wall_s": statistics.median(walls)},
+            "repeats": [{"wall_s": w, "ran_first": f} for w, f in zip(walls, first)]}
 
 
 def seed_range(text: str) -> list[int]:
@@ -186,12 +190,15 @@ def main(argv: list[str] | None = None) -> int:
     for name in EXTRAS:
         for seed in args.seeds:
             repeats: dict[str, list[dict]] = {side: [] for side in sides}
+            first: dict[str, list[bool]] = {side: [] for side in sides}
             for turn in range(seed, seed + EXTRA_REPEATS):
-                for side in sides if turn % 2 else sides[::-1]:
+                order = sides if turn % 2 else sides[::-1]
+                for side in order:
                     root = {} if side == "change" else {"root": args.parent.resolve()}
                     repeats[side].append(time_extra(name, seed, **root))
+                    first[side].append(side == order[0])
             for side in sides:
-                record(extras, name, side, seed, median_run(repeats[side]))
+                record(extras, name, side, seed, median_run(repeats[side], first[side]))
     report = {"label": args.label, "seconds": args.seconds, **aggregate(runs["change"]),
               "extras": {"change": aggregate(extras["change"])["workloads"]}}
     if args.parent:

@@ -137,19 +137,17 @@ def neg(a: BoxPoint) -> BoxPoint:
 
 @dataclass(frozen=True, eq=False)
 class BoxGroup:
-    """Complete fractional-weight group of a full-dimensional simplex.
+    """Complete fractional-weight group of a simplex.
 
     ``columns`` is a read-only (m, order) integer array of the distinct
     residue columns over the exponent q, and vertex i has column
-    ``column_map[i]``. ``heights`` holds the element heights. Elements are
-    sorted by (height, coordinates) so that every downstream report is
-    deterministic. ``rows`` gathers the numerators of selected elements,
-    one column per vertex; ``elements`` is the whole group as ``BoxPoint``
-    objects, built on first use.
+    ``column_map[i]``. ``heights`` holds the element heights, so ``order``
+    is their count. Elements are sorted by (height, coordinates) so that
+    every downstream report is deterministic. ``rows`` gathers the
+    numerators of selected elements, one column per vertex; ``elements`` is
+    the whole group as ``BoxPoint`` objects, built on first use.
     """
 
-    simplex: LatticeSimplex
-    order: int
     invariant_factors: tuple[int, ...]
     columns: np.ndarray
     column_map: tuple[int, ...]
@@ -175,7 +173,9 @@ class BoxGroup:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return self.order
+        return len(self.heights)
+
+    order = property(__len__)
 
     @property
     def zero(self) -> BoxPoint:
@@ -193,7 +193,7 @@ class BoxGroup:
 def enumerate_box_group(
     simplex: LatticeSimplex, volume_cap: int = DEFAULT_VOLUME_CAP
 ) -> BoxGroup:
-    """Enumerate the whole group of a full-dimensional simplex.
+    """Enumerate the whole group of any simplex, a lower-dimensional one in its model.
 
     The quotient of the standard lattice by the column lattice of the
     homogenized matrix M is walked through the Smith decomposition
@@ -218,6 +218,8 @@ def enumerate_box_group(
     into as few integer keys as stay below ``INT64_LIMIT``: one key is
     sorted by ``argsort``, more by ``lexsort``.
     """
+    if not simplex.is_full_dimensional:
+        simplex = restrict_to_affine_lattice(simplex)
     factors, w = linalg.smith_normal_form(homogenize(simplex))
     order = prod(factors)
     if order > volume_cap:
@@ -272,8 +274,6 @@ def enumerate_box_group(
     columns.flags.writeable = False
     heights.flags.writeable = False
     return BoxGroup(
-        simplex=simplex,
-        order=order,
         invariant_factors=factors,
         columns=columns,
         column_map=tuple(cols),

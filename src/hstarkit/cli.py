@@ -34,7 +34,6 @@ from .io import (
 )
 from .oracle import DEFAULT_SCAN_CAP, cross_validate
 from .search import search_windows
-from .simplex import LatticeSimplex, restrict_to_affine_lattice
 from .theorem import ExtractionCertificate, condition_report, extract_face
 
 log = logging.getLogger("hstarkit")
@@ -76,11 +75,15 @@ def _base_report(command: str, doc: SimplexDocument, order: int, h: HStarVector)
     }
 
 
-def _load_full(path: str) -> tuple[SimplexDocument, LatticeSimplex]:
-    doc = load_simplex_document(path)
-    simplex = doc.to_simplex()
-    full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    return doc, full
+def _cap(text: str) -> int:
+    """A cap option's value; one below 1 would refuse every input and raises while parsing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise InvalidParametersError(f"caps must be at least 1, got {value}")
+    return value
 
 
 def _emit(payload: dict) -> None:
@@ -109,16 +112,16 @@ def _certificate_json(cert: ExtractionCertificate) -> dict:
 
 
 def cmd_hstar(args) -> int:
-    doc, full = _load_full(args.file)
-    group = enumerate_box_group(full, volume_cap=args.volume_cap)
+    doc = load_simplex_document(args.file)
+    group = enumerate_box_group(doc.to_simplex(), volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
     _emit(_base_report("hstar", doc, group.order, h))
     return EXIT_OK
 
 
 def cmd_box_group(args) -> int:
-    doc, full = _load_full(args.file)
-    group = enumerate_box_group(full, volume_cap=args.volume_cap)
+    doc = load_simplex_document(args.file)
+    group = enumerate_box_group(doc.to_simplex(), volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
     report = _base_report("box-group", doc, group.order, h)
     report["invariant_factors"] = [encode_int(f) for f in group.invariant_factors]
@@ -132,19 +135,19 @@ def cmd_box_group(args) -> int:
 def cmd_ehrhart(args) -> int:
     if args.n < 0:
         raise InvalidParametersError(f"dilation --n must be nonnegative, got {args.n}")
-    doc, full = _load_full(args.file)
-    group = enumerate_box_group(full, volume_cap=args.volume_cap)
+    doc = load_simplex_document(args.file)
+    group = enumerate_box_group(doc.to_simplex(), volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
     report = _base_report("ehrhart", doc, group.order, h)
     report["n"] = encode_int(args.n)
-    report["count"] = encode_int(ehrhart_from_hstar(h, full.dimension, args.n))
+    report["count"] = encode_int(ehrhart_from_hstar(h, h.dim_context, args.n))
     _emit(report)
     return EXIT_OK
 
 
 def cmd_oracle_verify(args) -> int:
-    doc, full = _load_full(args.file)
-    cv = cross_validate(full, volume_cap=args.volume_cap, scan_cap=args.scan_cap)
+    doc = load_simplex_document(args.file)
+    cv = cross_validate(doc.to_simplex(), volume_cap=args.volume_cap, scan_cap=args.scan_cap)
     report = _base_report("oracle-verify", doc, cv.box_hstar.normalized_volume, cv.box_hstar)
     report["oracle_hstar"] = _hstar_json(cv.oracle_hstar)
     report["match"] = cv.match
@@ -160,8 +163,8 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_extract_face(args) -> int:
-    doc, full = _load_full(args.file)
-    cert = extract_face(full, args.k, strict=args.strict, volume_cap=args.volume_cap)
+    doc = load_simplex_document(args.file)
+    cert = extract_face(doc.to_simplex(), args.k, strict=args.strict, volume_cap=args.volume_cap)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "extract-face",
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p) -> None:
-        p.add_argument("--volume-cap", type=int, default=DEFAULT_VOLUME_CAP,
+        p.add_argument("--volume-cap", type=_cap, default=DEFAULT_VOLUME_CAP,
                        help="largest group order that will be enumerated")
 
     p = sub.add_parser("hstar", help="h* via the weight-group path")
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-verify", help="group path against counting oracle")
     p.add_argument("file")
     add_caps(p)
-    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP,
+    p.add_argument("--scan-cap", type=_cap, default=DEFAULT_SCAN_CAP,
                    help="largest bounding-box candidate count for scans")
     p.set_defaults(fn=cmd_oracle_verify)
 
@@ -339,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", help="run every invariant over a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--max-volume", type=int, default=DEFAULT_VOLUME_CAP)
-    p.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP)
+    p.add_argument("--max-volume", type=_cap, default=DEFAULT_VOLUME_CAP)
+    p.add_argument("--scan-cap", type=_cap, default=DEFAULT_SCAN_CAP)
     p.set_defaults(fn=cmd_verify_suite)
 
     p = sub.add_parser("search", help="bounded search over cyclic weight groups")
@@ -360,10 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.fn(args)
     except (VolumeTooLargeError, ScanTooLargeError) as exc:
         log.error("%s", exc)
         return EXIT_CAP

@@ -77,7 +77,7 @@ def hstar_from_box_group(group: BoxGroup) -> HStarVector:
     out = [0] * (max(counts) + 1)
     for h, c in counts.items():
         out[h] = c
-    return HStarVector.of(out, dim_context=group.simplex.dimension)
+    return HStarVector.of(out, dim_context=len(group.column_map) - 1)
 
 
 def ehrhart_from_hstar(h: HStarVector, d: int, n: int) -> int:

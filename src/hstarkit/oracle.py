@@ -14,7 +14,8 @@ sum within the dilate, and the last axis only sums interval widths. Rows are
 numpy arrays over 64-bit integers when an exact bound proves no overflow is
 possible; otherwise the same code runs on arbitrary-precision Python
 integers. Counts are exact either way. The scan cap bounds the candidate
-points of the input's bounding box, checked before anything is allocated.
+points of the input's bounding box, or of its model's box when the input is
+lower-dimensional, checked before anything is allocated.
 """
 from __future__ import annotations
 
@@ -45,18 +46,22 @@ class CrossValidation:
 
 @lru_cache(maxsize=4096)
 def _scan(simplex: LatticeSimplex, n: int, scan_cap: int) -> tuple[int, int]:
-    """(closure count, interior count) of the n-th dilate, counted in the
-    Hermite model of the simplex.
+    """(closure count, interior count) of the n-th dilate of any simplex,
+    counted in its Hermite model. The cap counts the candidates of the
+    input's box, or for a lower-dimensional input of its model's box, which
+    is [0, n * spread_j] on axis j since H has no negative entry.
 
     The model is built once per simplex, not once per dilate. A cleared
     scan cache starts cold: its next miss empties the model cache as well,
     so ``_scan.cache_clear()`` resets both.
     """
-    candidates = prod(n * (max(col) - min(col)) + 1 for col in zip(*simplex.vertices))
-    if candidates > scan_cap:
-        raise ScanTooLargeError(candidates, scan_cap, f"oracle scan of dilate {n}")
     if not _scan.cache_info().currsize:
         _model.cache_clear()
+    box = ([max(col) - min(col) for col in zip(*simplex.vertices)]
+           if simplex.is_full_dimensional else _model(simplex)[2])
+    candidates = prod(n * b + 1 for b in box)
+    if candidates > scan_cap:
+        raise ScanTooLargeError(candidates, scan_cap, f"oracle scan of dilate {n}")
     forms, det_h, spread = _model(simplex)
     if not forms:
         return 1, int(n > 0)
@@ -126,30 +131,23 @@ def _count_lifts(forms, total: int, s: int, dtype) -> int:
 
 
 def _expand(first, widths, limit: int):
-    """(row index, coordinate) arrays of at most `limit` entries that
-    together list first[i] .. first[i] + widths[i] - 1 for every row i.
-
-    Rows with at most `limit` values are grouped whole; a wider row is cut
-    into pieces of `limit` values. Nothing larger than `limit` values is
-    allocated.
+    """(row index, coordinate) arrays of between 1 and `limit` entries that
+    together list first[i] .. first[i] + widths[i] - 1 for every row i: the
+    intervals laid end to end, cut into consecutive windows of `limit`
+    entries. Nothing larger than `limit` entries is allocated.
     """
-    clipped = np.minimum(widths, limit + 1).astype(np.int64)
-    for i in np.flatnonzero(clipped > limit):
-        start, stop = first[i], first[i] + widths[i]
-        for lo in range(start, stop, limit):
-            size = min(limit, stop - lo)
-            yield np.full(size, i), lo + np.arange(size).astype(first.dtype)
-    narrow = np.flatnonzero((clipped > 0) & (clipped <= limit))
-    ends = np.cumsum(clipped[narrow])
-    begin, done = 0, 0
-    while begin < len(narrow):
-        stop = int(np.searchsorted(ends, done + limit, side="right"))
-        rows = narrow[begin:stop]
-        sizes = clipped[rows]
-        rep = np.repeat(rows, sizes)
-        offsets = np.arange(len(rep)) - np.repeat(ends[begin:stop] - done - sizes, sizes)
-        yield rep, first[rep] + offsets.astype(first.dtype)
-        begin, done = stop, int(ends[stop - 1])
+    widths = widths.astype(np.int64, copy=False)
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, limit):
+        hi = min(lo + limit, total)
+        # Rows a..b-1 meet [lo, hi): from the first ending past lo to the first reaching hi.
+        a = int(np.searchsorted(ends, lo, side="right"))
+        b = int(np.searchsorted(ends, hi, side="left")) + 1
+        sizes = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
+        rows = np.repeat(np.arange(a, b), sizes)
+        yield rows, first[rows] + (np.arange(lo, hi) - starts[rows]).astype(first.dtype)
 
 
 def count_lattice_points(
@@ -210,14 +208,14 @@ def cross_validate(
     volume_cap: int = DEFAULT_VOLUME_CAP,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> CrossValidation:
-    """Group-enumeration h* against interpolation h*, plus the held-out count."""
-    full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    group = enumerate_box_group(full, volume_cap=volume_cap)
+    """Group-enumeration h* against interpolation h*, plus the held-out count,
+    for any simplex; a lower-dimensional one's scan cap counts its model's box."""
+    group = enumerate_box_group(simplex, volume_cap=volume_cap)
     box_h = hstar_from_box_group(group)
-    oracle_h = hstar_by_interpolation(full, scan_cap)
+    oracle_h = hstar_by_interpolation(simplex, scan_cap)
     match = box_h.coeffs == oracle_h.coeffs
     try:
-        heldout: bool | None = heldout_count_matches(full, box_h, scan_cap)
+        heldout: bool | None = heldout_count_matches(simplex, box_h, scan_cap)
     except ScanTooLargeError:
         heldout = None
     return CrossValidation(box_h, oracle_h, match, heldout)

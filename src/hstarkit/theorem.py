@@ -23,7 +23,7 @@ from .errors import (
     PreconditionNotMetError,
 )
 from .hstar import HStarVector, hstar_from_box_group
-from .simplex import FaceSelector, LatticeSimplex, face, restrict_to_affine_lattice
+from .simplex import FaceSelector, LatticeSimplex, face
 
 
 def _check_k(k: int) -> None:
@@ -248,8 +248,7 @@ def extract_face(
     support can be empty under the hypothesis.
     """
     _check_k(k)
-    full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    group = enumerate_box_group(full, volume_cap=volume_cap)
+    group = enumerate_box_group(simplex, volume_cap=volume_cap)
     h = hstar_from_box_group(group)
     window_ok = check_zero_window(h, k)
     hypothesis_met = window_ok and k >= 3
@@ -264,8 +263,8 @@ def extract_face(
     lemma31 = _support_bound(group, k, low, low_rows)
     lemma32 = _low_subgroup_verdict(group, k, low, low_rows)
     supp = lemma32.support
-    selector = FaceSelector.of(supp if supp else (0,), full.n_vertices)
-    face_simplex = face(full, selector)
+    selector = FaceSelector.of(supp if supp else (0,), simplex.n_vertices)
+    face_simplex = face(simplex, selector)
     face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
     face_h = hstar_from_box_group(face_group)
     truncation = h.truncated(k)
@@ -432,8 +431,10 @@ class ConditionEntry:
 def condition_report(h: HStarVector, dim: int | None = None) -> tuple[ConditionEntry, ...]:
     """All condition verdicts for one vector, as data.
 
-    ``dim`` gates the dimension-indexed checks.
+    ``dim`` gates the dimension-indexed checks; one below the degree is refused.
     """
+    if dim is not None and dim < h.degree:
+        raise InvalidParametersError(f"dimension {dim} is below the degree {h.degree} of h*")
     entries: list[ConditionEntry] = []
 
     def scott_entry(name: str, mode: str, applicable: bool) -> None:

@@ -65,10 +65,9 @@ def _instance_records(
     name: str, doc: SimplexDocument, max_volume: int, scan_cap: int
 ) -> Iterator[Record]:
     simplex = doc.to_simplex()
-    full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    volume = normalized_volume(full)
+    volume = normalized_volume(simplex)
     try:
-        group = enumerate_box_group(full, volume_cap=max_volume)
+        group = enumerate_box_group(simplex, volume_cap=max_volume)
     except VolumeTooLargeError:
         yield _skip(name, "volume-order", f"volume {volume} above --max-volume")
         return
@@ -133,8 +132,8 @@ def _instance_records(
     else:
         yield _skip(name, "group-axioms", f"order above {AXIOM_ORDER_GATE}")
 
-    if group.order <= SCAN_AGREEMENT_GATE and full.ambient_dim <= ORACLE_DIM_GATE:
-        scanned, vol = enumerate_by_box_scan(full, cap=SCAN_AGREEMENT_GATE)
+    if group.order <= SCAN_AGREEMENT_GATE and simplex.dimension <= ORACLE_DIM_GATE:
+        scanned, vol = enumerate_by_box_scan(simplex, cap=SCAN_AGREEMENT_GATE)
         # Both are sorted by (height, coordinates); scanned / vol == rows / q
         # row by row, cross-multiplied (entries stay below 200 * 200 here).
         agree = scanned.shape == rows.shape and bool((scanned * q == rows * vol).all())
@@ -142,21 +141,20 @@ def _instance_records(
     else:
         yield _skip(name, "scan-enumeration-agreement", "order or dimension above gate")
 
-    # The model of the vertex-reversed simplex is a second Hermite form,
-    # independent of `full` whatever the input's dimension.
+    # The model of the vertex-reversed simplex is a second, independent Hermite form.
     reversed_model = restrict_to_affine_lattice(
         LatticeSimplex(simplex.ambient_dim, simplex.vertices[::-1])
     )
     h_reversed = hstar_from_box_group(enumerate_box_group(reversed_model, volume_cap=max_volume))
     yield _ok(name, "restrict-invariance", h_reversed.coeffs == h.coeffs)
 
-    rotated = LatticeSimplex(full.ambient_dim, full.vertices[1:] + full.vertices[:1])
+    rotated = LatticeSimplex(simplex.ambient_dim, simplex.vertices[1:] + simplex.vertices[:1])
     h_rotated = hstar_from_box_group(enumerate_box_group(rotated, volume_cap=max_volume))
     yield _ok(name, "permutation-invariance", h_rotated.coeffs == h.coeffs)
 
-    if full.ambient_dim <= ORACLE_DIM_GATE and group.order <= ORACLE_VOLUME_GATE:
+    if simplex.dimension <= ORACLE_DIM_GATE and group.order <= ORACLE_VOLUME_GATE:
         try:
-            cv = oracle.cross_validate(full, volume_cap=max_volume, scan_cap=scan_cap)
+            cv = oracle.cross_validate(simplex, volume_cap=max_volume, scan_cap=scan_cap)
             yield _ok(
                 name,
                 "oracle-cross-validation",
@@ -178,7 +176,7 @@ def _instance_records(
         yield _skip(name, "heldout-count", "dimension or volume above gate")
 
     try:
-        facts = structural_facts(full, h, scan_cap=scan_cap)
+        facts = structural_facts(simplex, h, scan_cap=scan_cap)
         skipped = [c.name for c in facts.checks if c.skipped]
         yield _ok(name, "structural-facts", facts.ok, {"skipped": skipped})
     except HstarkitError as exc:
@@ -191,9 +189,9 @@ def _instance_records(
     else:
         yield _skip(name, "prime-volume-symmetry", "volume not prime")
 
-    if group.order <= FACE_IDENTIFICATION_GATE and full.n_vertices <= FACE_VERTEX_GATE:
+    if group.order <= FACE_IDENTIFICATION_GATE and simplex.n_vertices <= FACE_VERTEX_GATE:
         mismatch = None
-        for sel, face_simplex in all_faces(full):
+        for sel, face_simplex in all_faces(simplex):
             face_group = enumerate_box_group(face_simplex, volume_cap=max_volume)
             cols = list(sel.indices)
             inside = rows[~np.delete(rows, cols, axis=1).any(axis=1)][:, cols]
@@ -212,7 +210,7 @@ def _instance_records(
         failures = []
         for k in window_ks:
             try:
-                cert = extract_face(full, k, volume_cap=max_volume)
+                cert = extract_face(simplex, k, volume_cap=max_volume)
             except HstarkitError:
                 failures.append(k)
                 continue

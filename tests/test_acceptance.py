@@ -93,12 +93,11 @@ def test_criterion_4_oracle_equivalence_on_corpus(corpus_dir: Path):
     checked = []
     for path in sorted(corpus_dir.glob("*.json")):
         simplex = load_simplex_document(path).to_simplex()
-        full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-        if full.ambient_dim > 5 or normalized_volume(full) > 200:
+        if simplex.dimension > 5 or normalized_volume(simplex) > 200:
             continue
-        cv = cross_validate(full)
+        cv = cross_validate(simplex)
         assert cv.match, path.name
-        assert heldout_count_matches(full, cv.box_hstar), path.name
+        assert heldout_count_matches(simplex, cv.box_hstar), path.name
         checked.append(path.name)
     assert checked
     _report(4, f"oracle equivalence + held-out count on {len(checked)} corpus simplices")
@@ -173,10 +172,9 @@ def test_criterion_8_structural_facts_on_corpus(corpus_dir: Path):
     failures = []
     for path in sorted(corpus_dir.glob("*.json")):
         simplex = load_simplex_document(path).to_simplex()
-        full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-        group = enumerate_box_group(full)
+        group = enumerate_box_group(simplex)
         h = hstar_from_box_group(group)
-        report = structural_facts(full, h)
+        report = structural_facts(simplex, h)
         if not report.ok:  # pragma: no cover - structural_facts raises instead
             failures.append(path.name)
     assert not failures

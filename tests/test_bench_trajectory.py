@@ -236,3 +236,27 @@ def test_failed_extra_makes_the_exit_code_nonzero(tmp_path, monkeypatch):
     assert code == 1
     extras = json.loads((tmp_path / "BENCH_t.json").read_text())["extras"]
     assert all(extras["change"][name]["failed"] == bench.EXTRA_REPEATS for name in bench.EXTRAS)
+
+
+def test_extra_runs_keep_every_repeat_and_which_side_ran_first(tmp_path, monkeypatch):
+    n = bench.EXTRA_REPEATS
+    walls = {("parent", 11): [2.0 + i for i in range(n)], ("change", 11): [1.0 + i for i in range(n)],
+             ("parent", 12): 3.0, ("change", 12): 4.0}
+    monkeypatch.setattr(bench, "run_benchmark",
+                        lambda w, seed, seconds, root=bench.REPO: bench.parse_run(canned_stdout(seed, 1.0)))
+    monkeypatch.setattr(bench, "time_extra", fake_extra([], walls))
+    code = bench.main(["--label", "t", "--seeds", "11-12", "--seconds", "30",
+                       "--workloads", "hstar-large", "--parent", str(tmp_path / "parent"),
+                       "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    for name in bench.EXTRAS:
+        parent, change = (report["extras"][side][name]["runs"] for side in ("parent", "change"))
+        # Seed 11 runs the parent first in its odd turns, seed 12 the change.
+        assert parent[0]["repeats"] == [{"wall_s": 2.0 + i, "ran_first": i % 2 == 0} for i in range(n)]
+        assert change[0]["repeats"] == [{"wall_s": 1.0 + i, "ran_first": i % 2 == 1} for i in range(n)]
+        assert change[1]["repeats"] == [{"wall_s": 4.0, "ran_first": i % 2 == 0} for i in range(n)]
+        assert [run["metrics"]["wall_s"] for run in parent] == [2.0 + n // 2, 3.0]
+        assert [run["seed"] for run in change] == [11, 12]
+    assert set(report["workloads"]["hstar-large"]["runs"][0]) == {
+        "seed", "failed", "attempted", "metrics"}

@@ -135,9 +135,16 @@ class TestEnumeration:
             enumerate_by_box_scan(delta_cm(100, 1), cap=50)
         assert str(info.value) == "box scan: normalized volume 101 exceeds cap 50"
 
-    def test_lower_dimensional_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            enumerate_box_group(from_vertices(2, [(0, 0), (2, 0)]))
+    def test_lower_dimensional_input_enumerates_its_model(self):
+        segment = from_vertices(2, [(0, 0), (2, 0)])
+        g = enumerate_box_group(segment)
+        m = enumerate_box_group(restrict_to_affine_lattice(segment))
+        assert g.invariant_factors == m.invariant_factors and g.order == 2
+        assert g.column_map == m.column_map
+        assert np.array_equal(g.rows(), m.rows()) and np.array_equal(g.heights, m.heights)
+        assert g.rows().tolist() == [[0, 0], [1, 1]]
+        assert hstar_from_box_group(g).dim_context == 1
+        assert not hasattr(g, "simplex")
 
     def test_inverses_exhaustive(self):
         g = enumerate_box_group(prop43_instance(3, 4))

@@ -326,6 +326,28 @@ class TestReportCommands:
         res = run_cli(*command.format(path=path).split())
         assert res.returncode == 2 and res.stdout == ""
 
+    @pytest.mark.parametrize("option", [
+        "hstar {path} --volume-cap 0",
+        "extract-face {path} --k 3 --volume-cap -2",
+        "oracle-verify {path} --scan-cap -1",
+        "oracle-verify {path} --volume-cap 0",
+        "verify-suite --corpus {corpus} --max-volume 0",
+        "verify-suite --corpus {corpus} --scan-cap 0",
+    ])
+    def test_cap_below_one_is_refused_while_parsing(self, run_cli, tmp_path, option):
+        # Every simplex has volume >= 1 and every scan at least one candidate.
+        path = write_doc(tmp_path, "s.json", PROP43_DOC)
+        res = run_cli(*option.format(path=path, corpus=tmp_path).split())
+        assert (res.returncode, res.stdout) == (2, "")
+        assert len(res.stderr.splitlines()) == 1 and "caps must be at least 1" in res.stderr
+
+    def test_cap_of_one_is_accepted(self, run_cli, tmp_path):
+        path = write_doc(tmp_path, "s.json", UNIT_TRIANGLE_DOC)
+        assert run_cli("hstar", str(path), "--volume-cap", "1").returncode == 0
+        res = run_cli("hstar", str(path), "--volume-cap", "one")
+        assert res.returncode == 2
+        assert "argument --volume-cap: invalid int value: 'one'" in res.stderr
+
     def test_scan_cap_exit_code(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
         res = run_cli("oracle-verify", str(path), "--scan-cap", "100")
@@ -693,6 +715,12 @@ class TestCheckConditions:
         payload = json.loads(res.stdout)
         sym = next(e for e in payload["conditions"] if e["name"] == "prime_symmetry")
         assert sym["status"] == "not_realizable"
+
+    @pytest.mark.parametrize("dim", ["1", "-3"])
+    def test_dimension_below_the_degree_is_refused(self, run_cli, dim):
+        res = run_cli("check-conditions", "--hstar", "1,7,1", "--dim", dim)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert f"dimension {dim} is below the degree 2 of h*" in res.stderr
 
     def test_malformed_exit_code(self, run_cli):
         assert run_cli("check-conditions", "--hstar", "2,1").returncode == 2

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import linalg, oracle
-from hstarkit.errors import NotASimplexError, ScanTooLargeError
+from hstarkit.errors import HstarkitError, NotASimplexError, ScanTooLargeError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
-from hstarkit.hstar import ehrhart_from_hstar, hstar_from_box_group
+from hstarkit.hstar import ehrhart_from_hstar, hstar_from_box_group, structural_facts
 from hstarkit.boxgroup import enumerate_box_group, enumerate_by_box_scan
 from hstarkit.oracle import (
     count_interior_points,
@@ -26,6 +26,7 @@ from hstarkit.simplex import (
     normalized_volume,
     restrict_to_affine_lattice,
 )
+from hstarkit.theorem import extract_face
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
 
@@ -74,6 +75,15 @@ class TestCounts:
     def test_scan_cap(self):
         with pytest.raises(ScanTooLargeError):
             count_lattice_points(prop43_instance(3, 4), 5, scan_cap=1000)
+
+    def test_lower_dimensional_cap_counts_the_box_of_its_model(self):
+        # Its own box in Z^11 holds 6**11 candidates at dilate 5.
+        segment = from_vertices(11, [(0,) * 11, (1,) * 11])
+        assert count_lattice_points(segment, 5) == 6
+        assert count_interior_points(segment, 5) == 4
+        with pytest.raises(ScanTooLargeError) as info:
+            count_lattice_points(segment, 5, scan_cap=5)
+        assert str(info.value) == "oracle scan of dilate 5: 6 box candidates exceed scan cap 5"
 
     def test_scan_cap_names_cap_value_and_stage(self):
         simplex = prop43_instance(3, 5)
@@ -425,3 +435,44 @@ class TestCrossValidation:
         from hstarkit.hstar import HStarVector
 
         assert not heldout_count_matches(TRI_VOL2, HStarVector.of([1, 2]))
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except HstarkitError as exc:
+        return type(exc), str(exc)
+
+
+class TestAnySimplex:
+    """A lower-dimensional input gives on every route exactly what its
+    model gives."""
+
+    @given(embedded_simplices(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_input_and_model_agree(self, simplex, k):
+        model = restrict_to_affine_lattice(simplex)
+        assume(normalized_volume(model) <= 100)
+        group, model_group = enumerate_box_group(simplex), enumerate_box_group(model)
+        assert group.invariant_factors == model_group.invariant_factors
+        assert group.column_map == model_group.column_map
+        assert np.array_equal(group.rows(), model_group.rows())
+        assert np.array_equal(group.heights, model_group.heights)
+        assert extract_face(simplex, k) == extract_face(model, k)
+        assert cross_validate(simplex) == cross_validate(model)
+        h = hstar_from_box_group(group)
+        assert outcome(structural_facts, simplex, h) == outcome(structural_facts, model, h)
+        for n in range(simplex.dimension + 3):
+            assert count_lattice_points(simplex, n) == count_lattice_points(model, n)
+            assert count_interior_points(simplex, n) == count_interior_points(model, n)
+        for n in (1, simplex.dimension + 1):
+            # The cap counts the model's box, with the model's message.
+            cap = box_candidates(model, n)
+            errors = []
+            for s in (simplex, model):
+                with pytest.raises(ScanTooLargeError) as info:
+                    count_interior_points(s, n, scan_cap=cap - 1)
+                errors.append((str(info.value), info.value.candidates))
+            assert errors[0] == errors[1] == (errors[1][0], cap)
+            assert count_lattice_points(simplex, n, scan_cap=cap) == count_lattice_points(model, n)

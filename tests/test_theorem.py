@@ -494,6 +494,14 @@ class TestConditionReport:
         entries = {e.name: e for e in condition_report(H([1, 0, 3, 2]), dim=3)}
         assert entries["eq1"].status == "fails"  # not a real h*, checker reports data
 
+    def test_dimension_below_the_degree_is_refused(self):
+        # A d-simplex has at most d + 1 coefficients.
+        for dim in (1, 0, -3):
+            with pytest.raises(InvalidParametersError, match=f"dimension {dim} is below"):
+                condition_report(H([1, 7, 1]), dim=dim)
+        assert condition_report(H([1, 7, 1]), dim=2)
+        assert condition_report(H([1]), dim=0)
+
 
 @given(st.lists(st.integers(0, 5), min_size=0, max_size=6), st.integers(1, 4))
 @settings(max_examples=80, deadline=None)

@@ -48,8 +48,7 @@ def reference_verdicts(doc: SimplexDocument) -> dict:
     """The four group invariants computed element by element on ``BoxPoint``s
     with ``add``/``neg``: the reference the residue-array checks must match."""
     simplex = doc.to_simplex()
-    full = simplex if simplex.is_full_dimensional else restrict_to_affine_lattice(simplex)
-    group = enumerate_box_group(full)
+    group = enumerate_box_group(simplex)
     els = group.elements
     members = set(els)
     out = {}
@@ -81,9 +80,9 @@ def reference_verdicts(doc: SimplexDocument) -> dict:
         out["group-axioms"] = ("pass" if all(detail.values()) else "fail", detail)
     else:
         out["group-axioms"] = ("skip", {"reason": f"order above {verify.AXIOM_ORDER_GATE}"})
-    if group.order <= verify.FACE_IDENTIFICATION_GATE and full.n_vertices <= verify.FACE_VERTEX_GATE:
+    if group.order <= verify.FACE_IDENTIFICATION_GATE and simplex.n_vertices <= verify.FACE_VERTEX_GATE:
         mismatch = None
-        for sel, face_simplex in all_faces(full):
+        for sel, face_simplex in all_faces(simplex):
             got = {p.coords for p in enumerate_box_group(face_simplex).elements}
             want = {
                 tuple(p.coords[i] for i in sel.indices)
