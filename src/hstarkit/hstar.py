@@ -121,7 +121,7 @@ def structural_facts(
 
     Verified: h_1 = |P| - (d+1); h_i = interior count of the (d+1-i)-dilate
     for degree <= i <= d (so in particular h_d = interior count of P);
-    h_1 >= h_d; nonnegativity; and, when h_d > 0, h_i >= h_1 for
+    h_1 >= h_d when d >= 1; nonnegativity; and, when h_d > 0, h_i >= h_1 for
     1 <= i <= d - 1. These are theorems, so any failure raises
     InternalCheckError; counts whose scan exceeds the cap are recorded as
     skipped.
@@ -152,10 +152,11 @@ def structural_facts(
         if inner is not None:
             checks.append(FactCheck(name, h.coefficient(i), inner, ok=h.coefficient(i) == inner))
     hd = h.coefficient(d)
-    checks.append(
-        FactCheck("linear-coefficient-dominates-top", h.coefficient(1), hd,
-                  ok=h.coefficient(1) >= hd)
-    )
+    if d >= 1:  # for a point, h_d = h_0 = 1 and h_1 = 0
+        checks.append(
+            FactCheck("linear-coefficient-dominates-top", h.coefficient(1), hd,
+                      ok=h.coefficient(1) >= hd)
+        )
     checks.append(
         FactCheck("nonnegative", min(h.coeffs), 0, ok=min(h.coeffs) >= 0)
     )

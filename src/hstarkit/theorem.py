@@ -1,13 +1,13 @@
-"""Face extraction from a zero window, with its supporting certificates, and
-the classical condition checkers on h*-vectors.
+"""Face extraction from a zero window, certified, and the classical
+condition checkers on h*-vectors.
 
 The central construction: when the coefficients h_{k+1}, ..., h_{2k} of a
 lattice simplex all vanish, the elements of height at most k form a subgroup
 of the fractional-weight group whose support selects a face realizing
 exactly the truncated h*-polynomial. ``extract_face`` carries that out and
-returns a certificate with every intermediate verdict; the checkers at the
-bottom evaluate published realizability conditions on bare coefficient
-vectors.
+returns one certificate that records the window, both lemmas' verdicts and
+the face; the checkers at the bottom evaluate published realizability
+conditions on bare coefficient vectors.
 """
 from __future__ import annotations
 
@@ -39,150 +39,45 @@ def check_zero_window(h: HStarVector, k: int) -> bool:
     return all(h.coefficient(i) == 0 for i in range(k + 1, 2 * k + 1))
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    zero_ok: bool
-    neg_ok: bool
-    add_ok: bool
-    exhaustive: bool
-    witness: tuple[BoxPoint, BoxPoint] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.zero_ok and self.neg_ok and self.add_ok
-
-
 def _lex_sorted(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _closure_check(rows: np.ndarray, group: BoxGroup) -> ClosureResult:
+def _is_subgroup(rows: np.ndarray, group: BoxGroup) -> bool:
     """Is the set S of the given residue rows (distinct elements of the
     group, over its exponent) a subgroup?
 
-    Negation and translation are injective, so -S and S + g lie in S
-    exactly when their sorted rows equal those of S. Addition is checked
-    through generators picked greedily from S in row order: a row not yet
-    in the span H of the earlier generators becomes the next one, once
-    S + g equals S. Every row then lies in the final H, so S + S lies in
-    S + H = S; a failure yields a witness pair (a, g) of S with a + g
-    outside S. Checking before growing keeps H inside S, and each generator
-    at least doubles H, so at most 2 + log2 |S| sorts of |S| rows replace a
-    sweep over all |S|^2 pairs. When S is the whole group, addition closure
-    holds by construction of the enumeration and is not checked.
+    A nonempty finite subset of a group that is closed under addition is a
+    subgroup, so only addition is checked; the empty set is not one, and
+    the whole group is one by construction of the enumeration. Translation
+    is injective, so S + g lies in S exactly when its sorted rows equal
+    those of S. Closure is checked through generators picked greedily from
+    S in row order: a row not yet in the span H of the earlier generators
+    becomes the next one, once S + g equals S. Every row then lies in the
+    final H, so S + S lies in S + H = S. Checking before growing keeps H
+    inside S, and each generator at least doubles H, so at most
+    1 + log2 |S| sorts of |S| rows replace a sweep over all |S|^2 pairs.
     """
+    if len(rows) == 0:
+        return False
+    if len(rows) == group.order:
+        return True
     q = group.exponent
     ordered = _lex_sorted(rows)
-    zero_ok = bool((rows == 0).all(axis=1).any())
-    neg_ok = np.array_equal(_lex_sorted((-rows) % q), ordered)
-    if len(rows) == group.order:
-        return ClosureResult(zero_ok, neg_ok, True, exhaustive=False)
     span = {(0,) * rows.shape[1]}
     for g in map(tuple, rows.tolist()):
         if g in span:
             continue
         shift = np.array(g, dtype=rows.dtype)
-        shifted = (rows + shift) % q
-        if not np.array_equal(_lex_sorted(shifted), ordered):
-            members = set(map(tuple, rows.tolist()))
-            a = next(a for a, s in zip(rows.tolist(), shifted.tolist()) if tuple(s) not in members)
-            witness = (BoxPoint.from_scaled(a, q), BoxPoint.from_scaled(g, q))
-            return ClosureResult(zero_ok, neg_ok, False, exhaustive=True, witness=witness)
+        if not np.array_equal(_lex_sorted((rows + shift) % q), ordered):
+            return False
         # H + <g> is the union of the cosets H + m*g up to the first m*g in H.
         base = np.array(list(span), dtype=rows.dtype)
         step = shift
         while tuple(step.tolist()) not in span:
             span.update(map(tuple, ((base + step) % q).tolist()))
             step = (step + shift) % q
-    return ClosureResult(zero_ok, neg_ok, True, exhaustive=True)
-
-
-@dataclass(frozen=True)
-class SupportBoundVerdict:
-    """Outcome of the per-element support bound |supp(a)| <= k + heit(a)."""
-
-    ok: bool
-    checked: int
-    first_violation: BoxPoint | None = None
-
-
-def _require_window(group: BoxGroup, k: int) -> HStarVector:
-    h = hstar_from_box_group(group)
-    if not check_zero_window(h, k):
-        raise HypothesisNotMetError(
-            f"coefficients {k + 1}..{2 * k} of {h.coeffs} are not all zero"
-        )
-    return h
-
-
-def _support_bound(
-    group: BoxGroup, k: int, low: np.ndarray, rows: np.ndarray
-) -> SupportBoundVerdict:
-    """Lemma 3.1's bound, checked on every row of height at most k: ``low``
-    is their mask and ``rows`` their residues."""
-    bad = np.flatnonzero((rows > 0).sum(axis=1) > k + group.heights[low])
-    if bad.size:
-        first = int(bad[0])
-        point = BoxPoint.from_scaled(rows[first].tolist(), group.exponent)
-        return SupportBoundVerdict(False, first + 1, point)
-    return SupportBoundVerdict(True, len(rows))
-
-
-def verify_lemma31(group: BoxGroup, k: int) -> SupportBoundVerdict:
-    """Support bound for every element of height at most k.
-
-    Requires the zero window to hold; under that hypothesis the bound is a
-    proved fact, so a reported violation means the implementation is broken.
-    """
-    _require_window(group, k)
-    low = group.heights <= k
-    return _support_bound(group, k, low, group.rows(low))
-
-
-@dataclass(frozen=True)
-class LowSubgroupVerdict:
-    subgroup_ok: bool
-    closure_exhaustive: bool
-    support: tuple[int, ...]
-    support_size: int
-    bound: int
-    support_bound_ok: bool
-    max_height: int
-    sharp_bound: int
-    sharp_bound_ok: bool
-
-
-def _low_subgroup_verdict(
-    group: BoxGroup, k: int, low: np.ndarray, rows: np.ndarray
-) -> LowSubgroupVerdict:
-    """Lemma 3.2's subgroup and support-size bounds on the rows of height
-    at most k: ``low`` is their mask and ``rows`` their residues."""
-    closure = _closure_check(rows, group)
-    supp = tuple(np.flatnonzero((rows > 0).any(axis=0)).tolist())
-    s = int(group.heights[low].max(initial=0))
-    return LowSubgroupVerdict(
-        subgroup_ok=closure.ok,
-        closure_exhaustive=closure.exhaustive,
-        support=supp,
-        support_size=len(supp),
-        bound=4 * k - 1,
-        support_bound_ok=len(supp) <= 4 * k - 1,
-        max_height=s,
-        sharp_bound=4 * s - 1,
-        sharp_bound_ok=len(supp) <= 4 * s - 1 or not supp,
-    )
-
-
-def verify_lemma32(group: BoxGroup, k: int) -> LowSubgroupVerdict:
-    """Subgroup and support-size bounds for the height-<=k elements.
-
-    Checks closure under addition and negation, the bound
-    |supp| <= 4k - 1, and the sharper bound 4s - 1 where s is the largest
-    height occurring among the low elements.
-    """
-    _require_window(group, k)
-    low = group.heights <= k
-    return _low_subgroup_verdict(group, k, low, group.rows(low))
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +89,13 @@ class ExtractionCertificate:
     ``lambda_prime_points`` builds them as ``BoxPoint``s. Equality compares
     every field, L' row by row.
 
-    ``hstar_match`` states that the extracted face's h*-polynomial equals
-    the truncation of the input's h* at degree k; when the hypothesis
-    (window plus k >= 3) held, a certificate can only be returned with
-    hstar_match true.
+    ``lemma31_ok`` states Lemma 3.1's bound |supp(a)| <= k + heit(a) for
+    every a in L'; ``subgroup_ok`` that L' is a subgroup and
+    ``support_bound_ok`` that its ``support`` has at most 4k - 1 vertices
+    (Lemma 3.2). ``hstar_match`` states that the extracted face's
+    h*-polynomial equals the truncation of the input's h* at degree k. When
+    the hypothesis (window plus k >= 3) held, a certificate can only be
+    returned with all four true.
     """
 
     k: int
@@ -260,9 +158,13 @@ def extract_face(
     low = group.heights <= k
     low_rows = group.rows(low)
     low_rows.flags.writeable = False
-    lemma31 = _support_bound(group, k, low, low_rows)
-    lemma32 = _low_subgroup_verdict(group, k, low, low_rows)
-    supp = lemma32.support
+    # Lemma 3.1 bounds the support of each element of L'; Lemma 3.2 makes L'
+    # a subgroup whose support has at most 4k - 1 vertices.
+    positive = low_rows > 0
+    lemma31_ok = bool((positive.sum(axis=1) <= k + group.heights[low]).all())
+    subgroup_ok = _is_subgroup(low_rows, group)
+    supp = tuple(np.flatnonzero(positive.any(axis=0)).tolist())
+    support_bound_ok = len(supp) <= 4 * k - 1
     selector = FaceSelector.of(supp if supp else (0,), simplex.n_vertices)
     face_simplex = face(simplex, selector)
     face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
@@ -281,14 +183,12 @@ def extract_face(
         face_selector=selector,
         face_hstar=face_h,
         truncation=truncation,
-        lemma31_ok=lemma31.ok,
-        subgroup_ok=lemma32.subgroup_ok,
-        support_bound_ok=lemma32.support_bound_ok,
+        lemma31_ok=lemma31_ok,
+        subgroup_ok=subgroup_ok,
+        support_bound_ok=support_bound_ok,
         hstar_match=hstar_match,
     )
-    if hypothesis_met and not (
-        hstar_match and lemma32.subgroup_ok and lemma32.support_bound_ok and lemma31.ok
-    ):
+    if hypothesis_met and not (hstar_match and subgroup_ok and support_bound_ok and lemma31_ok):
         raise InternalCheckError(
             f"face extraction failed under a true hypothesis: {certificate}"
         )

@@ -749,6 +749,15 @@ class TestVerifySuite:
     def test_empty_dir_exit_code(self, run_cli, tmp_path):
         assert run_cli("verify-suite", "--corpus", str(tmp_path)).returncode == 2
 
+    def test_point_passes(self, run_cli, tmp_path):
+        (tmp_path / "point.json").write_text(run_cli("gen", "unit", "--dim", "0").stdout)
+        res = run_cli("verify-suite", "--corpus", str(tmp_path))
+        assert res.returncode == 0, res.stdout
+        lines = [json.loads(line) for line in res.stdout.splitlines()]
+        assert {r["status"] for r in lines} == {"pass", "skip"}
+        facts = next(r for r in lines if r["invariant"] == "structural-facts")
+        assert facts["status"] == "pass"
+
 
 # sha256 of `hstarkit search <args>` stdout and its exit code, computed before
 # `realize_cyclic_group` compared residue arrays: every hit of each run.

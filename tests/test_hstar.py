@@ -152,6 +152,15 @@ class TestStructuralFacts:
         # top coefficient equals the interior count of the first dilate: zero
         assert by_name["interior-count-dilate-1"].rhs == 0
 
+    @pytest.mark.parametrize(
+        "point", [unit_simplex(0), from_vertices(3, [(2, -1, 5)])], ids=["Z^0", "Z^3"]
+    )
+    def test_point(self, point):
+        # h_1 >= h_d needs d >= 1: a point has h_0 = 1 and h_1 = 0.
+        report = structural_facts(point, hstar_from_box_group(enumerate_box_group(point)))
+        assert report.ok and not any(c.skipped for c in report.checks)
+        assert "linear-coefficient-dominates-top" not in {c.name for c in report.checks}
+
     def test_wrong_vector_aborts(self):
         s = unit_simplex(2)
         with pytest.raises(InternalCheckError):

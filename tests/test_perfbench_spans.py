@@ -1,13 +1,16 @@
 """The benchmark traces library functions by ``module.function`` name. A
 name that no longer resolves breaks traced benchmark runs, so it is checked
-here, reading the worker's tuples without importing or running it."""
+here, reading the worker's tuples without importing or running it. The
+benchmark's own tests also lean on a few anchors in the package, which are
+checked here too, since those tests are not run with this suite."""
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
-WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+REPO = Path(__file__).resolve().parent.parent
+WORKER = REPO / "perfbench" / "worker.py"
 
 
 def _traced_names() -> list[str]:
@@ -33,3 +36,17 @@ def test_worker_declares_spans_and_counted():
 def test_traced_name_resolves(name):
     module, function = name.split(".")
     assert callable(getattr(importlib.import_module(f"hstarkit.{module}"), function))
+
+
+def test_anchors_of_the_benchmark_tests():
+    from hstarkit import boxgroup, families, verify
+    from hstarkit.boxgroup import BoxPoint
+
+    # The wrong-h* test patches this exact line of a copied hstar.py.
+    hstar = (REPO / "src" / "hstarkit" / "hstar.py").read_text(encoding="utf-8")
+    assert "        out[h] = c\n" in hstar
+    # The tracer test calls boxgroup.add through verify's name for it, on
+    # elements got by iterating a group.
+    assert verify.add is boxgroup.add
+    elements = list(boxgroup.enumerate_box_group(families.delta_cm(2, 2)))
+    assert len(elements) == 3 and all(isinstance(p, BoxPoint) for p in elements)

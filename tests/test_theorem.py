@@ -1,8 +1,9 @@
 import dataclasses
 import math
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import oracle, theorem, verify
@@ -16,9 +17,7 @@ from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex,
 from hstarkit.hstar import HStarVector, hstar_from_box_group
 from hstarkit.io import SimplexDocument
 from hstarkit.theorem import (
-    _closure_check,
-    _low_subgroup_verdict,
-    _support_bound,
+    _is_subgroup,
     check_lemma_hhh,
     check_scott,
     check_shifted_symmetric,
@@ -27,8 +26,6 @@ from hstarkit.theorem import (
     extract_face,
     is_prime,
     prime_volume_obstruction,
-    verify_lemma31,
-    verify_lemma32,
 )
 
 from conftest import with_rows
@@ -76,44 +73,34 @@ class TestLowSubgroup:
 
 class TestSupportBound:
     def test_unit_vacuous(self):
-        verdict = verify_lemma31(enumerate_box_group(unit_simplex(4)), 3)
-        assert verdict.ok and verdict.checked == 1
+        cert = extract_face(unit_simplex(4), 3)
+        assert cert.lemma31_ok and len(cert.lambda_prime) == 1
 
     def test_delta23_join_point(self):
-        g = enumerate_box_group(join(delta_cm(2, 3), unit_simplex(0)))
-        verdict = verify_lemma31(g, 3)
-        assert verdict.ok
-        for p in g.elements:
+        s = join(delta_cm(2, 3), unit_simplex(0))
+        assert extract_face(s, 3).lemma31_ok
+        for p in enumerate_box_group(s).elements:
             if not p.is_zero():
                 assert p.height == 3 and p.support_size == 6
-
-    def test_hypothesis_gate(self):
-        g = enumerate_box_group(prop43_instance(3, 4))
-        with pytest.raises(HypothesisNotMetError):
-            verify_lemma31(g, 3)
 
 
 class TestLowSubgroupVerdict:
     def test_unit(self):
-        v = verify_lemma32(enumerate_box_group(unit_simplex(3)), 3)
-        assert v.subgroup_ok and v.support == () and v.support_bound_ok
+        cert = extract_face(unit_simplex(3), 3)
+        assert cert.subgroup_ok and cert.support == () and cert.support_bound_ok
 
     def test_delta23_join_point(self):
-        v = verify_lemma32(enumerate_box_group(join(delta_cm(2, 3), unit_simplex(0))), 3)
-        assert v.subgroup_ok
-        assert v.support_size == 6 and v.bound == 11 and v.support_bound_ok
-        assert v.max_height == 3 and v.sharp_bound == 11 and v.sharp_bound_ok
+        cert = extract_face(join(delta_cm(2, 3), unit_simplex(0)), 3)
+        assert cert.subgroup_ok and cert.support_bound_ok
+        assert len(cert.support) == 6 <= 4 * 3 - 1
+        assert max(p.height for p in cert.lambda_prime_points()) == 3
 
     @pytest.mark.parametrize("c", range(1, 11))
     @pytest.mark.parametrize("k", [3, 4])
     def test_delta_family_bounds(self, c, k):
-        v = verify_lemma32(enumerate_box_group(delta_cm(c, k)), k)
-        assert v.subgroup_ok and v.support_size == 2 * k <= 4 * k - 1
-
-    def test_hypothesis_gate(self):
-        g = enumerate_box_group(remark44_simplex(2))
-        with pytest.raises(HypothesisNotMetError):
-            verify_lemma32(g, 2)
+        cert = extract_face(delta_cm(c, k), k)
+        assert cert.subgroup_ok and cert.support_bound_ok
+        assert len(cert.support) == 2 * k <= 4 * k - 1
 
 
 LEMMA_SIMPLICES = [
@@ -122,26 +109,21 @@ LEMMA_SIMPLICES = [
     join(delta_cm(3, 3), delta_cm(2, 7)),
     join(delta_cm(4, 3), delta_cm(4, 2)),
     join(delta_cm(2, 3), unit_simplex(0)),
+    join(delta_cm(1, 1), delta_cm(1, 1)),  # at k = 1, L' spans all 4 > 4k - 1 vertices
 ]
 
 
 class TestLemmaHelpersMatchElementLoops:
-    """The array checks against the per-element definitions, with and without
-    the zero window (the helpers run in permissive extraction too)."""
+    """The lemma verdicts of a permissive extraction against the
+    per-element definitions, with and without the zero window."""
 
     @pytest.mark.parametrize("simplex", LEMMA_SIMPLICES)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_support_bound(self, simplex, k):
-        g = enumerate_box_group(simplex)
-        low = [p for p in g.elements if p.height <= k]
-        bad = [i for i, p in enumerate(low) if p.support_size > k + p.height]
-        verdict = _support_bound(g, k, g.heights <= k, g.rows(g.heights <= k))
-        assert verdict.ok == (not bad)
-        if bad:
-            assert verdict.checked == bad[0] + 1
-            assert verdict.first_violation == low[bad[0]]
-        else:
-            assert verdict.checked == len(low) and verdict.first_violation is None
+        low = [p for p in enumerate_box_group(simplex).elements if p.height <= k]
+        cert = extract_face(simplex, k)
+        assert cert.lambda_prime_points() == tuple(low)
+        assert cert.lemma31_ok == all(p.support_size <= k + p.height for p in low)
 
     @pytest.mark.parametrize("simplex", LEMMA_SIMPLICES)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -150,11 +132,10 @@ class TestLemmaHelpersMatchElementLoops:
         low = set(p for p in g.elements if p.height <= k)
         closed = all(add(a, b) in low for a in low for b in low)
         supp = tuple(sorted({i for p in low for i in p.support}))
-        v = _low_subgroup_verdict(g, k, g.heights <= k, g.rows(g.heights <= k))
-        assert v.subgroup_ok == (closed and all(neg(a) in low for a in low))
-        assert v.closure_exhaustive == (len(low) < g.order)
-        assert v.support == supp and v.support_size == len(supp)
-        assert v.max_height == max(p.height for p in low)
+        cert = extract_face(simplex, k)
+        assert cert.subgroup_ok == (closed and all(neg(a) in low for a in low))
+        assert cert.support == supp
+        assert cert.support_bound_ok == (len(supp) <= 4 * k - 1)
 
 
 def _generated(points, zero):
@@ -183,43 +164,63 @@ CLOSURE_GROUPS += [
 ]
 
 
+def _indices(group, points):
+    return {group.elements.index(p) for p in points}
+
+
+def _zero_g_neg_g(group):
+    """{0, g, -g} for the first nonzero g: closed under negation, and not
+    under addition when g has order 5."""
+    g = next(p for p in group.elements if not p.is_zero())
+    return _indices(group, {group.zero, g, neg(g)})
+
+
 def test_closure_groups_cover_non_cyclic_and_object_rows():
     assert all(g.order <= 60 for g in CLOSURE_GROUPS)
     assert sorted(sum(1 for d in g.invariant_factors if d > 1) for g in CLOSURE_GROUPS)[-1] == 3
     assert any(g.rows().dtype == object for g in CLOSURE_GROUPS)
 
 
-def test_closure_check_sorts_once_per_generator(monkeypatch):
+def test_is_subgroup_sorts_once_per_generator(monkeypatch):
     g = enumerate_box_group(join(delta_cm(2999, 3), delta_cm(1, 7)))
     rows = g.rows(g.heights <= 3)
     sorts = []
     real = theorem._lex_sorted
     monkeypatch.setattr(theorem, "_lex_sorted", lambda a: sorts.append(len(a)) or real(a))
-    assert _closure_check(rows, g).ok
-    # S and -S, then one S + g per generator; each generator doubles the span
-    assert len(rows) == 3000 and len(sorts) <= 2 + math.log2(3000)
+    assert _is_subgroup(rows, g)
+    # S once, then one S + g per generator; each generator doubles the span
+    assert len(rows) == 3000 and len(sorts) <= 1 + math.log2(3000)
 
 
-@given(st.data())
+@given(
+    st.sampled_from(CLOSURE_GROUPS),
+    st.sets(st.integers(0, 59)),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@example(CLOSURE_GROUPS[0], set(), False, Random(0))
+@example(CLOSURE_GROUPS[6], set(), False, Random(0))
+@example(CLOSURE_GROUPS[0], _indices(CLOSURE_GROUPS[0], {CLOSURE_GROUPS[0].zero}), False, Random(0))
+@example(CLOSURE_GROUPS[7], _indices(CLOSURE_GROUPS[7], {CLOSURE_GROUPS[7].zero}), False, Random(0))
+@example(CLOSURE_GROUPS[1], set(range(60)), False, Random(0))
+@example(CLOSURE_GROUPS[7], set(range(60)), False, Random(1))
+@example(CLOSURE_GROUPS[2], _zero_g_neg_g(CLOSURE_GROUPS[2]), False, Random(0))
+@example(CLOSURE_GROUPS[8], _zero_g_neg_g(CLOSURE_GROUPS[8]), False, Random(2))
 @settings(max_examples=300, deadline=None)
-def test_closure_check_matches_pair_sweep(data):
-    group = data.draw(st.sampled_from(CLOSURE_GROUPS))
+def test_is_subgroup_matches_pair_sweep(group, indices, generate, rng):
+    # Indices past the order wrap, so a set of all 60 picks the whole group.
     elements = group.elements
-    picked = {elements[i] for i in data.draw(st.sets(st.integers(0, group.order - 1)))}
-    if data.draw(st.booleans()):
+    picked = {elements[i % group.order] for i in indices}
+    if generate:
         picked = _generated(picked, group.zero)
-    rows = data.draw(st.permutations([i for i, p in enumerate(elements) if p in picked]))
-    result = _closure_check(group.rows(rows), group)
-    add_ok = all(add(a, b) in picked for a in picked for b in picked)
-    assert result.add_ok == add_ok
-    assert result.zero_ok == (group.zero in picked)
-    assert result.neg_ok == all(neg(a) in picked for a in picked)
-    assert result.ok == (result.add_ok and result.zero_ok and result.neg_ok)
-    if add_ok:
-        assert result.witness is None
-    else:
-        a, g = result.witness
-        assert a in picked and g in picked and add(a, g) not in picked
+    rows = [i for i, p in enumerate(elements) if p in picked]
+    rng.shuffle(rows)
+    subgroup = (
+        group.zero in picked
+        and all(neg(a) in picked for a in picked)
+        and all(add(a, b) in picked for a in picked for b in picked)
+    )
+    assert _is_subgroup(group.rows(rows), group) == subgroup
 
 
 class TestExtractFace:
