@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import math
 from random import Random
 
@@ -15,7 +17,7 @@ from hstarkit.errors import (
 )
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import HStarVector, hstar_from_box_group
-from hstarkit.io import SimplexDocument
+from hstarkit.io import SimplexDocument, canonical_dumps
 from hstarkit.theorem import (
     _is_subgroup,
     check_lemma_hhh,
@@ -502,6 +504,29 @@ class TestConditionReport:
                 condition_report(H([1, 7, 1]), dim=dim)
         assert condition_report(H([1, 7, 1]), dim=2)
         assert condition_report(H([1]), dim=0)
+
+    def test_report_grid_pin(self):
+        # Every h* of degree <= 5 with coefficients <= 4, and the shape grid
+        # 1 + t^i + v t^j, each without a dimension and at every dimension
+        # from max(1, degree) to degree + 3, as canonical JSON.
+        vectors = {H((1,) + tail) for tail in itertools.product(range(5), repeat=5)}
+        for i in range(1, 7):
+            for j in range(i + 1, 10):
+                for v in range(31):
+                    coeffs = [1] + [0] * j
+                    coeffs[i] += 1
+                    coeffs[j] += v
+                    vectors.add(H(coeffs))
+        digest = hashlib.sha256()
+        reports = 0
+        for h in sorted(vectors, key=lambda h: (len(h.coeffs), h.coeffs)):
+            for dim in (None, *range(max(1, h.degree), h.degree + 4)):
+                entries = condition_report(h, dim)
+                payload = [[e.name, e.status, e.detail] for e in entries]
+                digest.update(canonical_dumps([list(h.coeffs), dim, payload]).encode())
+                reports += 1
+        assert reports == 20379
+        assert digest.hexdigest() == "009e55f7634787c9ac55a0bb5e47ae4a974873f6959a6f4c291b269e08902cc2"
 
 
 @given(st.lists(st.integers(0, 5), min_size=0, max_size=6), st.integers(1, 4))
