@@ -55,10 +55,6 @@ class InvalidParametersError(HstarkitError):
     """Family generator called with parameters outside its documented range."""
 
 
-class PreconditionNotMetError(HstarkitError):
-    """A condition checker was applied outside its applicability gate."""
-
-
 class InternalCheckError(HstarkitError):
     """A proved identity failed on computed data; indicates a bug."""
 

@@ -80,17 +80,16 @@ def prop43_instance(k: int, j: int, p: int = 5) -> LatticeSimplex:
     j = k + 1 with k >= 4, join(delta_cm(1, 2), delta_cm(p-2, k-1)); and for
     j = k + 1 with k = 3, the explicit five-dimensional simplex
     conv(0, e_1, ..., e_4, e_1 + 4 e_2 + 7 e_3 + 8 e_4 + 9 e_5) with
-    h* = 1 + 2 t^2 + 4 t^3 + 2 t^4.
+    h* = 1 + 2 t^2 + 4 t^3 + 2 t^4. That last simplex does not use p, which
+    is still checked.
     """
     if k < 3 or not (k + 1 <= j <= 2 * k - 1):
         raise InvalidParametersError("need k >= 3 and k+1 <= j <= 2k-1")
+    if p < 5 or not is_prime(p):
+        raise InvalidParametersError("p must be a prime >= 5")
     if j >= k + 2:
-        if p < 5 or not is_prime(p):
-            raise InvalidParametersError("p must be a prime >= 5")
         return lemma41_simplex(1, p - 2, j - k, k)
     if k >= 4:
-        if p < 5 or not is_prime(p):
-            raise InvalidParametersError("p must be a prime >= 5")
         return lemma41_simplex(1, p - 2, 2, k - 1)
     return from_vertices(
         5,

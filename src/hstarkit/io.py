@@ -8,6 +8,7 @@ order, compact separators, newline-terminated UTF-8.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -22,6 +23,7 @@ _SAFE = 2**53 - 1
 # Pieces this short pass any digit limit the interpreter allows (>= 640).
 _PIECE = 10**600
 _ECHO_CHARS = 40
+_INT_STRING = re.compile(r"-?[0-9]+")
 
 
 def _decimal(value: int) -> str:
@@ -54,16 +56,18 @@ def decode_int(value: Any) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        # Only the form encode_int writes: int() would also take "1_0", " 7 ",
+        # "+5" and non-ASCII digits.
+        if not _INT_STRING.fullmatch(value):
+            raise DocumentError(f"not an integer string: {_echo(value)}")
         try:
             return int(value, 10)
         except ValueError as exc:
             # The limit stays: it guards untrusted JSON against slow conversion.
             limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and len(value) > limit:
-                raise DocumentError(
-                    f"integer string longer than the {limit}-digit limit: {_echo(value)}"
-                ) from exc
-            raise DocumentError(f"not an integer string: {_echo(value)}") from exc
+            raise DocumentError(
+                f"integer string longer than the {limit}-digit limit: {_echo(value)}"
+            ) from exc
     raise DocumentError(f"expected integer, got {_echo(value)}")
 
 

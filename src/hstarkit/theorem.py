@@ -1,13 +1,14 @@
 """Face extraction from a zero window, certified, and the classical
-condition checkers on h*-vectors.
+realizability conditions on h*-vectors.
 
 The central construction: when the coefficients h_{k+1}, ..., h_{2k} of a
 lattice simplex all vanish, the elements of height at most k form a subgroup
 of the fractional-weight group whose support selects a face realizing
 exactly the truncated h*-polynomial. ``extract_face`` carries that out and
 returns one certificate that records the window, both lemmas' verdicts and
-the face; the checkers at the bottom evaluate published realizability
-conditions on bare coefficient vectors.
+the face. ``condition_report`` evaluates the published realizability
+conditions on a bare coefficient vector, one ``ConditionEntry`` per
+condition.
 """
 from __future__ import annotations
 
@@ -16,12 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .boxgroup import DEFAULT_VOLUME_CAP, BoxGroup, BoxPoint, enumerate_box_group
-from .errors import (
-    HypothesisNotMetError,
-    InternalCheckError,
-    InvalidParametersError,
-    PreconditionNotMetError,
-)
+from .errors import HypothesisNotMetError, InternalCheckError, InvalidParametersError
 from .hstar import HStarVector, hstar_from_box_group
 from .simplex import FaceSelector, LatticeSimplex, face
 
@@ -196,48 +192,7 @@ def extract_face(
 
 
 # ---------------------------------------------------------------------------
-# Condition checkers on bare coefficient vectors.
-
-
-@dataclass(frozen=True)
-class ScottVerdict:
-    mode: str
-    satisfied_via: int | None
-    h1: int
-    h2: int
-
-    @property
-    def ok(self) -> bool:
-        return self.satisfied_via is not None
-
-
-SCOTT_MODES = ("dimension2", "degree2", "universal")
-
-
-def check_scott(h: HStarVector, mode: str) -> ScottVerdict:
-    """The three-way quadratic bound on (h_1, h_2).
-
-    dimension2: the polygon version, requiring at most three coefficients
-    and including the lower bound h_2 <= h_1 in its middle condition.
-    degree2: the degree-at-most-two version (no lower bound).
-    universal: applies to any vector with h_3 = 0.
-    Returns the first satisfied condition (1), (2) or (3), or None.
-    """
-    if mode not in SCOTT_MODES:
-        raise InvalidParametersError(f"unknown mode {mode!r}")
-    if mode in ("dimension2", "degree2") and h.degree > 2:
-        raise PreconditionNotMetError(f"{mode} mode needs at most 3 coefficients")
-    if mode == "universal" and h.coefficient(3) != 0:
-        raise PreconditionNotMetError("universal mode requires h_3 = 0")
-    h1, h2 = h.coefficient(1), h.coefficient(2)
-    via = None
-    if h2 == 0:
-        via = 1
-    elif (h2 <= h1 if mode == "dimension2" else True) and h1 <= 3 * h2 + 3:
-        via = 2
-    elif h1 == 7 and h2 == 1:
-        via = 3
-    return ScottVerdict(mode, via, h1, h2)
+# Condition checks on bare coefficient vectors.
 
 
 def is_prime(n: int) -> bool:
@@ -256,69 +211,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HhhVerdict:
-    status: str  # "NOT_REALIZABLE" | "INCONCLUSIVE"
-    i: int | None = None
-    j: int | None = None
-    p: int | None = None
-
-    @property
-    def not_realizable(self) -> bool:
-        return self.status == "NOT_REALIZABLE"
-
-
-def check_lemma_hhh(h: HStarVector) -> HhhVerdict:
-    """Non-realizability certificate for the exact shape 1 + t^i + (p-2) t^j.
-
-    Fires only when the nonzero coefficients are exactly h_0 = 1, h_i = 1,
-    h_j = p - 2 with 2 <= i < j and the normalized volume p prime, p >= 5.
-    One-directional: anything else is INCONCLUSIVE.
-    """
-    nonzero = [idx for idx, c in enumerate(h.coeffs) if c]
-    if len(nonzero) != 3 or nonzero[0] != 0:
-        return HhhVerdict("INCONCLUSIVE")
-    i, j = nonzero[1], nonzero[2]
-    if i < 2 or h.coefficient(i) != 1:
-        return HhhVerdict("INCONCLUSIVE")
-    p = h.normalized_volume
-    if h.coefficient(j) != p - 2 or p < 5 or not is_prime(p):
-        return HhhVerdict("INCONCLUSIVE")
-    return HhhVerdict("NOT_REALIZABLE", i=i, j=j, p=p)
-
-
 def check_shifted_symmetric(h: HStarVector, d: int) -> bool:
     """h_{i+1} == h_{d-i} for every 0 <= i <= d-1 (d = dimension), i.e. the
     level symmetry h_i == h_{c-i} for 0 < i < c at center c = d + 1."""
     return all(h.coefficient(i + 1) == h.coefficient(d - i) for i in range(d))
-
-
-@dataclass(frozen=True)
-class PrimeVolumeVerdict:
-    status: str  # "NOT_REALIZABLE" | "INCONCLUSIVE" | "NOT_APPLICABLE"
-    volume: int
-    valid_center: int | None = None
-
-
-def prime_volume_obstruction(h: HStarVector) -> PrimeVolumeVerdict:
-    """Symmetry obstruction for vectors with h_1 = 0 and prime volume.
-
-    A vanishing linear coefficient forces any realizing polytope to be a
-    simplex with exactly its vertices as lattice points; a prime normalized
-    volume then makes the weight group cyclic of prime order, whose nonzero
-    elements all share one support, say of size c. Pairing each element
-    with its negative gives the level symmetry h_i = h_{c-i} for
-    0 < i < c. If no center c in [deg+1, 2*deg] satisfies that symmetry,
-    the vector is not the h*-polynomial of any lattice polytope.
-    """
-    p = h.normalized_volume
-    if h.coefficient(1) != 0 or h.degree < 1 or not is_prime(p):
-        return PrimeVolumeVerdict("NOT_APPLICABLE", p)
-    deg = h.degree
-    for center in range(deg + 1, 2 * deg + 1):
-        if check_shifted_symmetric(h, center - 1):
-            return PrimeVolumeVerdict("INCONCLUSIVE", p, valid_center=center)
-    return PrimeVolumeVerdict("NOT_REALIZABLE", p)
 
 
 @dataclass(frozen=True)
@@ -329,63 +225,90 @@ class ConditionEntry:
 
 
 def condition_report(h: HStarVector, dim: int | None = None) -> tuple[ConditionEntry, ...]:
-    """All condition verdicts for one vector, as data.
+    """All condition verdicts for one vector, as data, one entry per condition.
 
-    ``dim`` gates the dimension-indexed checks; one below the degree is refused.
+    ``dim`` gates the dimension-indexed checks; one below the degree is
+    refused. A condition outside its gate is ``not_applicable``.
+
+    - ``scott``, ``degree2``, ``universal``: the three-way quadratic bound
+      on (h_1, h_2), reporting as ``via`` the first that holds of (1)
+      h_2 = 0, (2) h_1 <= 3 h_2 + 3 and (3) h_1 = 7, h_2 = 1, or
+      ``violates_all``. ``scott`` is the polygon version: it needs dimension
+      2 (degree at most 2 without ``dim``) and adds the lower bound
+      h_2 <= h_1 to (2). ``degree2`` applies to degree at most 2 and
+      ``universal`` to any vector with h_3 = 0, both without the lower bound.
+    - ``hibi``: h_1 <= h_i for 1 <= i < d when h_d > 0 (d = ``dim``).
+    - ``eq1``: h_1 >= h_d, for d >= 1.
+    - ``lemma_hhh``: not realizable when the nonzero coefficients are
+      exactly h_0 = 1, h_i = 1 and h_j = p - 2 with 2 <= i < j and the
+      normalized volume p a prime >= 5. One-directional: anything else is
+      inconclusive.
+    - ``shifted_symmetric``: ``check_shifted_symmetric`` at d.
+    - ``prime_symmetry``: applies when h_1 = 0 and the normalized volume p
+      is prime. A vanishing linear coefficient
+      forces any realizing polytope to be a simplex whose only lattice
+      points are its vertices; a prime volume then makes the weight group
+      cyclic of prime order, whose nonzero elements all share one support,
+      say of size c. Pairing each element with its negative gives the level
+      symmetry h_i = h_{c-i} for 0 < i < c. The first center c in
+      [deg + 1, 2 deg] with that symmetry is reported as ``valid_center``
+      (inconclusive); with none, the vector is the h*-polynomial of no
+      lattice polytope.
     """
     if dim is not None and dim < h.degree:
         raise InvalidParametersError(f"dimension {dim} is below the degree {h.degree} of h*")
-    entries: list[ConditionEntry] = []
+    h1, h2 = h.coefficient(1), h.coefficient(2)
 
-    def scott_entry(name: str, mode: str, applicable: bool) -> None:
+    def scott(name: str, applicable: bool, lower_bound: bool) -> ConditionEntry:
         if not applicable:
-            entries.append(ConditionEntry(name, "not_applicable", {}))
-            return
-        v = check_scott(h, mode)
-        entries.append(
-            ConditionEntry(
-                name,
-                "satisfied" if v.ok else "violates_all",
-                {"via": v.satisfied_via, "h1": v.h1, "h2": v.h2},
-            )
-        )
+            return ConditionEntry(name, "not_applicable", {})
+        via = None
+        if h2 == 0:
+            via = 1
+        elif (h2 <= h1 or not lower_bound) and h1 <= 3 * h2 + 3:
+            via = 2
+        elif h1 == 7 and h2 == 1:
+            via = 3
+        status = "violates_all" if via is None else "satisfied"
+        return ConditionEntry(name, status, {"via": via, "h1": h1, "h2": h2})
 
-    scott_entry("scott", "dimension2", (dim == 2) if dim is not None else h.degree <= 2)
-    scott_entry("degree2", "degree2", h.degree <= 2)
-    scott_entry("universal", "universal", h.coefficient(3) == 0)
+    entries = [
+        scott("scott", (dim == 2) if dim is not None else h.degree <= 2, True),
+        scott("degree2", h.degree <= 2, False),
+        scott("universal", h.coefficient(3) == 0, False),
+    ]
 
+    hd = None if dim is None else h.coefficient(dim)
     if dim is None:
         entries.append(ConditionEntry("hibi", "not_applicable", {}))
-        entries.append(ConditionEntry("eq1", "not_applicable", {}))
-    else:
-        hd = h.coefficient(dim)
-        if hd > 0:
-            bad = [i for i in range(1, dim) if h.coefficient(i) < h.coefficient(1)]
-            entries.append(
-                ConditionEntry(
-                    "hibi",
-                    "holds" if not bad else "fails",
-                    {"h1": h.coefficient(1), "first_violation_index": bad[0] if bad else None},
-                )
-            )
-        else:
-            entries.append(ConditionEntry("hibi", "not_applicable", {"hd": 0}))
+    elif hd > 0:
+        bad = [i for i in range(1, dim) if h.coefficient(i) < h1]
         entries.append(
             ConditionEntry(
-                "eq1",
-                "holds" if h.coefficient(1) >= hd else "fails",
-                {"h1": h.coefficient(1), "hd": hd},
+                "hibi",
+                "holds" if not bad else "fails",
+                {"h1": h1, "first_violation_index": bad[0] if bad else None},
             )
         )
-
-    v = check_lemma_hhh(h)
-    entries.append(
-        ConditionEntry(
-            "lemma_hhh",
-            v.status.lower(),
-            {"i": v.i, "j": v.j, "p": v.p},
+    else:
+        entries.append(ConditionEntry("hibi", "not_applicable", {"hd": 0}))
+    if dim in (None, 0):
+        entries.append(ConditionEntry("eq1", "not_applicable", {}))
+    else:
+        entries.append(
+            ConditionEntry("eq1", "holds" if h1 >= hd else "fails", {"h1": h1, "hd": hd})
         )
-    )
+
+    p = h.normalized_volume
+    nonzero = [idx for idx, c in enumerate(h.coeffs) if c]
+    # With h_0 = h_i = 1, the one other coefficient h_j is p - 2.
+    if len(nonzero) == 3 and nonzero[1] >= 2 and h.coeffs[nonzero[1]] == 1 and p >= 5 and is_prime(p):
+        i, j = nonzero[1:]
+        entries.append(ConditionEntry("lemma_hhh", "not_realizable", {"i": i, "j": j, "p": p}))
+    else:
+        entries.append(
+            ConditionEntry("lemma_hhh", "inconclusive", {"i": None, "j": None, "p": None})
+        )
 
     if dim is None:
         entries.append(ConditionEntry("shifted_symmetric", "not_applicable", {}))
@@ -398,12 +321,13 @@ def condition_report(h: HStarVector, dim: int | None = None) -> tuple[ConditionE
             )
         )
 
-    pv = prime_volume_obstruction(h)
-    entries.append(
-        ConditionEntry(
-            "prime_symmetry",
-            pv.status.lower(),
-            {"p": pv.volume, "valid_center": pv.valid_center},
-        )
-    )
+    # h_1 = 0 with a prime p rules out the point, whose p is 1.
+    deg = h.degree
+    if h1 != 0 or not is_prime(p):
+        status, center = "not_applicable", None
+    else:
+        centers = range(deg + 1, 2 * deg + 1)
+        center = next((c for c in centers if check_shifted_symmetric(h, c - 1)), None)
+        status = "not_realizable" if center is None else "inconclusive"
+    entries.append(ConditionEntry("prime_symmetry", status, {"p": p, "valid_center": center}))
     return tuple(entries)

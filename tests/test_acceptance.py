@@ -24,7 +24,7 @@ from hstarkit.oracle import (
     hstar_by_interpolation,
 )
 from hstarkit.simplex import all_faces, normalized_volume, restrict_to_affine_lattice
-from hstarkit.theorem import check_lemma_hhh, check_scott, check_shifted_symmetric
+from hstarkit.theorem import check_shifted_symmetric, condition_report
 from hstarkit.hstar import HStarVector
 
 H = HStarVector.of
@@ -133,11 +133,14 @@ def test_criterion_6_two_term_family_grid():
 
 
 def test_criterion_7_condition_checkers():
+    def entry(h, name):
+        return next(e for e in condition_report(h) if e.name == name)
+
     for h1 in range(31):
         for h2 in range(31):
             direct = h2 == 0 or (h2 <= h1 <= 3 * h2 + 3) or (h1 == 7 and h2 == 1)
-            assert check_scott(H([1, h1, h2]), "dimension2").ok == direct
-    assert check_scott(H([1, 7, 1]), "dimension2").satisfied_via == 3
+            assert (entry(H([1, h1, h2]), "scott").status == "satisfied") == direct
+    assert entry(H([1, 7, 1]), "scott").detail["via"] == 3
 
     def is_prime(n):
         if n < 2:
@@ -162,7 +165,7 @@ def test_criterion_7_condition_checkers():
                     i >= 2 and v >= 3 and h.coefficient(i) == 1
                     and 2 + v >= 5 and is_prime(2 + v)
                 )
-                assert check_lemma_hhh(h).not_realizable == expected
+                assert (entry(h, "lemma_hhh").status == "not_realizable") == expected
                 cases += 1
     assert cases >= 1000
     _report(7, f"(h1,h2) grid 961 cases and shape grid {cases} cases, exact agreement")

@@ -62,6 +62,9 @@ HOSTILE_DOCUMENTS = {
     "invalid-utf8": b'{"schema_version":"1","name":"\xff","ambient_dim":1,"vertices":[[0],[1]]}',
 }
 
+# Strings int() reads as integers that encode_int never writes.
+LOOSE_INTEGER_STRINGS = ["1_0", " 7 ", "+5", "\u0663"]
+
 UNIT_TRIANGLE_DOC = {
     "schema_version": "1",
     "ambient_dim": 2,
@@ -120,6 +123,14 @@ class TestDocuments:
             SimplexDocument.from_json_dict(bad)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("entry", LOOSE_INTEGER_STRINGS)
+    def test_loose_integer_strings_rejected(self, entry):
+        # Only ASCII -?[0-9]+, the form encode_int writes, is an integer string.
+        bad = {**UNIT_TRIANGLE_DOC, "vertices": [[0, 0], [entry, 0], [0, 1]]}
+        with pytest.raises(DocumentError) as info:
+            SimplexDocument.from_json_dict(bad)
+        assert str(info.value) == f"not an integer string: {entry!r}"
+
     @given(st.integers(-(10**700), 10**700) | st.integers(-(10**5000), 10**5000))
     @settings(max_examples=50, deadline=None)
     def test_big_integers_encode_exactly_under_the_digit_limit(self, value):
@@ -171,7 +182,9 @@ def near_valid_documents(draw) -> str:
     elif kind == "entry":
         vertex = doc["vertices"][draw(st.integers(0, len(doc["vertices"]) - 1))]
         vertex[draw(st.integers(0, len(vertex) - 1))] = draw(
-            JSON_VALUES | st.integers().map(str) | st.sampled_from(["1e3", " 7", "0x10", "-"])
+            JSON_VALUES
+            | st.integers().map(str)
+            | st.sampled_from(["1e3", " 7", "0x10", "-", *LOOSE_INTEGER_STRINGS])
         )
     text = json.dumps(doc)
     if kind == "cut":
@@ -683,6 +696,9 @@ class TestGen:
     def test_bad_parameters_exit_code(self, run_cli):
         assert run_cli("gen", "delta_cm", "--c", "0", "--m", "1").returncode == 2
         assert run_cli("gen", "prop43", "--k", "3", "--j", "6").returncode == 2
+        res = run_cli("gen", "prop43", "--k", "3", "--j", "4", "--p", "4")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "p must be a prime >= 5" in res.stderr
 
     def test_gen_output_parses_and_verifies(self, run_cli, tmp_path):
         doc = json.loads(run_cli("gen", "delta_cm", "--c", "3", "--m", "2").stdout)
@@ -715,6 +731,15 @@ class TestCheckConditions:
         payload = json.loads(res.stdout)
         sym = next(e for e in payload["conditions"] if e["name"] == "prime_symmetry")
         assert sym["status"] == "not_realizable"
+
+    def test_eq1_not_applicable_on_a_point(self, run_cli):
+        args = ("check-conditions", "--hstar", "1", "--dim", "0")
+        res = run_cli(*args)
+        assert res.returncode == 0
+        assert "eq1                not_applicable\n" in res.stdout
+        payload = json.loads(run_cli(*args, "--json").stdout)
+        eq1 = next(e for e in payload["conditions"] if e["name"] == "eq1")
+        assert (eq1["status"], eq1["detail"]) == ("not_applicable", {})
 
     @pytest.mark.parametrize("dim", ["1", "-3"])
     def test_dimension_below_the_degree_is_refused(self, run_cli, dim):

@@ -17,7 +17,7 @@ from hstarkit.families import (
 from hstarkit.hstar import hstar_from_box_group
 from hstarkit.oracle import hstar_by_interpolation
 from hstarkit.simplex import all_faces, normalized_volume
-from hstarkit.theorem import check_lemma_hhh, check_shifted_symmetric, check_zero_window
+from hstarkit.theorem import check_shifted_symmetric, check_zero_window, condition_report
 
 
 def box_hstar(simplex):
@@ -117,11 +117,8 @@ class TestCounterexampleInstances:
             else:
                 assert h.coefficient(i) == 0
         # the truncation is certified unrealizable at degree k
-        truncated = h.truncated(k)
-        from hstarkit.theorem import prime_volume_obstruction
-
-        hhh = check_lemma_hhh(truncated)
-        assert hhh.not_realizable or prime_volume_obstruction(truncated).status == "NOT_REALIZABLE"
+        verdicts = {e.name: e.status for e in condition_report(h.truncated(k))}
+        assert "not_realizable" in (verdicts["lemma_hhh"], verdicts["prime_symmetry"])
 
     def test_explicit_simplex_values(self):
         s = prop43_instance(3, 4)
@@ -138,6 +135,8 @@ class TestCounterexampleInstances:
             prop43_instance(3, 6)
         with pytest.raises(InvalidParametersError):
             prop43_instance(3, 5, p=4)
+        with pytest.raises(InvalidParametersError, match="p must be a prime >= 5"):
+            prop43_instance(3, 4, p=4)
 
 
 class TestSymmetricFamily:

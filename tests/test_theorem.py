@@ -10,24 +10,17 @@ from hypothesis import strategies as st
 
 from hstarkit import oracle, theorem, verify
 from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, BoxPoint, add, enumerate_box_group, neg
-from hstarkit.errors import (
-    HypothesisNotMetError,
-    InvalidParametersError,
-    PreconditionNotMetError,
-)
+from hstarkit.errors import HypothesisNotMetError, InvalidParametersError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import HStarVector, hstar_from_box_group
 from hstarkit.io import SimplexDocument, canonical_dumps
 from hstarkit.theorem import (
     _is_subgroup,
-    check_lemma_hhh,
-    check_scott,
     check_shifted_symmetric,
     check_zero_window,
     condition_report,
     extract_face,
     is_prime,
-    prime_volume_obstruction,
 )
 
 from conftest import with_rows
@@ -321,30 +314,32 @@ class TestExtractFace:
         assert cert.hstar_match
 
 
+def report(h, dim=None):
+    return {e.name: e for e in condition_report(h, dim)}
+
+
 class TestScott:
     def test_via_third_condition(self):
-        assert check_scott(H([1, 7, 1]), "dimension2").satisfied_via == 3
+        assert report(H([1, 7, 1]))["scott"].detail["via"] == 3
 
     def test_via_second_condition(self):
-        assert check_scott(H([1, 3, 1]), "dimension2").satisfied_via == 2
+        assert report(H([1, 3, 1]))["scott"].detail["via"] == 2
 
     def test_violates_all_universal(self):
-        v = check_scott(H([1, 10, 2]), "universal")
-        assert v.satisfied_via is None
+        v = report(H([1, 10, 2]))["universal"]
+        assert v.status == "violates_all" and v.detail["via"] is None
 
     def test_mode_difference_on_lower_bound(self):
-        # degree-2 mode has no h2 <= h1 clause
-        h = H([1, 2, 3])
-        assert check_scott(h, "dimension2").satisfied_via is None
-        assert check_scott(h, "degree2").satisfied_via == 2
+        # degree2 has no h2 <= h1 clause
+        entries = report(H([1, 2, 3]))
+        assert entries["scott"].detail["via"] is None
+        assert entries["degree2"].detail["via"] == 2
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionNotMetError):
-            check_scott(H([1, 0, 0, 1]), "dimension2")
-        with pytest.raises(PreconditionNotMetError):
-            check_scott(H([1, 0, 0, 1]), "universal")
-        with pytest.raises(InvalidParametersError):
-            check_scott(H([1]), "nonsense")
+        for dim in (None, 3):
+            entries = report(H([1, 0, 0, 1]), dim)
+            for name in ("scott", "degree2", "universal"):
+                assert (entries[name].status, entries[name].detail) == ("not_applicable", {})
 
     def test_agrees_with_direct_tabulation(self):
         for h1 in range(31):
@@ -355,7 +350,7 @@ class TestScott:
                     or (h2 <= h1 <= 3 * h2 + 3)
                     or (h1 == 7 and h2 == 1)
                 )
-                got = check_scott(H(coeffs), "dimension2").ok
+                got = report(H(coeffs))["scott"].status == "satisfied"
                 assert got == direct, (h1, h2)
 
 
@@ -376,16 +371,20 @@ def test_is_prime_matches_sieve():
     assert [n for n in range(-3, 2001) if is_prime(n)] == [n for n in range(2001) if flags[n]]
 
 
+def not_realizable(h, name="lemma_hhh"):
+    return report(h)[name].status == "not_realizable"
+
+
 class TestHhh:
     def test_examples(self):
-        assert check_lemma_hhh(H([1, 0, 1, 3])).not_realizable
-        assert check_lemma_hhh(H([1, 0, 1, 3])).p == 5
-        assert not check_lemma_hhh(H([1, 0, 1, 2])).not_realizable  # volume 4
-        assert not check_lemma_hhh(H([1, 0, 2, 4])).not_realizable  # h_i is 2
+        assert not_realizable(H([1, 0, 1, 3]))
+        assert report(H([1, 0, 1, 3]))["lemma_hhh"].detail == {"i": 2, "j": 3, "p": 5}
+        assert not not_realizable(H([1, 0, 1, 2]))  # volume 4
+        assert not not_realizable(H([1, 0, 2, 4]))  # h_i is 2
 
     def test_linear_index_excluded(self):
         # the lower exponent must be at least 2
-        assert not check_lemma_hhh(H([1, 1, 0, 3])).not_realizable
+        assert not not_realizable(H([1, 1, 0, 3]))
 
     def test_grid_matches_direct_shape_test(self):
         primes = sieve(40)
@@ -409,7 +408,7 @@ class TestHhh:
                         and 2 + v >= 5
                         and j > i
                     )
-                    assert check_lemma_hhh(h).not_realizable == direct, coeffs
+                    assert not_realizable(h) == direct, coeffs
         assert cases >= 1000
 
 
@@ -428,20 +427,21 @@ class TestSymmetry:
         assert not check_shifted_symmetric(H([1, 0, 1, 3]), 3)
 
     def test_obstruction_flags_truncation_shape(self):
-        v = prime_volume_obstruction(H([1, 0, 2, 4]))
-        assert v.status == "NOT_REALIZABLE" and v.volume == 7
+        v = report(H([1, 0, 2, 4]))["prime_symmetry"]
+        assert v.status == "not_realizable" and v.detail == {"p": 7, "valid_center": None}
 
     def test_obstruction_inconclusive_when_center_exists(self):
-        assert prime_volume_obstruction(H([1, 0, 1, 0, 1])).status == "INCONCLUSIVE"
-        assert prime_volume_obstruction(H([1, 0, 1, 1])).status == "INCONCLUSIVE"
+        for coeffs, center in (([1, 0, 1, 0, 1], 6), ([1, 0, 1, 1], 5)):
+            v = report(H(coeffs))["prime_symmetry"]
+            assert (v.status, v.detail["valid_center"]) == ("inconclusive", center)
 
     def test_obstruction_gates(self):
-        assert prime_volume_obstruction(H([1, 1])).status == "NOT_APPLICABLE"
-        assert prime_volume_obstruction(H([1, 0, 1, 2])).status == "NOT_APPLICABLE"
-        assert prime_volume_obstruction(H([1])).status == "NOT_APPLICABLE"
+        for coeffs in ([1, 1], [1, 0, 1, 2], [1]):
+            v = report(H(coeffs))["prime_symmetry"]
+            assert v.status == "not_applicable" and v.detail["valid_center"] is None
 
     def test_hhh_shape_also_caught_by_obstruction(self):
-        assert prime_volume_obstruction(H([1, 0, 1, 3])).status == "NOT_REALIZABLE"
+        assert not_realizable(H([1, 0, 1, 3]), "prime_symmetry")
 
 
 class TestConditionReport:
@@ -496,6 +496,12 @@ class TestConditionReport:
         assert entries["hibi"].status == "holds"
         entries = {e.name: e for e in condition_report(H([1, 0, 3, 2]), dim=3)}
         assert entries["eq1"].status == "fails"  # not a real h*, checker reports data
+
+    def test_eq1_not_applicable_on_a_point(self):
+        # h_1 >= h_d holds only for d >= 1; a point has h* = 1 = h_0.
+        eq1 = report(H([1]), 0)["eq1"]
+        assert (eq1.status, eq1.detail) == ("not_applicable", {})
+        assert report(H([1]), 1)["eq1"].status == "holds"
 
     def test_dimension_below_the_degree_is_refused(self):
         # A d-simplex has at most d + 1 coefficients.
