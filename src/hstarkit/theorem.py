@@ -245,15 +245,14 @@ def condition_report(h: HStarVector, dim: int | None = None) -> tuple[ConditionE
       inconclusive.
     - ``shifted_symmetric``: ``check_shifted_symmetric`` at d.
     - ``prime_symmetry``: applies when h_1 = 0 and the normalized volume p
-      is prime. A vanishing linear coefficient
-      forces any realizing polytope to be a simplex whose only lattice
-      points are its vertices; a prime volume then makes the weight group
-      cyclic of prime order, whose nonzero elements all share one support,
-      say of size c. Pairing each element with its negative gives the level
-      symmetry h_i = h_{c-i} for 0 < i < c. The first center c in
-      [deg + 1, 2 deg] with that symmetry is reported as ``valid_center``
-      (inconclusive); with none, the vector is the h*-polynomial of no
-      lattice polytope.
+      is prime. A vanishing linear coefficient forces any realizing
+      polytope to be a simplex whose only lattice points are its vertices;
+      a prime volume then makes the weight group cyclic of prime order,
+      whose nonzero elements all share one support, say of size c. Pairing
+      each element with its negative gives the level symmetry
+      h_i = h_{c-i} for 0 < i < c. The first center c in [deg + 1, 2 deg]
+      with that symmetry is reported as ``valid_center`` (inconclusive);
+      with none, the vector is the h*-polynomial of no lattice polytope.
     """
     if dim is not None and dim < h.degree:
         raise InvalidParametersError(f"dimension {dim} is below the degree {h.degree} of h*")
