@@ -1,10 +1,13 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstarkit.boxgroup import enumerate_box_group
 from hstarkit.errors import InternalCheckError
-from hstarkit.families import delta_cm, prop43_instance, unit_simplex
+from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import (
     HStarVector,
     binomial,
@@ -12,6 +15,7 @@ from hstarkit.hstar import (
     hstar_from_box_group,
     structural_facts,
 )
+from hstarkit.io import canonical_dumps
 from hstarkit.simplex import LatticeSimplex, from_vertices
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
@@ -172,3 +176,31 @@ class TestStructuralFacts:
         report = structural_facts(s, hstar_from_box_group(g), scan_cap=10)
         assert report.ok
         assert any(c.skipped for c in report.checks)
+
+    def test_outcome_grid_pin(self):
+        # Every h* with h_0 = 1, degree <= d and coefficients <= 3, on sixteen
+        # simplices of dimension 0..5, with and without a scan cap: the
+        # outcome is a pass with its skipped facts, or a raise.
+        simplices = [unit_simplex(d) for d in range(4)]
+        simplices += [delta_cm(c, m) for c in (1, 2, 4) for m in (1, 2, 3)]
+        simplices += [remark44_simplex(2), prop43_instance(3, 4),
+                      join(delta_cm(2, 1), delta_cm(1, 2))]
+        digest = hashlib.sha256()
+        cases = passes = 0
+        for s in simplices:
+            for tail in itertools.product(range(4), repeat=s.dimension):
+                h = HStarVector.of((1,) + tail)
+                for cap in (None, 3):
+                    try:
+                        report = structural_facts(s, h, scan_cap=cap)
+                    except InternalCheckError:
+                        outcome = ["raise"]
+                    else:
+                        outcome = ["pass", [c.name for c in report.checks if c.skipped]]
+                        passes += 1
+                    digest.update(canonical_dumps(
+                        [[list(v) for v in s.vertices], list(h.coeffs), cap, outcome]
+                    ).encode())
+                    cases += 1
+        assert (cases, passes) == (12866, 1989)
+        assert digest.hexdigest() == "8fbe678ed0cffcdbe7489b2a7a4eee7900d8fafe1de602fc71c09e2d45d3e68b"
