@@ -89,87 +89,52 @@ def ehrhart_from_hstar(h: HStarVector, d: int, n: int) -> int:
     return sum(c * binomial(n + d - i, d) for i, c in enumerate(h.coeffs))
 
 
-@dataclass(frozen=True)
-class FactCheck:
-    name: str
-    lhs: int | None
-    rhs: int | None
-    ok: bool
-    skipped: bool = False
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class FactReport:
-    checks: tuple[FactCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok or c.skipped for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[FactCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok and not c.skipped)
-
-
 def structural_facts(
     simplex: LatticeSimplex,
     h: HStarVector,
     scan_cap: int | None = None,
-) -> FactReport:
-    """Check the classical identities tying h* to lattice-point counts.
+) -> tuple[str, ...]:
+    """Check the classical facts tying h* to its simplex; return the names of
+    the facts whose count exceeded the scan cap.
 
-    Verified: h_1 = |P| - (d+1); h_i = interior count of the (d+1-i)-dilate
-    for degree <= i <= d (so in particular h_d = interior count of P);
-    h_1 >= h_d when d >= 1; nonnegativity; and, when h_d > 0, h_i >= h_1 for
-    1 <= i <= d - 1. These are theorems, so any failure raises
-    InternalCheckError; counts whose scan exceeds the cap are recorded as
-    skipped.
+    Counted: h_1 = |P| - (d+1), and h_i = interior count of the
+    (d+1-i)-dilate for degree <= i <= d (so h_d = interior count of P).
+    Read from ``condition_report`` at dimension d: ``eq1`` (h_1 >= h_d when
+    d >= 1) and ``hibi`` (h_1 <= h_i for 1 <= i <= d - 1 when h_d > 0).
+    These are theorems, so a degree above d or any violated fact raises
+    InternalCheckError naming the fact and its two sides.
     """
-    from . import oracle  # local import: oracle builds on this module
+    from . import oracle  # local imports: both modules build on this one
+    from .theorem import condition_report
 
     d = simplex.dimension
-    checks: list[FactCheck] = []
-
-    def count_or_skip(name, fn, *args):
-        try:
-            return fn(*args) if scan_cap is None else fn(*args, scan_cap=scan_cap)
-        except ScanTooLargeError:
-            checks.append(
-                FactCheck(name, None, None, ok=True, skipped=True, note="scan cap")
-            )
-            return None
-
-    e1 = count_or_skip("point-count-minus-vertices", oracle.count_lattice_points, simplex, 1)
-    if e1 is not None:
-        checks.append(
-            FactCheck("point-count-minus-vertices", h.coefficient(1), e1 - (d + 1),
-                      ok=h.coefficient(1) == e1 - (d + 1))
-        )
-    for i in range(h.degree, d + 1):
-        name = f"interior-count-dilate-{d + 1 - i}"
-        inner = count_or_skip(name, oracle.count_interior_points, simplex, d + 1 - i)
-        if inner is not None:
-            checks.append(FactCheck(name, h.coefficient(i), inner, ok=h.coefficient(i) == inner))
-    hd = h.coefficient(d)
-    if d >= 1:  # for a point, h_d = h_0 = 1 and h_1 = 0
-        checks.append(
-            FactCheck("linear-coefficient-dominates-top", h.coefficient(1), hd,
-                      ok=h.coefficient(1) >= hd)
-        )
-    checks.append(
-        FactCheck("nonnegative", min(h.coeffs), 0, ok=min(h.coeffs) >= 0)
-    )
-    if hd > 0:
-        worst = min((h.coefficient(i) for i in range(1, d)), default=h.coefficient(1))
-        checks.append(
-            FactCheck("interior-forces-lower-bound", worst, h.coefficient(1),
-                      ok=worst >= h.coefficient(1))
-        )
-    report = FactReport(tuple(checks))
-    if not report.ok:
+    if h.degree > d:
         raise InternalCheckError(
-            "structural fact violated: "
-            + "; ".join(f"{c.name} ({c.lhs} vs {c.rhs})" for c in report.failures)
+            f"structural fact violated: degree-at-most-dimension ({h.degree} vs {d})"
         )
-    return report
+    kwargs = {} if scan_cap is None else {"scan_cap": scan_cap}
+    lattice, interior = oracle.count_lattice_points, oracle.count_interior_points
+    # (name, count, dilate, h* side, offset subtracted from the count)
+    facts = [("point-count-minus-vertices", lattice, 1, h.coefficient(1), d + 1)]
+    facts += [(f"interior-count-dilate-{d + 1 - i}", interior, d + 1 - i, h.coefficient(i), 0)
+              for i in range(h.degree, d + 1)]
+    skipped: list[str] = []
+    failures: list[str] = []
+    for name, count, n, lhs, offset in facts:
+        try:
+            rhs = count(simplex, n, **kwargs) - offset
+        except ScanTooLargeError:
+            skipped.append(name)
+            continue
+        if lhs != rhs:
+            failures.append(f"{name} ({lhs} vs {rhs})")
+    entries = {e.name: e for e in condition_report(h, dim=d)}
+    eq1, hibi = entries["eq1"], entries["hibi"]
+    if eq1.status == "fails":
+        failures.append(f"eq1 ({eq1.detail['h1']} vs {eq1.detail['hd']})")
+    if hibi.status == "fails":
+        first = h.coefficient(hibi.detail["first_violation_index"])
+        failures.append(f"hibi ({first} vs {hibi.detail['h1']})")
+    if failures:
+        raise InternalCheckError("structural fact violated: " + "; ".join(failures))
+    return tuple(skipped)

@@ -135,47 +135,60 @@ class TestEhrhartEvaluation:
 class TestStructuralFacts:
     def test_unit_triangle(self):
         s = unit_simplex(2)
-        g = enumerate_box_group(s)
-        report = structural_facts(s, hstar_from_box_group(g))
-        assert report.ok
-        names = {c.name for c in report.checks}
-        assert "point-count-minus-vertices" in names
-        assert "linear-coefficient-dominates-top" in names
+        assert structural_facts(s, hstar_from_box_group(enumerate_box_group(s))) == ()
+        with pytest.raises(InternalCheckError, match=r"point-count-minus-vertices \(1 vs 0\)"):
+            structural_facts(s, HStarVector.of([1, 1]))
+        # h_1 >= h_d comes from condition_report's eq1 entry.
+        with pytest.raises(InternalCheckError, match=r"eq1 \(0 vs 1\)"):
+            structural_facts(s, HStarVector.of([1, 0, 1]))
 
     def test_triangle_vol2(self):
         g = enumerate_box_group(TRI_VOL2)
-        report = structural_facts(TRI_VOL2, hstar_from_box_group(g))
-        assert report.ok
+        assert structural_facts(TRI_VOL2, hstar_from_box_group(g)) == ()
 
     def test_explicit_5dim(self):
         s = prop43_instance(3, 4)
         g = enumerate_box_group(s)
-        report = structural_facts(s, hstar_from_box_group(g))
-        assert report.ok
-        by_name = {c.name: c for c in report.checks}
+        assert structural_facts(s, hstar_from_box_group(g)) == ()
         # top coefficient equals the interior count of the first dilate: zero
-        assert by_name["interior-count-dilate-1"].rhs == 0
+        with pytest.raises(InternalCheckError, match=r"interior-count-dilate-1 \(1 vs 0\)"):
+            structural_facts(s, HStarVector.of([1, 0, 2, 4, 2, 1]))
+        # h_d > 0 forces h_1 <= h_i: condition_report's hibi entry.
+        with pytest.raises(InternalCheckError, match=r"hibi \(2 vs 3\)"):
+            structural_facts(s, HStarVector.of([1, 3, 2, 4, 2, 1]))
 
     @pytest.mark.parametrize(
         "point", [unit_simplex(0), from_vertices(3, [(2, -1, 5)])], ids=["Z^0", "Z^3"]
     )
     def test_point(self, point):
         # h_1 >= h_d needs d >= 1: a point has h_0 = 1 and h_1 = 0.
-        report = structural_facts(point, hstar_from_box_group(enumerate_box_group(point)))
-        assert report.ok and not any(c.skipped for c in report.checks)
-        assert "linear-coefficient-dominates-top" not in {c.name for c in report.checks}
+        assert structural_facts(point, hstar_from_box_group(enumerate_box_group(point))) == ()
 
     def test_wrong_vector_aborts(self):
         s = unit_simplex(2)
         with pytest.raises(InternalCheckError):
             structural_facts(s, HStarVector.of([1, 3]))
 
+    @pytest.mark.parametrize(
+        "simplex, coeffs, sides",
+        [
+            (unit_simplex(2), [1, 0, 0, 1], "3 vs 2"),
+            (delta_cm(2, 2), [1, 0, 2, 0, 0, 1], "5 vs 3"),
+        ],
+        ids=["triangle", "delta_cm(2,2)"],
+    )
+    def test_degree_above_dimension_raises(self, simplex, coeffs, sides):
+        # The h* of a d-simplex has degree at most d.
+        with pytest.raises(InternalCheckError) as info:
+            structural_facts(simplex, HStarVector.of(coeffs))
+        assert str(info.value) == f"structural fact violated: degree-at-most-dimension ({sides})"
+
     def test_scan_cap_records_skip(self):
         s = prop43_instance(3, 4)
         g = enumerate_box_group(s)
-        report = structural_facts(s, hstar_from_box_group(g), scan_cap=10)
-        assert report.ok
-        assert any(c.skipped for c in report.checks)
+        assert structural_facts(s, hstar_from_box_group(g), scan_cap=10) == (
+            "point-count-minus-vertices", "interior-count-dilate-2", "interior-count-dilate-1"
+        )
 
     def test_outcome_grid_pin(self):
         # Every h* with h_0 = 1, degree <= d and coefficients <= 3, on sixteen
@@ -192,12 +205,10 @@ class TestStructuralFacts:
                 h = HStarVector.of((1,) + tail)
                 for cap in (None, 3):
                     try:
-                        report = structural_facts(s, h, scan_cap=cap)
+                        outcome = ["pass", list(structural_facts(s, h, scan_cap=cap))]
+                        passes += 1
                     except InternalCheckError:
                         outcome = ["raise"]
-                    else:
-                        outcome = ["pass", [c.name for c in report.checks if c.skipped]]
-                        passes += 1
                     digest.update(canonical_dumps(
                         [[list(v) for v in s.vertices], list(h.coeffs), cap, outcome]
                     ).encode())
