@@ -29,6 +29,7 @@ from .io import (
     SCHEMA_VERSION,
     SimplexDocument,
     canonical_dumps,
+    decode_int,
     encode_int,
     load_simplex_document,
 )
@@ -78,8 +79,8 @@ def _base_report(command: str, doc: SimplexDocument, order: int, h: HStarVector)
 def _cap(text: str) -> int:
     """A cap option's value; one below 1 would refuse every input and raises while parsing."""
     try:
-        value = int(text)
-    except ValueError:
+        value = decode_int(text)
+    except DocumentError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise InvalidParametersError(f"caps must be at least 1, got {value}")
@@ -205,8 +206,8 @@ def cmd_gen(args) -> int:
 
 def _parse_hstar_arg(text: str) -> HStarVector:
     try:
-        coeffs = [int(part.strip(), 10) for part in text.split(",")]
-    except ValueError as exc:
+        coeffs = [decode_int(part) for part in text.split(",")]
+    except DocumentError as exc:
         raise DocumentError(f"not a comma-separated integer list: {text!r}") from exc
     if not coeffs or coeffs[0] != 1 or any(c < 0 for c in coeffs):
         raise DocumentError("coefficients must be nonnegative and start with 1")
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ehrhart", help="lattice-point count of a dilate")
     p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=decode_int, required=True)
     add_caps(p)
     p.set_defaults(fn=cmd_ehrhart)
 
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract-face", help="face extraction certificate")
     p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=decode_int, required=True)
     p.add_argument("--strict", action="store_true",
                    help="enforce stated hypotheses instead of reporting")
     add_caps(p)
@@ -311,21 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a family instance document")
     fam_sub = p.add_subparsers(dest="family", required=True)
     f = fam_sub.add_parser("unit")
-    f.add_argument("--dim", type=int, required=True)
+    f.add_argument("--dim", type=decode_int, required=True)
     f = fam_sub.add_parser("delta_cm")
-    f.add_argument("--c", type=int, required=True)
-    f.add_argument("--m", type=int, required=True)
+    f.add_argument("--c", type=decode_int, required=True)
+    f.add_argument("--m", type=decode_int, required=True)
     f = fam_sub.add_parser("lemma41")
-    f.add_argument("--a", type=int, required=True)
-    f.add_argument("--b", type=int, required=True)
-    f.add_argument("--k", type=int, required=True)
-    f.add_argument("--l", type=int, required=True)
+    f.add_argument("--a", type=decode_int, required=True)
+    f.add_argument("--b", type=decode_int, required=True)
+    f.add_argument("--k", type=decode_int, required=True)
+    f.add_argument("--l", type=decode_int, required=True)
     f = fam_sub.add_parser("prop43")
-    f.add_argument("--k", type=int, required=True)
-    f.add_argument("--j", type=int, required=True)
-    f.add_argument("--p", type=int, default=5)
+    f.add_argument("--k", type=decode_int, required=True)
+    f.add_argument("--j", type=decode_int, required=True)
+    f.add_argument("--p", type=decode_int, default=5)
     f = fam_sub.add_parser("remark44")
-    f.add_argument("--k", type=int, required=True)
+    f.add_argument("--k", type=decode_int, required=True)
     f = fam_sub.add_parser("join")
     f.add_argument("--left", required=True)
     f.add_argument("--right", required=True)
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-conditions", help="condition report for a bare h*")
     p.add_argument("--hstar", required=True, help='comma-separated, e.g. "1,7,1"')
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim", type=decode_int)
     p.add_argument("--json", action="store_true",
                    help="JSON output instead of the table")
     p.set_defaults(fn=cmd_check_conditions)
@@ -347,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_suite)
 
     p = sub.add_parser("search", help="bounded search over cyclic weight groups")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=decode_int, required=True)
     p.add_argument("--window", choices=("weak", "strong"), required=True)
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--max-dim", type=int, required=True)
+    p.add_argument("--max-order", type=decode_int, required=True)
+    p.add_argument("--max-dim", type=decode_int, required=True)
     p.add_argument("--out")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=decode_int)
     p.set_defaults(fn=cmd_search)
 
     return parser

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import logging
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import io
+from hstarkit import cli, io
 from hstarkit.errors import DocumentError
 from hstarkit.hstar import HStarVector, ehrhart_from_hstar
 from hstarkit.io import (
@@ -69,6 +71,47 @@ UNIT_TRIANGLE_DOC = {
     "schema_version": "1",
     "ambient_dim": 2,
     "vertices": [[0, 0], [1, 0], [0, 1]],
+}
+
+# Every integer flag, in a canonical invocation that exits 0: {v} is the
+# flag's value and {tri} a unit triangle document.
+INTEGER_FLAGS = {
+    "ehrhart --n": ("ehrhart {tri} --n {v}", "2"),
+    "extract-face --k": ("extract-face {tri} --k {v}", "3"),
+    "gen unit --dim": ("gen unit --dim {v}", "2"),
+    "gen delta_cm --c": ("gen delta_cm --c {v} --m 2", "2"),
+    "gen delta_cm --m": ("gen delta_cm --c 2 --m {v}", "2"),
+    "gen lemma41 --a": ("gen lemma41 --a {v} --b 1 --k 1 --l 2", "1"),
+    "gen lemma41 --b": ("gen lemma41 --a 1 --b {v} --k 1 --l 2", "1"),
+    "gen lemma41 --k": ("gen lemma41 --a 1 --b 1 --k {v} --l 2", "1"),
+    "gen lemma41 --l": ("gen lemma41 --a 1 --b 1 --k 1 --l {v}", "2"),
+    "gen prop43 --k": ("gen prop43 --k {v} --j 4", "3"),
+    "gen prop43 --j": ("gen prop43 --k 3 --j {v}", "4"),
+    "gen prop43 --p": ("gen prop43 --k 3 --j 4 --p {v}", "5"),
+    "gen remark44 --k": ("gen remark44 --k {v}", "2"),
+    "check-conditions --dim": ("check-conditions --hstar 1,7,1 --dim {v}", "2"),
+    "search --k": ("search --k {v} --window weak --max-order 4 --max-dim 3", "2"),
+    "search --max-order": ("search --k 2 --window weak --max-order {v} --max-dim 3", "4"),
+    "search --max-dim": ("search --k 2 --window weak --max-order 4 --max-dim {v}", "3"),
+    "search --limit": ("search --k 2 --window weak --max-order 4 --max-dim 3 --limit {v}", "1"),
+}
+
+
+
+def integer_flag_argv(template: str, value: str, **paths) -> list[str]:
+    """argv of an INTEGER_FLAGS template with the value attached as --flag=value,
+    so that argparse hands any value, even one starting with "-", to the type."""
+    words = template.replace(" {v}", "={v}").split()
+    return [word.format(v=value, **paths) for word in words]
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# Forms of a value v that int() reads as v and io.decode_int refuses.
+LOOSE_FORMS = {
+    "plus": "+{}".format,
+    "space": " {}".format,
+    "underscore": "0_{}".format,
+    "arabic-indic": lambda v: v.translate(ARABIC_INDIC),
 }
 
 
@@ -229,6 +272,123 @@ class TestDocumentFuzz:
                 assert len(res.stderr.splitlines()) == 1, res.stderr
             else:
                 assume(False)
+
+
+@st.composite
+def loose_integer_strings(draw) -> tuple[str, int]:
+    """A decimal integer written in a form that int() reads and encode_int
+    never writes, with its value."""
+    sign = draw(st.sampled_from(["", "-"]))
+    digits = str(draw(st.integers(10, 10**40)))
+    value = int(sign + digits)
+    kind = draw(st.sampled_from(["plus", "space", "underscore", "digit"]))
+    if kind == "plus":
+        sign, value = "+", abs(value)
+    elif kind == "underscore":
+        at = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:at] + "_" + digits[at:]
+    elif kind == "digit":  # the same digit from another Unicode decimal block
+        at = draw(st.integers(0, len(digits) - 1))
+        base = draw(st.sampled_from([0x660, 0x6F0, 0x966, 0xFF10, 0x1D7CE]))
+        digits = digits[:at] + chr(base + int(digits[at])) + digits[at + 1:]
+    text = sign + digits
+    if kind == "space":
+        space = draw(st.sampled_from([" ", "\t", "\n", "\u00a0", "\u2003"]))
+        text = draw(st.sampled_from([space + text, text + space]))
+    return text, value
+
+
+class TestArgvFuzz:
+    @given(st.sampled_from(sorted(INTEGER_FLAGS)), st.integers(-(10**40), 10**40))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_integers_round_trip(self, flag, value):
+        args = cli.build_parser().parse_args(
+            integer_flag_argv(INTEGER_FLAGS[flag][0], str(value), tri="t.json"))
+        assert getattr(args, flag.split("--")[-1].replace("-", "_")) == value
+
+    @given(st.sampled_from(sorted(INTEGER_FLAGS)), loose_integer_strings())
+    @settings(max_examples=300, deadline=None)
+    def test_loose_integers_are_refused(self, flag, loose):
+        text, value = loose
+        assert int(text) == value  # Python's int reads it
+        with pytest.raises(DocumentError, match="not an integer string"):
+            cli.build_parser().parse_args(
+                integer_flag_argv(INTEGER_FLAGS[flag][0], text, tri="t.json"))
+        with pytest.raises(DocumentError, match="not a comma-separated integer list"):
+            cli._parse_hstar_arg(f"1,{text},1")
+
+    @given(st.sampled_from(sorted(INTEGER_FLAGS)), st.text(max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_is_read_canonically_or_refused(self, flag, text):
+        argv = integer_flag_argv(INTEGER_FLAGS[flag][0], text, tri="t.json")
+        canonical = re.fullmatch(r"-?[0-9]+", text)
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except DocumentError:
+            assert not canonical
+        else:
+            assert canonical
+            assert getattr(args, flag.split("--")[-1].replace("-", "_")) == int(text)
+
+
+class TestIntegerFlags:
+    @pytest.fixture
+    def run_main(self, tmp_path, capsys, caplog):
+        """Run the command line in process: exit code, stdout, stderr and
+        the messages logged at ERROR."""
+        tri = write_doc(tmp_path, "t.json", UNIT_TRIANGLE_DOC)
+
+        def run(template: str, value: str) -> tuple[int, str, str, list[str]]:
+            caplog.clear()
+            code = cli.main(integer_flag_argv(template, value, tri=tri, corpus=tmp_path))
+            out, err = capsys.readouterr()
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            return code, out, err, errors
+
+        return run
+
+    @pytest.mark.parametrize("flag", list(INTEGER_FLAGS))
+    def test_canonical_value_is_accepted(self, run_main, flag):
+        code, out, _, errors = run_main(*INTEGER_FLAGS[flag])
+        assert (code, errors) == (0, []) and out
+
+    @pytest.mark.parametrize("form", list(LOOSE_FORMS))
+    @pytest.mark.parametrize("flag", list(INTEGER_FLAGS))
+    def test_loose_value_is_refused(self, run_main, flag, form):
+        template, value = INTEGER_FLAGS[flag]
+        loose = LOOSE_FORMS[form](value)
+        code, out, _, errors = run_main(template, loose)
+        assert (code, out, errors) == (2, "", [f"not an integer string: {loose!r}"])
+
+    @pytest.mark.parametrize("form", list(LOOSE_FORMS))
+    @pytest.mark.parametrize("template", [
+        "hstar {tri} --volume-cap {v}",
+        "oracle-verify {tri} --scan-cap {v}",
+        "verify-suite --corpus {corpus} --max-volume {v}",
+        "verify-suite --corpus {corpus} --scan-cap {v}",
+    ])
+    def test_loose_cap_is_refused(self, run_main, template, form):
+        loose = LOOSE_FORMS[form]("50")
+        code, out, err, _ = run_main(template, loose)
+        assert (code, out) == (2, "") and f"invalid int value: {loose!r}" in err
+
+    @pytest.mark.parametrize("form", list(LOOSE_FORMS))
+    def test_loose_hstar_part_is_refused(self, run_main, form):
+        text = f"1,{LOOSE_FORMS[form]('7')},1"
+        code, out, _, errors = run_main("check-conditions --hstar {v}", text)
+        assert (code, out, errors) == (2, "", [f"not a comma-separated integer list: {text!r}"])
+
+    @pytest.mark.parametrize("argv", [
+        "check-conditions --hstar 1,1_0,+2",
+        "ehrhart {tri} --n 1_0",
+        "ehrhart {tri} --n \u0663",
+        "extract-face {tri} --k +3",
+    ])
+    def test_loose_integer_exits_2_with_one_error_line(self, run_cli, tmp_path, argv):
+        tri = write_doc(tmp_path, "t.json", UNIT_TRIANGLE_DOC)
+        res = run_cli(*argv.format(tri=tri).split())
+        assert (res.returncode, res.stdout) == (2, "")
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("ERROR hstarkit: ")
 
 
 class TestReportCommands:
