@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations, product as iter_product
 from math import prod
 from unittest import mock
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import linalg, oracle
-from hstarkit.errors import NotASimplexError, ScanTooLargeError
+from hstarkit import boxgroup, hstar, linalg, oracle
+from hstarkit.errors import NotASimplexError, ScanTooLargeError, VolumeTooLargeError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import ehrhart_from_hstar, hstar_from_box_group, structural_facts
 from hstarkit.boxgroup import enumerate_box_group, enumerate_by_box_scan
+from hstarkit.io import load_simplex_document
 from hstarkit.oracle import (
     count_interior_points,
     count_lattice_points,
@@ -468,3 +470,80 @@ class TestAnySimplex:
                 errors.append((str(info.value), info.value.candidates))
             assert errors[0] == errors[1] == (errors[1][0], cap)
             assert count_lattice_points(simplex, n, scan_cap=cap) == count_lattice_points(model, n)
+
+
+class RouteReached(BaseException):
+    """Raised by a poisoned function. Not an Exception, so that no handler
+    in the package can swallow it."""
+
+
+def poison(monkeypatch, targets) -> list[str]:
+    """Replace every binding of each (module, name) function in every
+    hstarkit module, the module attribute and each from-imported alias, by
+    one that records its name and raises. Returns the record."""
+    reached: list[str] = []
+
+    def poisoned(name):
+        def call(*args, **kwargs):
+            reached.append(name)
+            raise RouteReached(name)
+        return call
+
+    originals = [(getattr(module, name), name) for module, name in targets]
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "hstarkit":
+            continue
+        for attr, value in list(vars(module).items()):
+            for original, name in originals:
+                if value is original:
+                    monkeypatch.setattr(module, attr, poisoned(name))
+    return reached
+
+
+def corpus_simplices(corpus_dir):
+    return [(p.name, load_simplex_document(p).to_simplex())
+            for p in sorted(corpus_dir.glob("*.json"))]
+
+
+class TestRouteIndependence:
+    """The two h* routes share no code: the oracle and the box scan never
+    reach the Smith form, the weight group or the group h*, and the group
+    path never scans."""
+
+    GROUP_PATH = ((linalg, "smith_normal_form"), (boxgroup, "enumerate_box_group"),
+                  (hstar, "hstar_from_box_group"))
+
+    def test_oracle_never_reaches_the_group_path(self, monkeypatch, corpus_dir):
+        docs = corpus_simplices(corpus_dir)
+        hstars = {name: hstar_from_box_group(enumerate_box_group(s)) for name, s in docs}
+        oracle._scan.cache_clear()  # a cached count would not run its code
+        reached = poison(monkeypatch, self.GROUP_PATH)
+        assert oracle.enumerate_box_group is not enumerate_box_group
+        ran = set()
+        for name, s in docs:
+            h, d = hstars[name], s.dimension
+            routes = {
+                "counts": lambda: [(count_lattice_points(s, n), count_interior_points(s, n))
+                                   for n in range(d + 2)],
+                "interpolation": lambda: hstar_by_interpolation(s),
+                "heldout": lambda: heldout_count_matches(s, h),
+                "box-scan": lambda: enumerate_by_box_scan(s),
+                "structural-facts": lambda: structural_facts(s, h),
+            }
+            for route, call in routes.items():
+                try:
+                    call()
+                except (ScanTooLargeError, VolumeTooLargeError):
+                    continue  # a cap refusal is allowed
+                ran.add((name, route))
+        assert reached == []
+        assert sum(route == "interpolation" for _, route in ran) >= 12
+        assert all((name, "structural-facts") in ran for name, _ in docs)
+
+    def test_group_path_never_scans(self, monkeypatch, corpus_dir):
+        docs = corpus_simplices(corpus_dir)
+        reached = poison(monkeypatch, [(oracle, "_scan")])
+        for _, s in docs:
+            hstar_from_box_group(enumerate_box_group(s))
+            extract_face(s, 3)
+        assert reached == []
