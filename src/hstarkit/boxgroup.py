@@ -20,12 +20,12 @@ int64 keys as stay below ``INT64_LIMIT``. ``BoxGroup.rows`` gathers the
 residue rows of just the s elements a caller selects, one numerator over q
 per vertex, at O(s * (n+1)); no row is stored or cached.
 
-Single elements are ``BoxPoint`` objects (reduced integer numerators over
-their own denominator, which keeps the group law in pure integer
-arithmetic; ``coords`` exposes the exact rationals); a group builds them
-only when a caller asks for its elements. ``add`` and ``neg`` are the group
-law on single elements, a public view: the package itself works on the
-residue columns and rows.
+Iterating a group yields its elements as ``BoxPoint`` objects (reduced
+integer numerators over their own denominator, which keeps the group law in
+pure integer arithmetic; ``coords`` exposes the exact rationals), built
+from ``rows()`` on each iteration. ``add`` and ``neg`` are the group law on
+single elements, a public view: the package itself works on the residue
+columns and rows.
 
 ``enumerate_by_box_scan`` is an independent second enumeration, used to
 check the first: no Smith form, no ``BoxGroup``. It reads the group off the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
@@ -83,11 +82,6 @@ class BoxPoint:
         return cls(nums=tuple(x // g for x in nums), den=den // g)
 
     @classmethod
-    def from_fractions(cls, coords: Sequence[Fraction]) -> "BoxPoint":
-        den = lcm(*(c.denominator for c in coords)) if coords else 1
-        return cls.from_scaled([c.numerator * (den // c.denominator) for c in coords], den)
-
-    @classmethod
     def zero(cls, length: int) -> "BoxPoint":
         return cls(nums=(0,) * length, den=1)
 
@@ -110,10 +104,6 @@ class BoxPoint:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.nums) if x > 0)
-
-    @property
-    def support_size(self) -> int:
-        return sum(1 for x in self.nums if x > 0)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -144,8 +134,8 @@ class BoxGroup:
     ``column_map[i]``. ``heights`` holds the element heights, so ``order``
     is their count. Elements are sorted by (height, coordinates) so that
     every downstream report is deterministic. ``rows`` gathers the
-    numerators of selected elements, one column per vertex; ``elements`` is
-    the whole group as ``BoxPoint`` objects, built on first use.
+    numerators of selected elements, one column per vertex; iterating the
+    group yields every element as a ``BoxPoint``, built from ``rows()``.
     """
 
     invariant_factors: tuple[int, ...]
@@ -153,33 +143,21 @@ class BoxGroup:
     column_map: tuple[int, ...]
     heights: np.ndarray
 
-    @cached_property
-    def elements(self) -> tuple[BoxPoint, ...]:
-        return self.points(slice(None))
-
     def rows(self, select=slice(None)) -> np.ndarray:
         """A fresh (s, n+1) array whose rows hold the numerators over q of
         the selected elements (a slice, mask or index array), in the group's
         canonical order, at O(s * (n+1))."""
         return self.columns[:, select].T.take(self.column_map, axis=1)
 
-    def points(self, select) -> tuple[BoxPoint, ...]:
-        """The selected elements, in the group's canonical order."""
-        q = self.exponent
-        return tuple(BoxPoint.from_scaled(r, q) for r in self.rows(select).tolist())
-
     def __iter__(self) -> Iterator[BoxPoint]:
         # Unused in the package; perfbench's tracer test iterates a group.
-        return iter(self.elements)
+        q = self.exponent
+        return (BoxPoint.from_scaled(r, q) for r in self.rows().tolist())
 
     def __len__(self) -> int:
         return len(self.heights)
 
     order = property(__len__)
-
-    @property
-    def zero(self) -> BoxPoint:
-        return BoxPoint.zero(len(self.column_map))
 
     @property
     def exponent(self) -> int:

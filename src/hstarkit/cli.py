@@ -12,9 +12,10 @@ import argparse
 import logging
 import os
 import sys
+from fractions import Fraction
 
 from . import families, verify
-from .boxgroup import BoxPoint, DEFAULT_VOLUME_CAP, enumerate_box_group
+from .boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
 from .errors import (
     DocumentError,
     HstarkitError,
@@ -56,8 +57,9 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _coords_strings(point: BoxPoint) -> list[str]:
-    return [str(c) for c in point.coords]
+def _coords_strings(row: list[int], q: int) -> list[str]:
+    """One element's coordinates, numerators over the exponent q, as reduced fractions."""
+    return [str(Fraction(r, q)) for r in row]
 
 
 def _hstar_json(h: HStarVector) -> list:
@@ -78,10 +80,7 @@ def _base_report(command: str, doc: SimplexDocument, order: int, h: HStarVector)
 
 def _cap(text: str) -> int:
     """A cap option's value; one below 1 would refuse every input and raises while parsing."""
-    try:
-        value = decode_int(text)
-    except DocumentError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = decode_int(text)
     if value < 1:
         raise InvalidParametersError(f"caps must be at least 1, got {value}")
     return value
@@ -108,7 +107,7 @@ def _certificate_json(cert: ExtractionCertificate) -> dict:
         "hstar_match": cert.hstar_match,
     }
     if len(cert.lambda_prime) <= _ELEMENT_DUMP_LIMIT:
-        out["lambda_prime"] = [_coords_strings(p) for p in cert.lambda_prime_points()]
+        out["lambda_prime"] = [_coords_strings(r, cert.exponent) for r in cert.lambda_prime.tolist()]
     return out
 
 
@@ -128,7 +127,7 @@ def cmd_box_group(args) -> int:
     report["invariant_factors"] = [encode_int(f) for f in group.invariant_factors]
     report["level_counts"] = {str(k): v for k, v in group.level_counts().items()}
     if group.order <= _ELEMENT_DUMP_LIMIT:
-        report["elements"] = [_coords_strings(p) for p in group.elements]
+        report["elements"] = [_coords_strings(r, group.exponent) for r in group.rows().tolist()]
     _emit(report)
     return EXIT_OK
 
@@ -137,11 +136,12 @@ def cmd_ehrhart(args) -> int:
     if args.n < 0:
         raise InvalidParametersError(f"dilation --n must be nonnegative, got {args.n}")
     doc = load_simplex_document(args.file)
-    group = enumerate_box_group(doc.to_simplex(), volume_cap=args.volume_cap)
+    simplex = doc.to_simplex()
+    group = enumerate_box_group(simplex, volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
     report = _base_report("ehrhart", doc, group.order, h)
     report["n"] = encode_int(args.n)
-    report["count"] = encode_int(ehrhart_from_hstar(h, h.dim_context, args.n))
+    report["count"] = encode_int(ehrhart_from_hstar(h, simplex.dimension, args.n))
     _emit(report)
     return EXIT_OK
 

@@ -2,7 +2,7 @@
 quantities, and the classical structural facts as executable checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
@@ -22,14 +22,10 @@ def binomial(a: int, b: int) -> int:
 class HStarVector:
     """Nonnegative integer coefficients h_0, h_1, ... with h_0 = 1.
 
-    Trailing zeros are trimmed; ``dim_context``, when present, records the
-    dimension of the simplex the vector came from (needed by the facts that
-    are indexed by dimension rather than degree). Equality compares the
-    coefficients only.
+    Trailing zeros are trimmed.
     """
 
     coeffs: tuple[int, ...]
-    dim_context: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.coeffs or self.coeffs[0] != 1:
@@ -38,15 +34,13 @@ class HStarVector:
             raise ValueError("coefficients must be nonnegative")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
             raise ValueError("trailing zeros must be trimmed; use HStarVector.of")
-        if self.dim_context is not None and len(self.coeffs) > self.dim_context + 1:
-            raise ValueError("more coefficients than dimension + 1")
 
     @classmethod
-    def of(cls, coeffs: Sequence[int], dim_context: int | None = None) -> "HStarVector":
+    def of(cls, coeffs: Sequence[int]) -> "HStarVector":
         c = list(int(x) for x in coeffs)
         while len(c) > 1 and c[-1] == 0:
             c.pop()
-        return cls(tuple(c), dim_context)
+        return cls(tuple(c))
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -77,7 +71,7 @@ def hstar_from_box_group(group: BoxGroup) -> HStarVector:
     out = [0] * (max(counts) + 1)
     for h, c in counts.items():
         out[h] = c
-    return HStarVector.of(out, dim_context=len(group.column_map) - 1)
+    return HStarVector.of(out)
 
 
 def ehrhart_from_hstar(h: HStarVector, d: int, n: int) -> int:

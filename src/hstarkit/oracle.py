@@ -189,7 +189,7 @@ def hstar_by_interpolation(
     ]
     if any(c < 0 for c in coeffs):
         raise InternalCheckError(f"negative interpolated coefficient: {coeffs}")
-    return HStarVector.of(coeffs, dim_context=d)
+    return HStarVector.of(coeffs)
 
 
 def heldout_count_matches(

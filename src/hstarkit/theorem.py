@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .boxgroup import DEFAULT_VOLUME_CAP, BoxGroup, BoxPoint, enumerate_box_group
+from .boxgroup import DEFAULT_VOLUME_CAP, BoxGroup, enumerate_box_group
 from .errors import HypothesisNotMetError, InternalCheckError, InvalidParametersError
 from .hstar import HStarVector, hstar_from_box_group
 from .simplex import FaceSelector, LatticeSimplex, face
@@ -30,9 +30,10 @@ def _check_k(k: int) -> None:
 
 
 def check_zero_window(h: HStarVector, k: int) -> bool:
-    """True iff coefficients k+1 through 2k (inclusive) are all zero."""
+    """True iff coefficients k+1 through 2k (inclusive) are all zero; only
+    the stored coefficients are read, so any k costs O(degree)."""
     _check_k(k)
-    return all(h.coefficient(i) == 0 for i in range(k + 1, 2 * k + 1))
+    return not any(h.coeffs[k + 1 : 2 * k + 1])
 
 
 def _lex_sorted(rows: np.ndarray) -> np.ndarray:
@@ -81,9 +82,8 @@ class ExtractionCertificate:
     """Everything the face extraction computed, verdicts included.
 
     ``lambda_prime`` is L', the elements of height at most k, as read-only
-    residue rows over the group ``exponent`` in the group's canonical order;
-    ``lambda_prime_points`` builds them as ``BoxPoint``s. Equality compares
-    every field, L' row by row.
+    residue rows over the group ``exponent`` in the group's canonical order.
+    Equality compares every field, L' row by row.
 
     ``lemma31_ok`` states Lemma 3.1's bound |supp(a)| <= k + heit(a) for
     every a in L'; ``subgroup_ok`` that L' is a subgroup and
@@ -117,9 +117,6 @@ class ExtractionCertificate:
         return np.array_equal(self.lambda_prime, other.lambda_prime) and all(
             getattr(self, name) == getattr(other, name) for name in rest
         )
-
-    def lambda_prime_points(self) -> tuple[BoxPoint, ...]:
-        return tuple(BoxPoint.from_scaled(r, self.exponent) for r in self.lambda_prime.tolist())
 
 
 def extract_face(
@@ -157,7 +154,7 @@ def extract_face(
     # Lemma 3.1 bounds the support of each element of L'; Lemma 3.2 makes L'
     # a subgroup whose support has at most 4k - 1 vertices.
     positive = low_rows > 0
-    lemma31_ok = bool((positive.sum(axis=1) <= k + group.heights[low]).all())
+    lemma31_ok = bool((positive.sum(axis=1) - group.heights[low] <= k).all())
     subgroup_ok = _is_subgroup(low_rows, group)
     supp = tuple(np.flatnonzero(positive.any(axis=0)).tolist())
     support_bound_ok = len(supp) <= 4 * k - 1
@@ -213,8 +210,11 @@ def is_prime(n: int) -> bool:
 
 def check_shifted_symmetric(h: HStarVector, d: int) -> bool:
     """h_{i+1} == h_{d-i} for every 0 <= i <= d-1 (d = dimension), i.e. the
-    level symmetry h_i == h_{c-i} for 0 < i < c at center c = d + 1."""
-    return all(h.coefficient(i + 1) == h.coefficient(d - i) for i in range(d))
+    level symmetry h_i == h_{c-i} for 0 < i < c at center c = d + 1.
+
+    The pairs are symmetric and h_j = 0 past the degree, so checking
+    i + 1 <= min(d, degree) covers every pair at O(degree) for any d."""
+    return all(h.coefficient(i + 1) == h.coefficient(d - i) for i in range(min(d, h.degree)))
 
 
 @dataclass(frozen=True)

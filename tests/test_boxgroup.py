@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import boxgroup, linalg, theorem
+from hstarkit import boxgroup, cli, linalg, theorem
 from hstarkit.boxgroup import (
     BoxGroup,
     BoxPoint,
@@ -35,6 +35,8 @@ from hstarkit.simplex import (
     restrict_to_affine_lattice,
 )
 
+from conftest import as_rows
+
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
 
 
@@ -48,11 +50,6 @@ def scan_points(simplex, cap=200):
     return tuple(BoxPoint.from_scaled(r, volume) for r in rows.tolist())
 
 
-def as_rows(points, den):
-    """Points as numerator rows over den, a multiple of every point's den."""
-    return [[x * (den // p.den) for x in p.nums] for p in points]
-
-
 class TestBoxPoint:
     def test_reduction_and_coords(self):
         p = BoxPoint.from_scaled((0, 3, 3), 6)
@@ -63,7 +60,7 @@ class TestBoxPoint:
         p = BoxPoint.from_scaled((0, 1, 1), 2)
         assert p.height == 1
         assert p.support == (1, 2)
-        assert p.support_size == 2
+        assert len(p.support) == 2
         z = BoxPoint.zero(3)
         assert z.height == 0 and z.support == ()
 
@@ -78,8 +75,9 @@ class TestBoxPoint:
         assert add(a, a) == z
         assert neg(z) == z
         assert neg(a) == a
-        b = BoxPoint.from_fractions((frac(0), frac(1, 3), frac(2, 3)))
-        assert neg(b) == BoxPoint.from_fractions((frac(0), frac(2, 3), frac(1, 3)))
+        b = BoxPoint.from_scaled((0, 1, 2), 3)
+        assert neg(b) == BoxPoint.from_scaled((0, 2, 1), 3)
+        assert neg(b).coords == (frac(0), frac(2, 3), frac(1, 3))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -91,19 +89,19 @@ class TestEnumeration:
         for d in range(0, 5):
             g = enumerate_box_group(unit_simplex(d))
             assert g.order == 1
-            assert g.elements == (BoxPoint.zero(d + 1),)
+            assert tuple(g) == (BoxPoint.zero(d + 1),)
 
     def test_triangle_vol2(self):
         g = enumerate_box_group(TRI_VOL2)
         assert g.order == 2
-        nonzero = g.elements[1]
+        nonzero = tuple(g)[1]
         assert nonzero.coords == (frac(0), frac(1, 2), frac(1, 2))
         assert nonzero.height == 1
 
     def test_explicit_5dim(self):
         g = enumerate_box_group(prop43_instance(3, 4))
         assert g.order == 9
-        assert sorted(p.height for p in g.elements) == [0, 2, 2, 3, 3, 3, 3, 4, 4]
+        assert sorted(p.height for p in g) == [0, 2, 2, 3, 3, 3, 3, 4, 4]
         assert g.level_counts() == {0: 1, 2: 2, 3: 4, 4: 2}
 
     def test_remark44_levels(self):
@@ -114,12 +112,13 @@ class TestEnumeration:
         for c, m in [(1, 1), (2, 3), (3, 2), (5, 4)]:
             g = enumerate_box_group(delta_cm(c, m))
             assert g.order == c + 1
-            assert all(p.height == m for p in g.elements if not p.is_zero())
+            assert all(p.height == m for p in g if not p.is_zero())
 
     def test_elements_sorted_and_zero_first(self):
         g = enumerate_box_group(prop43_instance(3, 4))
-        assert g.zero.is_zero() and g.elements[0] == g.zero
-        keys = [(p.height, p.coords) for p in g.elements]
+        els = tuple(g)
+        assert els[0] == BoxPoint.zero(len(g.column_map))
+        keys = [(p.height, p.coords) for p in els]
         assert keys == sorted(keys)
 
     def test_order_equals_volume(self):
@@ -143,12 +142,12 @@ class TestEnumeration:
         assert g.column_map == m.column_map
         assert np.array_equal(g.rows(), m.rows()) and np.array_equal(g.heights, m.heights)
         assert g.rows().tolist() == [[0, 0], [1, 1]]
-        assert hstar_from_box_group(g).dim_context == 1
+        assert hstar_from_box_group(g).coeffs == (1, 1)
         assert not hasattr(g, "simplex")
 
     def test_inverses_exhaustive(self):
         g = enumerate_box_group(prop43_instance(3, 4))
-        for p in g.elements:
+        for p in g:
             assert add(p, neg(p)).is_zero()
 
     def test_scan_oracle_agreement(self):
@@ -159,7 +158,7 @@ class TestEnumeration:
             remark44_simplex(2),
             join(delta_cm(1, 1), delta_cm(2, 1)),
         ):
-            assert scan_points(s) == enumerate_box_group(s).elements
+            assert scan_points(s) == tuple(enumerate_box_group(s))
 
 
 def huge_unimodular_image(simplex):
@@ -308,19 +307,20 @@ class TestArrayRepresentation:
         assert_matches_reference(simplex)
         assert exact.rows().tolist() == fast.rows().tolist()
         assert exact.heights.tolist() == fast.heights.tolist()
-        assert exact.elements == fast.elements
+        assert tuple(exact) == tuple(fast)
         assert hstar_from_box_group(exact) == hstar_from_box_group(fast)
 
     def test_huge_image_keeps_the_elements(self):
         base = prop43_instance(3, 4)
-        assert enumerate_box_group(huge_unimodular_image(base)).elements == (
-            enumerate_box_group(base).elements
+        assert tuple(enumerate_box_group(huge_unimodular_image(base))) == (
+            tuple(enumerate_box_group(base))
         )
 
-    def test_hstar_builds_no_points(self):
+    def test_hstar_builds_no_points(self, gathered):
         g = enumerate_box_group(delta_cm(99999, 3))
         assert hstar_from_box_group(g).coeffs == (1, 0, 0, 99999)
-        assert "elements" not in g.__dict__
+        # Elements are built only by iterating, which gathers the rows.
+        assert gathered == [] and not hasattr(g, "elements")
 
     @pytest.mark.parametrize(
         "simplex",
@@ -331,7 +331,8 @@ class TestArrayRepresentation:
         g = enumerate_box_group(simplex)
         h = hstar_from_box_group(g)
         assert list(h.coeffs) == [g.level_counts().get(i, 0) for i in range(h.degree + 1)]
-        assert g.zero == BoxPoint.zero(simplex.n_vertices)
+        # The zero element sorts first, and its column of the table is zero.
+        assert g.heights[0] == 0 and not g.columns[:, 0].any()
         assert gathered == []
 
     def test_extract_face_never_widens_its_face_group(self, monkeypatch, gathered):
@@ -372,8 +373,10 @@ class TestArrayRepresentation:
     )
     def test_low_subgroup_matches_element_filter(self, simplex):
         g = enumerate_box_group(simplex)
+        els = tuple(g)
         for k in range(1, 7):
-            assert g.points(g.heights <= k) == tuple(p for p in g.elements if p.height <= k)
+            low = [p for p in els if p.height <= k]
+            assert g.rows(g.heights <= k).tolist() == as_rows(low, g.exponent)
 
     def test_level_counts_are_python_ints(self):
         for s in (prop43_instance(3, 4), NON_CYCLIC):
@@ -401,9 +404,9 @@ class TestGroupLaws:
     )
     def test_axioms_exhaustive(self, simplex):
         g = enumerate_box_group(simplex)
-        els = g.elements
+        els = tuple(g)
         members = set(els)
-        assert g.zero.is_zero()
+        assert BoxPoint.zero(len(g.column_map)) in members
         for a in els:
             assert neg(a) in members
             for b in els:
@@ -421,8 +424,8 @@ class TestGroupLaws:
         ids=["explicit5", "d62", "r44k2"],
     )
     def test_support_height_identity(self, simplex):
-        for p in enumerate_box_group(simplex).elements:
-            assert p.support_size == p.height + neg(p).height
+        for p in enumerate_box_group(simplex):
+            assert len(p.support) == p.height + neg(p).height
 
     @pytest.mark.parametrize(
         "simplex",
@@ -430,9 +433,9 @@ class TestGroupLaws:
         ids=["explicit5", "d53"],
     )
     def test_height_subadditive_and_step_bound(self, simplex):
-        g = enumerate_box_group(simplex)
-        for a in g.elements:
-            for b in g.elements:
+        els = tuple(enumerate_box_group(simplex))
+        for a in els:
+            for b in els:
                 assert add(a, b).height <= a.height + b.height
             prev = a
             while not a.is_zero():
@@ -444,13 +447,13 @@ class TestGroupLaws:
 
     def test_face_groups_are_supported_subsets(self):
         for s in (prop43_instance(3, 4), remark44_simplex(2)):
-            g = enumerate_box_group(s)
+            els = tuple(enumerate_box_group(s))
             for sel, face_simplex in all_faces(s):
                 face_group = enumerate_box_group(face_simplex)
-                got = {p.coords for p in face_group.elements}
+                got = {p.coords for p in face_group}
                 want = {
                     tuple(p.coords[i] for i in sel.indices)
-                    for p in g.elements
+                    for p in els
                     if set(p.support) <= set(sel.indices)
                 }
                 assert got == want
@@ -477,10 +480,11 @@ def test_random_simplices_group_matches_volume_and_scan(verts):
         return
     g = enumerate_box_group(s)
     assert g.order == vol
-    assert sum(1 for _ in g.elements) == vol
-    assert scan_points(s, cap=60) == g.elements
-    for p in g.elements:
-        assert p.support_size == p.height + neg(p).height
+    els = tuple(g)
+    assert len(els) == vol
+    assert scan_points(s, cap=60) == els
+    for p in els:
+        assert len(p.support) == p.height + neg(p).height
 
 
 def reference_box_scan(simplex, cap=200):
@@ -559,6 +563,32 @@ def lower_dimensional_simplices(draw):
     return s
 
 
+# The join of segments of lengths 2 and 3: q = 6, and the elements of
+# order 2 and 3 have coordinates over 2 and 3.
+JOIN_SEG2_SEG3 = from_vertices(3, [(0, 0, 0), (0, 2, 0), (1, 0, 0), (1, 0, 3)])
+
+
+def test_join_seg2_seg3_has_denominators_below_q():
+    g = enumerate_box_group(JOIN_SEG2_SEG3)
+    assert g.exponent == 6 and {p.den for p in g} == {1, 2, 3, 6}
+
+
+@given(st.one_of(full_dimensional_simplices(), lower_dimensional_simplices()), st.integers(1, 4))
+@example(JOIN_SEG2_SEG3, 1)
+@example(JOIN_SEG2_SEG3, 3)
+@settings(max_examples=80, deadline=None)
+def test_cli_coordinates_match_the_elements(s, k):
+    # box-group prints every row of the group and extract-face every row of
+    # L'; each must read as the reduced coordinates of its element.
+    group = enumerate_box_group(s)
+    els = tuple(group)
+    printed = [cli._coords_strings(r, group.exponent) for r in group.rows().tolist()]
+    assert printed == [[str(c) for c in p.coords] for p in els]
+    cert = theorem.extract_face(s, k)
+    printed = [cli._coords_strings(r, cert.exponent) for r in cert.lambda_prime.tolist()]
+    assert printed == [[str(c) for c in p.coords] for p in els if p.height <= k]
+
+
 class TestBoxScan:
     @given(full_dimensional_simplices())
     @settings(max_examples=120, deadline=None)
@@ -580,7 +610,7 @@ class TestBoxScan:
         rows, volume = enumerate_by_box_scan(from_vertices(3, [(5, -1, 2)]))
         assert rows.tolist() == [[0]] and volume == 1
         for s in (prop43_instance(3, 4), NON_CYCLIC, huge_unimodular_image(prop43_instance(3, 4))):
-            assert scan_points(s) == enumerate_box_group(s).elements
+            assert scan_points(s) == tuple(enumerate_box_group(s))
 
     def test_rows_are_read_only_over_the_volume(self):
         s = prop43_instance(3, 4)
@@ -629,7 +659,7 @@ class TestBoxScan:
         assert dtypes == [np.int64, object]
         assert exact.dtype == object and exact_volume == volume
         assert exact.tolist() == fast.tolist()
-        assert fast.tolist() == as_rows(enumerate_box_group(simplex).elements, volume)
+        assert fast.tolist() == as_rows(enumerate_box_group(simplex), volume)
 
 
 class TestDistinctColumnEnumeration:

@@ -36,19 +36,12 @@ class TestVector:
         with pytest.raises(ValueError):
             HStarVector((1, 1, 0))
 
-    def test_dim_context_bound(self):
-        with pytest.raises(ValueError):
-            HStarVector.of([1, 0, 1], dim_context=1)
-
     def test_degree_and_volume(self):
         assert HStarVector.of([1]).degree == 0
         assert HStarVector.of([1]).normalized_volume == 1
         h = HStarVector.of([1, 0, 2, 4, 2])
         assert h.degree == 4 and h.normalized_volume == 9
         assert HStarVector.of([1, 1, 0, 1]).degree == 3
-
-    def test_equality_ignores_dim_context(self):
-        assert HStarVector.of([1, 2], dim_context=1) == HStarVector.of([1, 2], dim_context=7)
 
     def test_product(self):
         h = HStarVector.of([1, 1]) * HStarVector.of([1, 2])
@@ -71,7 +64,6 @@ class TestFromGroup:
     def test_explicit_5dim(self):
         h = hstar_from_box_group(enumerate_box_group(prop43_instance(3, 4)))
         assert h.coeffs == (1, 0, 2, 4, 2)
-        assert h.dim_context == 5
 
     def test_sum_is_group_order(self):
         for s in (unit_simplex(2), TRI_VOL2, delta_cm(7, 2), prop43_instance(3, 4)):

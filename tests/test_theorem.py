@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import time
 from random import Random
 
 import pytest
@@ -23,7 +24,7 @@ from hstarkit.theorem import (
     is_prime,
 )
 
-from conftest import with_rows
+from conftest import as_rows, with_rows
 
 H = HStarVector.of
 
@@ -50,19 +51,49 @@ class TestZeroWindow:
             extract_face(prop43_instance(3, 4), 0, volume_cap=1)
 
 
+def _shifted_symmetric_loop(h, d):
+    """The earlier check, one pair per index below d."""
+    return all(h.coefficient(i + 1) == h.coefficient(d - i) for i in range(d))
+
+
+class TestHugeParameters:
+    """The window and symmetry checks read only the stored coefficients, so
+    their cost does not grow with k or the dimension. The zero window's
+    loop reference is ``test_zero_window_matches_slice_definition``."""
+
+    def test_shifted_symmetric_matches_the_loop(self):
+        for h in {H((1,) + tail) for tail in itertools.product(range(3), repeat=5)}:
+            for d in range(-2, 13):
+                assert check_shifted_symmetric(h, d) == _shifted_symmetric_loop(h, d), (h, d)
+
+    @pytest.mark.parametrize("big", [10**12, 10**20], ids=["1e12", "past-int64"])
+    def test_huge_k_and_dim_return_at_once(self, big):
+        start = time.perf_counter()
+        assert check_zero_window(H([1, 0, 2]), big)
+        for simplex in (unit_simplex(2), delta_cm(2, 3)):
+            cert = extract_face(simplex, big)
+            assert cert.window_ok and cert.hstar_match and cert.hypothesis_met
+            assert cert.lemma31_ok and cert.subgroup_ok
+            assert len(cert.lambda_prime) == cert.hstar.normalized_volume
+        entries = {e.name: e for e in condition_report(H([1]), dim=big)}
+        assert entries["shifted_symmetric"].status == "holds"
+        assert not check_shifted_symmetric(H([1, 1]), big)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestLowSubgroup:
     def test_whole_group_when_k_large(self):
         g = enumerate_box_group(prop43_instance(3, 4))
-        assert g.points(g.heights <= 4) == g.elements
+        assert g.rows(g.heights <= 4).tolist() == g.rows().tolist()
 
     def test_unit_gives_zero_only(self):
         g = enumerate_box_group(unit_simplex(3))
-        assert [p.is_zero() for p in g.points(g.heights <= 5)] == [True]
+        assert g.rows(g.heights <= 5).tolist() == [[0, 0, 0, 0]]
 
     def test_delta_23_all_heights_three(self):
         g = enumerate_box_group(delta_cm(2, 3))
-        low = g.points(g.heights <= 3)
-        assert len(low) == 3
+        low = [p for p in g if p.height <= 3]
+        assert len(low) == len(g.rows(g.heights <= 3)) == 3
         assert sorted(p.height for p in low) == [0, 3, 3]
 
 
@@ -74,9 +105,9 @@ class TestSupportBound:
     def test_delta23_join_point(self):
         s = join(delta_cm(2, 3), unit_simplex(0))
         assert extract_face(s, 3).lemma31_ok
-        for p in enumerate_box_group(s).elements:
+        for p in enumerate_box_group(s):
             if not p.is_zero():
-                assert p.height == 3 and p.support_size == 6
+                assert p.height == 3 and len(p.support) == 6
 
 
 class TestLowSubgroupVerdict:
@@ -88,7 +119,7 @@ class TestLowSubgroupVerdict:
         cert = extract_face(join(delta_cm(2, 3), unit_simplex(0)), 3)
         assert cert.subgroup_ok and cert.support_bound_ok
         assert len(cert.support) == 6 <= 4 * 3 - 1
-        assert max(p.height for p in cert.lambda_prime_points()) == 3
+        assert max(cert.lambda_prime.sum(axis=1)) == 3 * cert.exponent
 
     @pytest.mark.parametrize("c", range(1, 11))
     @pytest.mark.parametrize("k", [3, 4])
@@ -115,16 +146,17 @@ class TestLemmaHelpersMatchElementLoops:
     @pytest.mark.parametrize("simplex", LEMMA_SIMPLICES)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_support_bound(self, simplex, k):
-        low = [p for p in enumerate_box_group(simplex).elements if p.height <= k]
+        group = enumerate_box_group(simplex)
+        low = [p for p in group if p.height <= k]
         cert = extract_face(simplex, k)
-        assert cert.lambda_prime_points() == tuple(low)
-        assert cert.lemma31_ok == all(p.support_size <= k + p.height for p in low)
+        assert cert.lambda_prime.tolist() == as_rows(low, group.exponent)
+        assert cert.lemma31_ok == all(len(p.support) <= k + p.height for p in low)
 
     @pytest.mark.parametrize("simplex", LEMMA_SIMPLICES)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_low_subgroup_verdict(self, simplex, k):
         g = enumerate_box_group(simplex)
-        low = set(p for p in g.elements if p.height <= k)
+        low = set(p for p in g if p.height <= k)
         closed = all(add(a, b) in low for a in low for b in low)
         supp = tuple(sorted({i for p in low for i in p.support}))
         cert = extract_face(simplex, k)
@@ -159,15 +191,20 @@ CLOSURE_GROUPS += [
 ]
 
 
+def _zero(group):
+    return BoxPoint.zero(len(group.column_map))
+
+
 def _indices(group, points):
-    return {group.elements.index(p) for p in points}
+    elements = tuple(group)
+    return {elements.index(p) for p in points}
 
 
 def _zero_g_neg_g(group):
     """{0, g, -g} for the first nonzero g: closed under negation, and not
     under addition when g has order 5."""
-    g = next(p for p in group.elements if not p.is_zero())
-    return _indices(group, {group.zero, g, neg(g)})
+    g = next(p for p in group if not p.is_zero())
+    return _indices(group, {_zero(group), g, neg(g)})
 
 
 def test_closure_groups_cover_non_cyclic_and_object_rows():
@@ -195,8 +232,8 @@ def test_is_subgroup_sorts_once_per_generator(monkeypatch):
 )
 @example(CLOSURE_GROUPS[0], set(), False, Random(0))
 @example(CLOSURE_GROUPS[6], set(), False, Random(0))
-@example(CLOSURE_GROUPS[0], _indices(CLOSURE_GROUPS[0], {CLOSURE_GROUPS[0].zero}), False, Random(0))
-@example(CLOSURE_GROUPS[7], _indices(CLOSURE_GROUPS[7], {CLOSURE_GROUPS[7].zero}), False, Random(0))
+@example(CLOSURE_GROUPS[0], _indices(CLOSURE_GROUPS[0], {_zero(CLOSURE_GROUPS[0])}), False, Random(0))
+@example(CLOSURE_GROUPS[7], _indices(CLOSURE_GROUPS[7], {_zero(CLOSURE_GROUPS[7])}), False, Random(0))
 @example(CLOSURE_GROUPS[1], set(range(60)), False, Random(0))
 @example(CLOSURE_GROUPS[7], set(range(60)), False, Random(1))
 @example(CLOSURE_GROUPS[2], _zero_g_neg_g(CLOSURE_GROUPS[2]), False, Random(0))
@@ -204,14 +241,15 @@ def test_is_subgroup_sorts_once_per_generator(monkeypatch):
 @settings(max_examples=300, deadline=None)
 def test_is_subgroup_matches_pair_sweep(group, indices, generate, rng):
     # Indices past the order wrap, so a set of all 60 picks the whole group.
-    elements = group.elements
+    elements = tuple(group)
+    zero = _zero(group)
     picked = {elements[i % group.order] for i in indices}
     if generate:
-        picked = _generated(picked, group.zero)
+        picked = _generated(picked, zero)
     rows = [i for i, p in enumerate(elements) if p in picked]
     rng.shuffle(rows)
     subgroup = (
-        group.zero in picked
+        zero in picked
         and all(neg(a) in picked for a in picked)
         and all(add(a, b) in picked for a in picked for b in picked)
     )
@@ -276,7 +314,6 @@ class TestExtractFace:
         group = enumerate_box_group(s)
         assert cert.exponent == group.exponent
         assert cert.lambda_prime.tolist() == group.rows(group.heights <= 3).tolist()
-        assert cert.lambda_prime_points() == group.points(group.heights <= 3)
         with pytest.raises(ValueError):
             cert.lambda_prime[0, 0] = 1
 
@@ -292,7 +329,9 @@ class TestExtractFace:
         cert = extract_face(join(delta_cm(2999, 3), delta_cm(1, 7)), 3)
         assert len(cert.lambda_prime) == 3000
         assert built == []
-        assert len(cert.lambda_prime_points()) == 3000 == len(built)
+        # The spy is live: building one point records it.
+        BoxPoint.from_scaled((0, 1), 2)
+        assert built == [2]
 
     def test_equality_compares_lambda_prime_rows(self):
         cert = extract_face(delta_cm(4, 3), 3)
@@ -475,7 +514,7 @@ class TestConditionReport:
         simplex = remark44_simplex(2)
         g = enumerate_box_group(simplex)
         h = hstar_from_box_group(g)
-        supp = len({i for p in g.elements for i in p.support})
+        supp = len({i for p in g for i in p.support})
         assert is_prime(g.order)
         assert check_shifted_symmetric(h, supp - 1)
         doc = SimplexDocument.from_simplex(simplex, name="remark44-k2")
