@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -881,6 +882,66 @@ class TestGen:
         path = write_doc(tmp_path, "g.json", doc)
         payload = json.loads(run_cli("hstar", str(path)).stdout)
         assert payload["hstar"] == [1, 0, 3]
+
+
+# sha256 of `hstarkit gen <argv>` stdout and its exit code for every family,
+# computed before the gen subparsers were built from one family table: each
+# document under its default name and under --name x, each family's --help
+# and `gen --help`. The join reads UNIT_TRIANGLE_DOC and PROP43_DOC.
+GEN_STDOUT_SHA256 = {
+    "--help":
+        ("aa3956bad0207c725082056047261e204b44511c8a21966a0cc3079f6e03dd18", 0),
+    "delta_cm --c 2 --m 3":
+        ("edaf4f28678e0c818a1af47fd2676d225c270d371e62ccff281b9aa4004058c2", 0),
+    "delta_cm --c 2 --m 3 --name x":
+        ("ae1124ecb0e158bc84cffc68d44afa88bf2dfeaca9321118f1158849240a5300", 0),
+    "delta_cm --help":
+        ("35f7b68dd61b743ac5d8d4ca31602d0ccbd54a1ffe98cf43e2ae1cf2d4dffd4d", 0),
+    "join --help":
+        ("a6d8306b048f4abb030356198ca5e537dd368bad958e8268a192b6802bc2be55", 0),
+    "join --left {left} --right {right}":
+        ("b17890658c650817f5e7e8f8955c35a7e935baba0385ce8ddde936035828be17", 0),
+    "join --left {left} --right {right} --name x":
+        ("ce43c169656e98c2e5b4b4707bea24d05bec88f3b1ea819665670ea3ff590960", 0),
+    "lemma41 --a 1 --b 2 --k 1 --l 2":
+        ("83e49f85a1a81b9a9d02325e573cc47ffb6f1c5a4d12b8618aa2dc44ff136885", 0),
+    "lemma41 --a 1 --b 2 --k 1 --l 2 --name x":
+        ("d5c5b07a9e2e5c155a288e0d1bae04712b09b895f523f49555eda9a77232656e", 0),
+    "lemma41 --help":
+        ("61b216262f660ce653e0f1bf65440137187b96622520337afdd6d58a8ae69bd2", 0),
+    "prop43 --help":
+        ("4cd85ebfb6fea92abe45e5294793762d88b10d0faf4eaace97618a91dc631a52", 0),
+    "prop43 --k 3 --j 5":
+        ("8e933059c68c4d779089bc6c0053d4ad96047324bda37b8b11c40eea7927fad9", 0),
+    "prop43 --k 3 --j 5 --name x":
+        ("c27336e75a629fa1f9b68583f87dad671f01dc8645e7a0271819cafaafcad0ad", 0),
+    "prop43 --k 3 --j 5 --p 7":
+        ("a9d5d8dc2d9df91a4e3fe6b6d6cf8bedb1e9c428f9547f4c2e5408cbdc644251", 0),
+    "remark44 --help":
+        ("639727f188a26be7e7722de9220900b48fc75b502d1e161282348b1f35239fb2", 0),
+    "remark44 --k 2":
+        ("6434d38eed34021c490563411a67f8af296fdebcd4d1962c29caff8b7473c7be", 0),
+    "remark44 --k 2 --name x":
+        ("68464a56ffeee616fd2401715152b4499415f300da6674f3e272a52f31e8e63c", 0),
+    "unit --dim 3":
+        ("010b36c16c124c26b855c6b661a4a7df401d4a15b92381c33b70295c863d261a", 0),
+    "unit --dim 3 --name x":
+        ("b988e072659d190bc1ba532df95daf0798332a2c54e9530929d9c72df9090920", 0),
+    "unit --help":
+        ("1269048aac077adf05c939996dbb23f6445b495cc00b0262b1892c264d686889", 0),
+}
+
+
+class TestGenGolden:
+    @pytest.mark.parametrize("argv", sorted(GEN_STDOUT_SHA256))
+    def test_stdout_bytes(self, run_cli, tmp_path, argv):
+        left = write_doc(tmp_path, "left.json", UNIT_TRIANGLE_DOC)
+        right = write_doc(tmp_path, "right.json", PROP43_DOC)
+        words = argv.format(left=left, right=right).split()
+        # argparse wraps --help at the terminal width it reads from COLUMNS.
+        res = run_cli("gen", *words, env={**os.environ, "COLUMNS": "80"})
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        assert (digest, res.returncode) == GEN_STDOUT_SHA256[argv]
 
 
 class TestCheckConditions:
