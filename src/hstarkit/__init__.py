@@ -17,7 +17,7 @@ from .errors import HstarkitError
 from .hstar import HStarVector, ehrhart_from_hstar, hstar_from_box_group, structural_facts
 from .linalg import det, hermite_normal_form, smith_normal_form, solve_rational
 from .oracle import count_interior_points, count_lattice_points, cross_validate, hstar_by_interpolation
-from .simplex import FaceSelector, LatticeSimplex, all_faces, face, from_vertices, homogenize, normalized_volume, restrict_to_affine_lattice
+from .simplex import LatticeSimplex, all_faces, face, from_vertices, homogenize, normalized_volume, restrict_to_affine_lattice
 from .theorem import ExtractionCertificate, check_zero_window, condition_report, extract_face
 from . import families
 
@@ -25,7 +25,6 @@ __all__ = [
     "BoxGroup",
     "BoxPoint",
     "ExtractionCertificate",
-    "FaceSelector",
     "HStarVector",
     "HstarkitError",
     "LatticeSimplex",

@@ -9,6 +9,7 @@ strict mode.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -98,7 +99,7 @@ def _certificate_json(cert: ExtractionCertificate) -> dict:
         "hypothesis_met": cert.hypothesis_met,
         "hstar": _hstar_json(cert.hstar),
         "support": list(cert.support),
-        "face_selector": list(cert.face_selector.indices),
+        "face_selector": list(cert.face_selector),
         "face_hstar": _hstar_json(cert.face_hstar),
         "truncation": _hstar_json(cert.truncation),
         "lemma31_ok": cert.lemma31_ok,
@@ -176,31 +177,29 @@ def cmd_extract_face(args) -> int:
     return EXIT_OK
 
 
+# gen family -> (constructor, its integer flags in call order, default
+# document name); a flag is optional where the constructor has a default.
+# `join`, which reads two documents, is the one family outside the table.
+_GEN_FAMILIES = {
+    "unit": (families.unit_simplex, ("dim",), "unit_d{dim}"),
+    "delta_cm": (families.delta_cm, ("c", "m"), "delta_cm_c{c}_m{m}"),
+    "lemma41": (families.lemma41_simplex, ("a", "b", "k", "l"), "lemma41_a{a}_b{b}_k{k}_l{l}"),
+    "prop43": (families.prop43_instance, ("k", "j", "p"), "prop43_k{k}_j{j}_p{p}"),
+    "remark44": (families.remark44_simplex, ("k",), "remark44_k{k}"),
+}
+
+
 def cmd_gen(args) -> int:
-    name = args.name
-    if args.family == "unit":
-        simplex = families.unit_simplex(args.dim)
-        name = name or f"unit_d{args.dim}"
-    elif args.family == "delta_cm":
-        simplex = families.delta_cm(args.c, args.m)
-        name = name or f"delta_cm_c{args.c}_m{args.m}"
-    elif args.family == "lemma41":
-        simplex = families.lemma41_simplex(args.a, args.b, args.k, args.l)
-        name = name or f"lemma41_a{args.a}_b{args.b}_k{args.k}_l{args.l}"
-    elif args.family == "prop43":
-        simplex = families.prop43_instance(args.k, args.j, args.p)
-        name = name or f"prop43_k{args.k}_j{args.j}_p{args.p}"
-    elif args.family == "remark44":
-        simplex = families.remark44_simplex(args.k)
-        name = name or f"remark44_k{args.k}"
-    elif args.family == "join":
+    if args.family == "join":
         left = load_simplex_document(args.left).to_simplex()
         right = load_simplex_document(args.right).to_simplex()
-        simplex = families.join(left, right)
-        name = name or "join"
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidParametersError(args.family)
-    _emit(SimplexDocument.from_simplex(simplex, name=name).to_json_dict())
+        simplex, name = families.join(left, right), "join"
+    else:
+        make, flags, template = _GEN_FAMILIES[args.family]
+        values = {flag: getattr(args, flag) for flag in flags}
+        simplex = make(*values.values())
+        name = template.format(**values)
+    _emit(SimplexDocument.from_simplex(simplex, name=args.name or name).to_json_dict())
     return EXIT_OK
 
 
@@ -243,13 +242,7 @@ def cmd_check_conditions(args) -> int:
 
 
 def cmd_verify_suite(args) -> int:
-    try:
-        records, ok = verify.run_suite(
-            args.corpus, max_volume=args.max_volume, scan_cap=args.scan_cap
-        )
-    except HstarkitError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
+    records, ok = verify.run_suite(args.corpus, max_volume=args.max_volume, scan_cap=args.scan_cap)
     for record in records:
         _emit(record.to_json_dict())
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -311,22 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a family instance document")
     fam_sub = p.add_subparsers(dest="family", required=True)
-    f = fam_sub.add_parser("unit")
-    f.add_argument("--dim", type=decode_int, required=True)
-    f = fam_sub.add_parser("delta_cm")
-    f.add_argument("--c", type=decode_int, required=True)
-    f.add_argument("--m", type=decode_int, required=True)
-    f = fam_sub.add_parser("lemma41")
-    f.add_argument("--a", type=decode_int, required=True)
-    f.add_argument("--b", type=decode_int, required=True)
-    f.add_argument("--k", type=decode_int, required=True)
-    f.add_argument("--l", type=decode_int, required=True)
-    f = fam_sub.add_parser("prop43")
-    f.add_argument("--k", type=decode_int, required=True)
-    f.add_argument("--j", type=decode_int, required=True)
-    f.add_argument("--p", type=decode_int, default=5)
-    f = fam_sub.add_parser("remark44")
-    f.add_argument("--k", type=decode_int, required=True)
+    for family, (make, flags, _) in _GEN_FAMILIES.items():
+        f = fam_sub.add_parser(family)
+        params = inspect.signature(make).parameters.values()
+        for flag, param in zip(flags, params):
+            required = param.default is param.empty
+            f.add_argument(f"--{flag}", type=decode_int, required=required,
+                           default=None if required else param.default)
     f = fam_sub.add_parser("join")
     f.add_argument("--left", required=True)
     f.add_argument("--right", required=True)

@@ -17,14 +17,16 @@ from .simplex import LatticeSimplex, from_vertices, normalized_volume
 from .theorem import is_prime
 
 
+def _origin_and_units(dim: int, count: int) -> list[tuple[int, ...]]:
+    """The origin and the first ``count`` unit vectors of Z^dim."""
+    return [(0,) * dim] + [tuple(int(j == i) for j in range(dim)) for i in range(count)]
+
+
 def unit_simplex(dim: int) -> LatticeSimplex:
     """conv(0, e_1, ..., e_dim); normalized volume 1, h* = (1)."""
     if dim < 0:
         raise InvalidParametersError("dimension must be nonnegative")
-    verts = [(0,) * dim]
-    for i in range(dim):
-        verts.append(tuple(int(j == i) for j in range(dim)))
-    return from_vertices(dim, verts)
+    return from_vertices(dim, _origin_and_units(dim, dim))
 
 
 def join(left: LatticeSimplex, right: LatticeSimplex) -> LatticeSimplex:
@@ -53,12 +55,8 @@ def delta_cm(c: int, m: int) -> LatticeSimplex:
         raise InvalidParametersError("delta_cm needs c >= 1 and m >= 1")
     q = c + 1
     dim = 2 * m - 1
-    verts = [(0,) * dim]
-    for i in range(dim - 1):
-        verts.append(tuple(int(j == i) for j in range(dim)))
     tail = [q - 1 if i % 2 == 0 else 1 for i in range(dim - 1)]
-    verts.append(tuple(tail + [q]))
-    return from_vertices(dim, verts)
+    return from_vertices(dim, _origin_and_units(dim, dim - 1) + [(*tail, q)])
 
 
 def lemma41_simplex(a: int, b: int, k: int, ell: int) -> LatticeSimplex:
@@ -114,11 +112,7 @@ def remark44_simplex(k: int) -> LatticeSimplex:
     if k < 2:
         raise InvalidParametersError("k must be >= 2")
     d = 3 * k - 1
-    verts = [(0,) * d]
-    for i in range(d - 1):
-        verts.append(tuple(int(j == i) for j in range(d)))
-    verts.append(tuple([2] * (d - 1) + [3]))
-    return from_vertices(d, verts)
+    return from_vertices(d, _origin_and_units(d, d - 1) + [(2,) * (d - 1) + (3,)])
 
 
 def zero_window_family() -> Iterator[tuple[str, LatticeSimplex, int]]:

@@ -164,7 +164,7 @@ def search_windows(
                 window=window,
                 face_realizes_truncation=cert.hstar_match,
                 face_hstar=cert.face_hstar,
-                face_selector=cert.face_selector.indices,
+                face_selector=cert.face_selector,
             )
 
     return hits()

@@ -48,24 +48,6 @@ class LatticeSimplex:
         return self.dimension == self.ambient_dim
 
 
-@dataclass(frozen=True)
-class FaceSelector:
-    """Nonempty set of vertex indices (0-based, stored sorted)."""
-
-    indices: tuple[int, ...]
-
-    @classmethod
-    def of(cls, indices: Iterable[int], n_vertices: int) -> "FaceSelector":
-        idx = tuple(sorted(int(i) for i in indices))
-        if not idx:
-            raise IndexError("face selector must be nonempty")
-        if len(set(idx)) != len(idx):
-            raise IndexError("face selector indices must be distinct")
-        if idx[0] < 0 or idx[-1] >= n_vertices:
-            raise IndexError(f"face selector index out of range 0..{n_vertices - 1}")
-        return cls(idx)
-
-
 def from_vertices(ambient_dim: int, vertex_list: Sequence[Sequence[int]]) -> LatticeSimplex:
     """Validate and build a simplex; rejects affinely dependent vertex lists."""
     if not vertex_list:
@@ -125,26 +107,30 @@ def restrict_to_affine_lattice(simplex: LatticeSimplex) -> LatticeSimplex:
     return LatticeSimplex(n, ((0,) * n,) + tuple(zip(*tri)))
 
 
-def face(simplex: LatticeSimplex, selector: FaceSelector) -> LatticeSimplex:
-    """Triangular model of the face spanned by the selected vertices."""
-    FaceSelector.of(selector.indices, simplex.n_vertices)
-    sub = LatticeSimplex(
-        simplex.ambient_dim, tuple(simplex.vertices[i] for i in selector.indices)
+def face(simplex: LatticeSimplex, indices: Iterable[int]) -> LatticeSimplex:
+    """Triangular model of the face spanned by the vertices at the given
+    0-based indices, in any order: the face keeps the input's vertex order."""
+    idx = sorted(indices)
+    if not idx:
+        raise IndexError("face selector must be nonempty")
+    if len(set(idx)) != len(idx):
+        raise IndexError("face selector indices must be distinct")
+    if idx[0] < 0 or idx[-1] >= simplex.n_vertices:
+        raise IndexError(f"face selector index out of range 0..{simplex.n_vertices - 1}")
+    return restrict_to_affine_lattice(
+        LatticeSimplex(simplex.ambient_dim, tuple(simplex.vertices[i] for i in idx))
     )
-    return restrict_to_affine_lattice(sub)
 
 
-def all_faces(
-    simplex: LatticeSimplex,
-) -> Iterator[tuple[FaceSelector, LatticeSimplex]]:
-    """All nonempty faces, ordered by vertex count then lexicographically."""
+def all_faces(simplex: LatticeSimplex) -> Iterator[tuple[tuple[int, ...], LatticeSimplex]]:
+    """All nonempty faces with their index tuples, ordered by vertex count
+    then lexicographically."""
     k = simplex.n_vertices
     if k > MAX_FACE_VERTICES:
         raise TooManyFacesError(f"{k} vertices would give 2^{k}-1 faces")
     for size in range(1, k + 1):
         for combo in combinations(range(k), size):
-            sel = FaceSelector(combo)
-            yield sel, face(simplex, sel)
+            yield combo, face(simplex, combo)
 
 
 def normalized_volume(simplex: LatticeSimplex) -> int:

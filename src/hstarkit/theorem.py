@@ -19,7 +19,7 @@ import numpy as np
 from .boxgroup import DEFAULT_VOLUME_CAP, BoxGroup, enumerate_box_group
 from .errors import HypothesisNotMetError, InternalCheckError, InvalidParametersError
 from .hstar import HStarVector, hstar_from_box_group
-from .simplex import FaceSelector, LatticeSimplex, face
+from .simplex import LatticeSimplex, face
 
 
 def _check_k(k: int) -> None:
@@ -102,7 +102,7 @@ class ExtractionCertificate:
     lambda_prime: np.ndarray
     exponent: int
     support: tuple[int, ...]
-    face_selector: FaceSelector
+    face_selector: tuple[int, ...]
     face_hstar: HStarVector
     truncation: HStarVector
     lemma31_ok: bool
@@ -158,7 +158,7 @@ def extract_face(
     subgroup_ok = _is_subgroup(low_rows, group)
     supp = tuple(np.flatnonzero(positive.any(axis=0)).tolist())
     support_bound_ok = len(supp) <= 4 * k - 1
-    selector = FaceSelector.of(supp if supp else (0,), simplex.n_vertices)
+    selector = supp if supp else (0,)
     face_simplex = face(simplex, selector)
     face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
     face_h = hstar_from_box_group(face_group)

@@ -132,14 +132,14 @@ def _instance_records(
     else:
         yield _skip(name, "group-axioms", f"order above {AXIOM_ORDER_GATE}")
 
-    if group.order <= SCAN_AGREEMENT_GATE and simplex.dimension <= ORACLE_DIM_GATE:
+    if group.order <= SCAN_AGREEMENT_GATE:
         scanned, vol = enumerate_by_box_scan(simplex, cap=SCAN_AGREEMENT_GATE)
         # Both are sorted by (height, coordinates); scanned / vol == rows / q
         # row by row, cross-multiplied (entries stay below 200 * 200 here).
         agree = scanned.shape == rows.shape and bool((scanned * q == rows * vol).all())
         yield _ok(name, "scan-enumeration-agreement", agree, {"scanned": len(scanned)})
     else:
-        yield _skip(name, "scan-enumeration-agreement", "order or dimension above gate")
+        yield _skip(name, "scan-enumeration-agreement", f"order above {SCAN_AGREEMENT_GATE}")
 
     # The model of the vertex-reversed simplex is a second, independent Hermite form.
     reversed_model = restrict_to_affine_lattice(
@@ -190,15 +190,14 @@ def _instance_records(
 
     if group.order <= FACE_IDENTIFICATION_GATE and simplex.n_vertices <= FACE_VERTEX_GATE:
         mismatch = None
-        for sel, face_simplex in all_faces(simplex):
+        for cols, face_simplex in all_faces(simplex):
             face_group = enumerate_box_group(face_simplex, volume_cap=max_volume)
-            cols = list(sel.indices)
             inside = rows[~np.delete(rows, cols, axis=1).any(axis=1)][:, cols]
             # A broken face group need not have an exponent dividing q.
             m = lcm(q, face_group.exponent)
             got = _row_set(face_group.rows() * (m // face_group.exponent))
             if got != _row_set(inside * (m // q)):
-                mismatch = cols
+                mismatch = list(cols)
                 break
         yield _ok(name, "face-group-identification", mismatch is None, {"first_mismatch": mismatch})
     else:

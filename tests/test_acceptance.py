@@ -58,11 +58,11 @@ def test_criterion_2_symmetric_family_faces():
         assert check_shifted_symmetric(h, 3 * k - 1)
         proper = 0
         for sel, face_simplex in all_faces(s):
-            if len(sel.indices) == s.n_vertices:
+            if len(sel) == s.n_vertices:
                 continue
             proper += 1
             fh = hstar_from_box_group(enumerate_box_group(face_simplex))
-            assert fh.coeffs == (1,), (k, sel.indices, fh.coeffs)
+            assert fh.coeffs == (1,), (k, sel, fh.coeffs)
         assert proper == 2 ** (3 * k) - 2
         elapsed = time.perf_counter() - start
         if k == 3:

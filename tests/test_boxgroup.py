@@ -452,9 +452,9 @@ class TestGroupLaws:
                 face_group = enumerate_box_group(face_simplex)
                 got = {p.coords for p in face_group}
                 want = {
-                    tuple(p.coords[i] for i in sel.indices)
+                    tuple(p.coords[i] for i in sel)
                     for p in els
-                    if set(p.support) <= set(sel.indices)
+                    if set(p.support) <= set(sel)
                 }
                 assert got == want
 

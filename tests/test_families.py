@@ -155,7 +155,7 @@ class TestSymmetricFamily:
         s = remark44_simplex(2)
         total = 0
         for sel, face_simplex in all_faces(s):
-            if len(sel.indices) == s.n_vertices:
+            if len(sel) == s.n_vertices:
                 continue
             total += 1
             assert box_hstar(face_simplex).coeffs == (1,)

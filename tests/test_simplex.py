@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import gcd
 
@@ -14,7 +15,6 @@ from hstarkit.errors import (
 )
 from hstarkit.families import prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.simplex import (
-    FaceSelector,
     LatticeSimplex,
     all_faces,
     face,
@@ -243,12 +243,18 @@ class TestRestrictIsTheHermiteForm:
 class TestFaces:
     def test_full_selector_is_restriction(self):
         s = from_vertices(2, [(1, 1), (2, 1), (1, 3)])
-        sel = FaceSelector.of(range(3), 3)
-        assert face(s, sel) == restrict_to_affine_lattice(s)
+        assert face(s, range(3)) == restrict_to_affine_lattice(s)
+
+    def test_index_order_does_not_matter(self):
+        # An unsorted selector once reordered the vertices: its model was
+        # ((0, 0), (3, 2), (0, 2)) instead of ((0, 0), (6, 3), (0, 1)).
+        s = from_vertices(2, [(0, 0), (3, 0), (1, 2)])
+        assert face(s, (2, 0, 1)) == face(s, (0, 1, 2))
+        assert face(s, (2, 0)) == face(s, (0, 2))
 
     def test_single_vertex_face(self):
         s = unit_simplex(3)
-        f = face(s, FaceSelector.of([2], 4))
+        f = face(s, [2])
         assert f.dimension == 0
 
     def test_counts(self):
@@ -257,7 +263,7 @@ class TestFaces:
         assert sum(1 for _ in all_faces(remark44_simplex(3))) == 511
 
     def test_order_by_size_then_lex(self):
-        sels = [sel.indices for sel, _ in all_faces(unit_simplex(2))]
+        sels = [sel for sel, _ in all_faces(unit_simplex(2))]
         assert sels == [
             (0,), (1,), (2,),
             (0, 1), (0, 2), (1, 2),
@@ -266,18 +272,20 @@ class TestFaces:
 
     def test_face_of_face_composes(self):
         s = prop43_instance(3, 4)
-        outer = FaceSelector.of([0, 2, 3, 5], 6)
-        inner = FaceSelector.of([0, 1, 3], 4)
-        composed = FaceSelector.of([outer.indices[i] for i in inner.indices], 6)
+        outer = (0, 2, 3, 5)
+        inner = (0, 1, 3)
+        composed = [outer[i] for i in inner]
         assert face(face(s, outer), inner) == face(s, composed)
 
     def test_selector_validation(self):
-        with pytest.raises(IndexError):
-            FaceSelector.of([], 3)
-        with pytest.raises(IndexError):
-            FaceSelector.of([0, 3], 3)
-        with pytest.raises(IndexError):
-            FaceSelector.of([1, 1], 3)
+        for indices, message in [
+            ([], "face selector must be nonempty"),
+            ([0, 3], "face selector index out of range 0..2"),
+            ([-1, 0], "face selector index out of range 0..2"),
+            ([1, 1], "face selector indices must be distinct"),
+        ]:
+            with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
+                face(unit_simplex(2), indices)
 
     def test_face_blowup_guard(self):
         with pytest.raises(TooManyFacesError):

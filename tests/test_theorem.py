@@ -259,7 +259,7 @@ def test_is_subgroup_matches_pair_sweep(group, indices, generate, rng):
 class TestExtractFace:
     def test_unit_simplex_single_vertex(self):
         cert = extract_face(unit_simplex(4), 3)
-        assert cert.face_selector.indices == (0,)
+        assert cert.face_selector == (0,)
         assert cert.face_hstar.coeffs == (1,)
         assert cert.hstar_match and cert.hypothesis_met
 

@@ -85,12 +85,12 @@ def reference_verdicts(doc: SimplexDocument) -> dict:
         for sel, face_simplex in all_faces(simplex):
             got = {p.coords for p in enumerate_box_group(face_simplex)}
             want = {
-                tuple(p.coords[i] for i in sel.indices)
+                tuple(p.coords[i] for i in sel)
                 for p in els
-                if set(p.support) <= set(sel.indices)
+                if set(p.support) <= set(sel)
             }
             if got != want:
-                mismatch = list(sel.indices)
+                mismatch = list(sel)
                 break
         status = "pass" if mismatch is None else "fail"
         out["face-group-identification"] = (status, {"first_mismatch": mismatch})
@@ -253,6 +253,15 @@ def change_row_one(rows, volume):
 class TestScanAgreement:
     JOIN = CORPUS_DOCS["join-seg2-seg3.json"]
 
+    def test_only_the_order_gates_the_scan(self):
+        # remark44-k3 has dimension 8 and order 3; the segment has order 201.
+        high_dim = next(r for r in records(CORPUS_DOCS["remark44-k3.json"])
+                        if r.invariant == "scan-enumeration-agreement")
+        assert (high_dim.status, high_dim.detail) == ("pass", {"scanned": 3})
+        segment = SimplexDocument(1, ((0,), (201,)))
+        record = next(r for r in records(segment) if r.invariant == "scan-enumeration-agreement")
+        assert (record.status, record.detail) == ("skip", {"reason": "order above 200"})
+
     def test_untouched_scan_passes(self):
         record = scan_record(self.JOIN, lambda rows, volume: (rows, volume))
         assert (record.status, record.detail) == ("pass", {"scanned": 6})
@@ -283,5 +292,5 @@ class TestScanAgreement:
         out, ok = verify.run_suite(corpus_dir)
         assert ok and len(out) == 256
         scans = [r.status for r in out if r.invariant == "scan-enumeration-agreement"]
-        assert scans.count("pass") == 11
+        assert scans.count("pass") == 16
         assert built == []
