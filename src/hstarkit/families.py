@@ -5,7 +5,9 @@ symmetric family whose proper faces are all unimodular.
 
 Everything here is a pure deterministic constructor; the h*-polynomials the
 docstrings promise are verified by the test suite through both the group
-path and the counting oracle, never assumed.
+path and the counting oracle, never assumed. A constructor whose simplex
+would have dimension above MAX_FAMILY_DIM raises InvalidParametersError
+before it builds anything.
 """
 from __future__ import annotations
 
@@ -15,6 +17,17 @@ from typing import Iterator
 from .errors import InvalidParametersError
 from .simplex import LatticeSimplex, from_vertices, normalized_volume
 from .theorem import is_prime
+
+# Largest dimension a generator builds. It is checked before any vertex
+# list exists: the affine-independence check is an exact O(dim^3) rank.
+MAX_FAMILY_DIM = 200
+
+
+def _check_dim(dim: int) -> None:
+    if dim > MAX_FAMILY_DIM:
+        raise InvalidParametersError(
+            f"dimension {dim} exceeds the family bound MAX_FAMILY_DIM = {MAX_FAMILY_DIM}"
+        )
 
 
 def _origin_and_units(dim: int, count: int) -> list[tuple[int, ...]]:
@@ -26,6 +39,7 @@ def unit_simplex(dim: int) -> LatticeSimplex:
     """conv(0, e_1, ..., e_dim); normalized volume 1, h* = (1)."""
     if dim < 0:
         raise InvalidParametersError("dimension must be nonnegative")
+    _check_dim(dim)
     return from_vertices(dim, _origin_and_units(dim, dim))
 
 
@@ -38,6 +52,7 @@ def join(left: LatticeSimplex, right: LatticeSimplex) -> LatticeSimplex:
     the join split into a left block and a right block.
     """
     d, e = left.ambient_dim, right.ambient_dim
+    _check_dim(d + e + 1)
     verts = [(0,) + x + (0,) * e for x in left.vertices]
     verts += [(1,) + (0,) * d + y for y in right.vertices]
     return from_vertices(d + e + 1, verts)
@@ -55,6 +70,7 @@ def delta_cm(c: int, m: int) -> LatticeSimplex:
         raise InvalidParametersError("delta_cm needs c >= 1 and m >= 1")
     q = c + 1
     dim = 2 * m - 1
+    _check_dim(dim)
     tail = [q - 1 if i % 2 == 0 else 1 for i in range(dim - 1)]
     return from_vertices(dim, _origin_and_units(dim, dim - 1) + [(*tail, q)])
 
@@ -67,6 +83,7 @@ def lemma41_simplex(a: int, b: int, k: int, ell: int) -> LatticeSimplex:
     """
     if min(a, b, k, ell) < 1:
         raise InvalidParametersError("all four parameters must be >= 1")
+    _check_dim(2 * k + 2 * ell - 1)
     return join(delta_cm(a, k), delta_cm(b, ell))
 
 
@@ -112,6 +129,7 @@ def remark44_simplex(k: int) -> LatticeSimplex:
     if k < 2:
         raise InvalidParametersError("k must be >= 2")
     d = 3 * k - 1
+    _check_dim(d)
     return from_vertices(d, _origin_and_units(d, d - 1) + [(2,) * (d - 1) + (3,)])
 
 

@@ -10,12 +10,13 @@ Everything runs over Python's arbitrary-precision integers, and no
 floating point is used anywhere; ``fractions.Fraction`` is used only for
 solve results. The normal-form routines pick minimal-absolute-value pivots
 to limit entry growth. The Smith form tracks only W and the diagonal,
-which is all the weight group reads: its column operations run on the
-active block of rows not yet finished, and a pivot of +-1 skips the
-divisibility scan. The Hermite form is one elimination over rows that may
-carry extra entries: ``hermite_normal_form`` appends identity rows to get
-its transform U, and the triangular simplex model and the cyclic
-realization pass bare rows and build no transform.
+which is all the weight group reads: a column swap runs on the active
+block of rows not yet finished, a column subtraction on the pivot row
+alone, and a pivot of +-1 skips the divisibility scan. The Hermite form
+is one elimination over rows that may carry extra entries:
+``hermite_normal_form`` appends identity rows to get its transform U, and
+the triangular simplex model and the cyclic realization pass bare rows
+and build no transform.
 Determinants, ranks, solves and adjugates all come from one fraction-free
 (Bareiss) elimination.
 """
@@ -129,19 +130,15 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], l
 
     Step t takes the entry of least absolute value in the trailing block
     as pivot and runs Euclid steps on its row and column. Once step t is
-    done, row t and column t are zero off the diagonal, so column
-    operations touch rows t..n-1 only. The divisibility scan then reads
-    the trailing block, and a pivot of +-1 skips it: every integer is
-    divisible by +-1.
+    done, row t and column t are zero off the diagonal, so a column swap
+    touches rows t..n-1 only. The column subtractions that clear row t run
+    only once column t is zero below the pivot, so they change row t
+    alone. The divisibility scan then reads the trailing block, and a
+    pivot of +-1 skips it: every integer is divisible by +-1.
     """
     n = _checked(rows, square=True)
     a = [list(map(operator.index, row)) for row in rows]
     wt = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]  # rows are columns of W
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        for row in a[t:]:
-            row[j] -= q * row[k]
-        wt[j] = [x - q * y for x, y in zip(wt[j], wt[k])]
 
     def col_swap(j: int, k: int) -> None:
         for row in a[t:]:
@@ -172,10 +169,13 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], l
                 continue
             row_nonzero = [j for j in range(t + 1, n) if a[t][j]]
             if row_nonzero:
+                # Column t is clear below the pivot, so subtracting it
+                # changes row t alone.
                 for j in row_nonzero:
                     q = a[t][j] // a[t][t]
                     if q:
-                        col_sub(j, t, q)
+                        a[t][j] -= q * a[t][t]
+                        wt[j] = [x - q * y for x, y in zip(wt[j], wt[t])]
                 rem = [j for j in range(t + 1, n) if a[t][j]]
                 if rem:
                     col_swap(min(rem, key=lambda c: abs(a[t][c])), t)

@@ -3,6 +3,11 @@
 One record per (instance, invariant): status pass, fail, or skip (skips are
 capacity gates, never verdicts). Records come out in a fixed order so two
 runs over the same corpus are byte-identical.
+
+Face-group identification builds every face's model and compares it with
+the input group's elements supported on that face. The group of a model
+is enumerated once per instance, however many faces share the model; no
+result is kept from one instance to the next.
 """
 from __future__ import annotations
 
@@ -190,12 +195,18 @@ def _instance_records(
 
     if group.order <= FACE_IDENTIFICATION_GATE and simplex.n_vertices <= FACE_VERTEX_GATE:
         mismatch = None
+        # Faces with one model share its group, which is a function of the
+        # model alone: each distinct model is enumerated once per instance.
+        face_rows: dict[LatticeSimplex, tuple[int, set[tuple[int, ...]]]] = {}
         for cols, face_simplex in all_faces(simplex):
-            face_group = enumerate_box_group(face_simplex, volume_cap=max_volume)
+            if face_simplex not in face_rows:
+                face_group = enumerate_box_group(face_simplex, volume_cap=max_volume)
+                # A broken face group need not have an exponent dividing q.
+                m = lcm(q, face_group.exponent)
+                scaled = face_group.rows() * (m // face_group.exponent)
+                face_rows[face_simplex] = m, _row_set(scaled)
+            m, got = face_rows[face_simplex]
             inside = rows[~np.delete(rows, cols, axis=1).any(axis=1)][:, cols]
-            # A broken face group need not have an exponent dividing q.
-            m = lcm(q, face_group.exponent)
-            got = _row_set(face_group.rows() * (m // face_group.exponent))
             if got != _row_set(inside * (m // q)):
                 mismatch = list(cols)
                 break

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import cli, io
+from hstarkit import cli, families, io
 from hstarkit.errors import DocumentError
 from hstarkit.hstar import HStarVector, ehrhart_from_hstar
 from hstarkit.io import (
@@ -856,7 +856,30 @@ class TestExtractFaceCommand:
         assert cert["face_hstar"] == [1]
 
 
+# gen argv at parameter size v (w = v + 1), and the dimension it asks for.
+HUGE_GEN = {
+    "unit": ("gen unit --dim {v}", lambda v: v),
+    "delta_cm": ("gen delta_cm --c 2 --m {v}", lambda v: 2 * v - 1),
+    "lemma41": ("gen lemma41 --a 1 --b 1 --k {v} --l 1", lambda v: 2 * v + 1),
+    "prop43": ("gen prop43 --k {v} --j {w}", lambda v: 2 * v + 1),
+    "remark44": ("gen remark44 --k {v}", lambda v: 3 * v - 1),
+}
+
+
 class TestGen:
+    @pytest.mark.parametrize("v", [10**4, 10**12])
+    @pytest.mark.parametrize("family", sorted(HUGE_GEN))
+    def test_huge_family_is_refused_at_once(self, capsys, caplog, family, v):
+        template, dim = HUGE_GEN[family]
+        start = time.perf_counter()
+        code = cli.main(template.format(v=v, w=v + 1).split())
+        elapsed = time.perf_counter() - start
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert (code, capsys.readouterr().out) == (2, "")
+        bound = families.MAX_FAMILY_DIM
+        assert errors == [f"dimension {dim(v)} exceeds the family bound MAX_FAMILY_DIM = {bound}"]
+        assert elapsed < 1.0
+
     def test_remark44_exact_coordinates(self, run_cli):
         res = run_cli("gen", "remark44", "--k", "2")
         doc = json.loads(res.stdout)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hstarkit import families
 from hstarkit.boxgroup import enumerate_box_group
 from hstarkit.errors import InvalidParametersError
 from hstarkit.families import (
@@ -16,7 +17,7 @@ from hstarkit.families import (
 )
 from hstarkit.hstar import hstar_from_box_group
 from hstarkit.oracle import hstar_by_interpolation
-from hstarkit.simplex import all_faces, normalized_volume
+from hstarkit.simplex import LatticeSimplex, all_faces, normalized_volume
 from hstarkit.theorem import check_shifted_symmetric, check_zero_window, condition_report
 
 
@@ -164,6 +165,53 @@ class TestSymmetricFamily:
     def test_validation(self):
         with pytest.raises(InvalidParametersError):
             remark44_simplex(1)
+
+
+class TestDimensionBound:
+    """Each generator checks MAX_FAMILY_DIM = 200 before it builds a vertex
+    list; here the rank check is skipped, so builds at the bound are quick."""
+
+    # family -> (constructor, parameters at the bound, parameters just past it)
+    CASES = {
+        "unit": (unit_simplex, (200,), (201,)),
+        "delta_cm": (delta_cm, (2, 100), (2, 101)),
+        "lemma41": (lemma41_simplex, (1, 1, 50, 50), (1, 1, 50, 51)),
+        "prop43": (prop43_instance, (60, 100), (60, 101)),
+        "remark44": (remark44_simplex, (67,), (68,)),
+    }
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        origin_and_units = families._origin_and_units
+
+        def spy_units(dim, count):
+            built.append(dim)
+            return origin_and_units(dim, count)
+
+        def unchecked(dim, verts):
+            built.append(dim)
+            return LatticeSimplex(dim, tuple(map(tuple, verts)))
+
+        monkeypatch.setattr(families, "_origin_and_units", spy_units)
+        monkeypatch.setattr(families, "from_vertices", unchecked)
+        return built
+
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_bound_is_checked_first(self, built, family):
+        make, largest, too_large = self.CASES[family]
+        assert 199 <= make(*largest).ambient_dim <= families.MAX_FAMILY_DIM == 200
+        built.clear()
+        with pytest.raises(InvalidParametersError, match=r"^dimension 20[13] exceeds the family "
+                           r"bound MAX_FAMILY_DIM = 200$"):
+            make(*too_large)
+        assert built == []
+
+    def test_join_checks_the_sum(self):
+        point = LatticeSimplex(100, ((0,) * 100,))
+        with pytest.raises(InvalidParametersError, match="^dimension 201 exceeds"):
+            join(point, point)
+        assert join(point, LatticeSimplex(99, ((0,) * 99,))).ambient_dim == 200
 
 
 class TestCohorts:

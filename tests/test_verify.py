@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import oracle, verify
+from hstarkit import simplex as simplex_module
 from hstarkit.verify import Record
 from hstarkit.boxgroup import BoxPoint, DEFAULT_VOLUME_CAP, add, enumerate_box_group, neg
 from hstarkit.errors import NotASimplexError
@@ -230,6 +231,74 @@ class TestTamperedGroup:
         # Face exponents 10 and 15 do not divide the input's exponent 6.
         out = tampered_verdicts(self.JOIN, later_groups_over_five_times_their_exponent)
         assert out["face-group-identification"] == ("pass", {"first_mismatch": None})
+
+
+class TestFaceModelReuse:
+    """The face loop enumerates each distinct face model once per instance
+    and still builds and compares every face."""
+
+    K3 = "remark44-k3.json"  # 9 vertices, 511 faces; every proper face unimodular
+    SEGMENT = LatticeSimplex(1, ((0,), (1,)))  # the model of all 36 edges of K3
+
+    def test_each_model_is_enumerated_once(self, monkeypatch, tmp_path):
+        (tmp_path / self.K3).write_bytes((CORPUS / self.K3).read_bytes())
+        faces = list(all_faces(CORPUS_DOCS[self.K3].to_simplex()))
+        models = {f for _, f in faces}
+        enumerated, built = [], []
+        real_enumerate, real_face = verify.enumerate_box_group, simplex_module.face
+
+        def spy_enumerate(simplex, volume_cap):
+            enumerated.append(simplex)
+            return real_enumerate(simplex, volume_cap=volume_cap)
+
+        def spy_face(simplex, indices):
+            built.append(tuple(indices))
+            return real_face(simplex, indices)
+
+        monkeypatch.setattr(verify, "enumerate_box_group", spy_enumerate)
+        monkeypatch.setattr(simplex_module, "face", spy_face)
+        assert len(faces) == 511 and len(models) == 9
+        for _ in range(2):  # nothing is kept from one run to the next
+            enumerated.clear()
+            built.clear()
+            out, ok = verify.run_suite(tmp_path)
+            record = next(r for r in out if r.invariant == "face-group-identification")
+            assert ok and record.status == "pass"
+            # The input's group, the reversed model's and the rotated
+            # input's come first; then one enumeration per distinct model.
+            assert len(enumerated) == 3 + 9 and set(enumerated[3:]) == models
+            assert built == [cols for cols, _ in faces]
+
+    def test_corrupted_shared_model_fails_at_its_first_face(self):
+        doc = CORPUS_DOCS[self.K3]
+        first = next(list(cols) for cols, f in all_faces(doc.to_simplex()) if f == self.SEGMENT)
+        corrupted = []
+
+        def fake(simplex, volume_cap):
+            group = enumerate_box_group(simplex, volume_cap=volume_cap)
+            if simplex != self.SEGMENT:
+                return group
+            corrupted.append(simplex)
+            # Claim the segment had length 2: one more element, (1/2, 1/2).
+            wrong = dataclasses.replace(group, invariant_factors=(2,))
+            return with_rows(wrong, np.array([[0, 0], [1, 1]]), np.array([0, 1]))
+
+        with mock.patch.object(verify, "enumerate_box_group", fake):
+            out = group_verdicts(doc)
+        assert out["face-group-identification"] == ("fail", {"first_mismatch": first})
+        assert first == [0, 1] and len(corrupted) == 1
+
+    def test_every_face_of_a_shared_model_is_compared(self):
+        # An element supported on edge (1, 2) alone: the edges before it
+        # pass, and (1, 2) has the model they share but not their rows.
+        @input_group_edit
+        def add_an_element_on_edge_1_2(residues, heights, q):
+            row = np.zeros_like(residues[:1])
+            row[0, 1:3] = 1, q - 1
+            return np.vstack([residues, row]), np.append(heights, 1)
+
+        out = tampered_verdicts(CORPUS_DOCS[self.K3], add_an_element_on_edge_1_2)
+        assert out["face-group-identification"] == ("fail", {"first_mismatch": [1, 2]})
 
 
 def scan_record(doc: SimplexDocument, edit) -> Record:
