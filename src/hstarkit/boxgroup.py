@@ -45,9 +45,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionMismatchError,
-    NonIntegralHeightError,
-    VolumeTooLargeError,
+    DimensionMismatchError, InternalCheckError, NonIntegralHeightError, VolumeTooLargeError
 )
 from .simplex import LatticeSimplex, homogenize, restrict_to_affine_lattice
 
@@ -224,8 +222,8 @@ def enumerate_box_group(
     sums = np.array([cols.count(c) for c in range(m)], dtype=dtype) @ table
     # The checks count with np.count_nonzero, which costs a third of
     # ndarray.any on the tiny arrays of the many order-1 face groups.
-    if np.count_nonzero(sums % q):  # pragma: no cover - the all-ones matrix row forces this
-        raise NonIntegralHeightError("element with non-integral coordinate sum")
+    if np.count_nonzero(sums % q):  # the all-ones matrix row forces this
+        raise InternalCheckError("element with non-integral coordinate sum")
     # The first key holds the height and, unless it is the last, column 0,
     # as sums + c_0 = height * q + c_0 < k * q, and takes more columns
     # while it stays below k * q**a <= INT64_LIMIT for its a columns; each
@@ -245,8 +243,8 @@ def enumerate_box_group(
     ties = sorted_keys[0][1:] == sorted_keys[0][:-1]
     for key in sorted_keys[1:]:
         ties &= key[1:] == key[:-1]
-    if np.count_nonzero(ties):  # pragma: no cover - unimodularity
-        raise NonIntegralHeightError("enumeration produced duplicate elements")
+    if np.count_nonzero(ties):  # W is unimodular
+        raise InternalCheckError("enumeration produced duplicate elements")
     columns = table.take(perm, axis=1)
     heights = (sums[perm] // q).astype(np.int64, copy=False)
     columns.flags.writeable = False
@@ -259,7 +257,9 @@ def enumerate_box_group(
     )
 
 
-def enumerate_by_box_scan(simplex: LatticeSimplex, cap: int = 200) -> tuple[np.ndarray, int]:
+def enumerate_by_box_scan(
+    simplex: LatticeSimplex, cap: int = DEFAULT_VOLUME_CAP
+) -> tuple[np.ndarray, int]:
     """Debug oracle: the group read off coset representatives in the
     triangular Hermite model, with no Smith form and no ``BoxGroup``.
 

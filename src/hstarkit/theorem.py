@@ -193,19 +193,24 @@ def extract_face(
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division; False for every n < 2."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic Miller-Rabin on the prime bases 2..41, proved exact
+    below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015);
+    larger n raises InvalidParametersError. False for every n < 2."""
+    if n >= 3_317_044_064_679_887_385_961_981:
+        raise InvalidParametersError(
+            f"primality test refused for a {n.bit_length()}-bit number: "
+            "it is proved exact only below 3317044064679887385961981"
+        )
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    # n - 1 = d * 2**s with d odd; n is a strong probable prime to base a
+    # when a**d = 1 or a**(d * 2**r) = -1 (mod n) for some r < s.
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in bases
+    )
 
 
 def check_shifted_symmetric(h: HStarVector, d: int) -> bool:

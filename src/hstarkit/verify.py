@@ -29,11 +29,8 @@ from .theorem import check_shifted_symmetric, check_zero_window, extract_face, i
 
 SUBGROUP_ORDER_GATE = 500
 AXIOM_ORDER_GATE = 200
-SCAN_AGREEMENT_GATE = 200
 FACE_IDENTIFICATION_GATE = 200
 FACE_VERTEX_GATE = 9
-ORACLE_DIM_GATE = 5
-ORACLE_VOLUME_GATE = 200
 
 
 @dataclass(frozen=True)
@@ -137,14 +134,14 @@ def _instance_records(
     else:
         yield _skip(name, "group-axioms", f"order above {AXIOM_ORDER_GATE}")
 
-    if group.order <= SCAN_AGREEMENT_GATE:
-        scanned, vol = enumerate_by_box_scan(simplex, cap=SCAN_AGREEMENT_GATE)
-        # Both are sorted by (height, coordinates); scanned / vol == rows / q
-        # row by row, cross-multiplied (entries stay below 200 * 200 here).
-        agree = scanned.shape == rows.shape and bool((scanned * q == rows * vol).all())
-        yield _ok(name, "scan-enumeration-agreement", agree, {"scanned": len(scanned)})
-    else:
-        yield _skip(name, "scan-enumeration-agreement", f"order above {SCAN_AGREEMENT_GATE}")
+    # O(order * n), bounded by the volume cap like the enumeration itself.
+    scanned, vol = enumerate_by_box_scan(simplex, cap=max_volume)
+    # Both are sorted by (height, coordinates); scanned / vol == rows / q
+    # row by row. Once q | vol, rows * (vol // q) has every entry below vol,
+    # as scanned has, so the comparison is exact at any order.
+    agree = scanned.shape == rows.shape and vol % q == 0
+    agree = agree and bool((scanned == rows * (vol // q)).all())
+    yield _ok(name, "scan-enumeration-agreement", agree, {"scanned": len(scanned)})
 
     # The model of the vertex-reversed simplex is a second, independent Hermite form.
     reversed_model = restrict_to_affine_lattice(
@@ -157,28 +154,20 @@ def _instance_records(
     h_rotated = hstar_from_box_group(enumerate_box_group(rotated, volume_cap=max_volume))
     yield _ok(name, "permutation-invariance", h_rotated.coeffs == h.coeffs)
 
-    if simplex.dimension <= ORACLE_DIM_GATE and group.order <= ORACLE_VOLUME_GATE:
-        try:
-            cv = oracle.cross_validate(simplex, volume_cap=max_volume, scan_cap=scan_cap)
-            yield _ok(
-                name,
-                "oracle-cross-validation",
-                cv.match,
-                {"box": list(cv.box_hstar.coeffs), "oracle": list(cv.oracle_hstar.coeffs)},
-            )
-            if cv.heldout_ok is None:
-                yield _skip(name, "heldout-count", "scan cap")
-            else:
-                yield _ok(name, "heldout-count", cv.heldout_ok)
-        except ScanTooLargeError:
-            yield _skip(name, "oracle-cross-validation", "scan cap")
+    try:
+        cv = oracle.cross_validate(simplex, volume_cap=max_volume, scan_cap=scan_cap)
+        detail = {"box": list(cv.box_hstar.coeffs), "oracle": list(cv.oracle_hstar.coeffs)}
+        yield _ok(name, "oracle-cross-validation", cv.match, detail)
+        if cv.heldout_ok is None:
             yield _skip(name, "heldout-count", "scan cap")
-        except HstarkitError as exc:
-            yield Record(name, "oracle-cross-validation", "fail", {"error": str(exc)})
-            yield _skip(name, "heldout-count", "oracle failed")
-    else:
-        yield _skip(name, "oracle-cross-validation", "dimension or volume above gate")
-        yield _skip(name, "heldout-count", "dimension or volume above gate")
+        else:
+            yield _ok(name, "heldout-count", cv.heldout_ok)
+    except ScanTooLargeError:
+        yield _skip(name, "oracle-cross-validation", "scan cap")
+        yield _skip(name, "heldout-count", "scan cap")
+    except HstarkitError as exc:
+        yield Record(name, "oracle-cross-validation", "fail", {"error": str(exc)})
+        yield _skip(name, "heldout-count", "oracle failed")
 
     try:
         skipped = structural_facts(simplex, h, scan_cap=scan_cap)
@@ -195,6 +184,10 @@ def _instance_records(
 
     if group.order <= FACE_IDENTIFICATION_GATE and simplex.n_vertices <= FACE_VERTEX_GATE:
         mismatch = None
+        # Bit i of bits[e] is set when element e is nonzero at vertex i, so a
+        # face holds the elements with no bit outside its own. One int64 bit
+        # per vertex is exact up to 62 vertices; FACE_VERTEX_GATE keeps 9.
+        bits = support @ (1 << np.arange(simplex.n_vertices))
         # Faces with one model share its group, which is a function of the
         # model alone: each distinct model is enumerated once per instance.
         face_rows: dict[LatticeSimplex, tuple[int, set[tuple[int, ...]]]] = {}
@@ -206,7 +199,7 @@ def _instance_records(
                 scaled = face_group.rows() * (m // face_group.exponent)
                 face_rows[face_simplex] = m, _row_set(scaled)
             m, got = face_rows[face_simplex]
-            inside = rows[~np.delete(rows, cols, axis=1).any(axis=1)][:, cols]
+            inside = rows[(bits & ~sum(1 << c for c in cols)) == 0][:, cols]
             if got != _row_set(inside * (m // q)):
                 mismatch = list(cols)
                 break

@@ -478,6 +478,27 @@ class TestReportCommands:
         assert res.returncode not in (0, 2)
         assert "ValueError: internal" in res.stderr
 
+    @pytest.mark.parametrize("w, message", [
+        ("[[0] * len(w) for _ in w]", "enumeration produced duplicate elements"),
+        ("[[int(i == j) for j in range(len(w))] for i in range(len(w))]",
+         "element with non-integral coordinate sum"),
+    ], ids=["duplicates", "non-integral"])
+    def test_failed_enumeration_check_exits_4(self, corpus_dir, w, message):
+        # A broken Smith form is a bug, not bad input: exit 4, not 2.
+        script = (
+            "import sys\n"
+            "from hstarkit import boxgroup, cli\n"
+            "real = boxgroup.linalg.smith_normal_form\n"
+            "def broken(rows):\n"
+            "    factors, w = real(rows)\n"
+            f"    return factors, {w}\n"
+            "boxgroup.linalg.smith_normal_form = broken\n"
+            f"sys.exit(cli.main(['hstar', {str(corpus_dir / 'tri-vol2.json')!r}]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (res.returncode, res.stdout) == (4, "")
+        assert res.stderr == f"ERROR hstarkit: internal check failed: {message}\n"
+
     def test_oracle_verify_match(self, run_cli, tmp_path):
         path = write_doc(tmp_path, "s.json", PROP43_DOC)
         res = run_cli("oracle-verify", str(path))
@@ -726,7 +747,7 @@ ORACLE_VERIFY_STDOUT_SHA256 = {
 
 # sha256 of `hstarkit verify-suite --corpus corpus` stdout (exit 0): every
 # record of every invariant, oracle counts included.
-VERIFY_SUITE_STDOUT_SHA256 = "5dc44972eece3e095a575d1a7c759e95302e0d5f175bf15b48a3746db058a10f"
+VERIFY_SUITE_STDOUT_SHA256 = "149bea0c09d9f99df7b806416ab8df49568bd26d145164692625d7d0f722825a"
 
 
 class TestOracleGolden:
@@ -980,6 +1001,41 @@ class TestGenGolden:
         res = run_cli("gen", *words, env={**os.environ, "COLUMNS": "80"})
         digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
         assert (digest, res.returncode) == GEN_STDOUT_SHA256[argv]
+
+
+class TestTwentyOneDigitPrime:
+    """p = 10**20 + 39 is prime; its primality test must not take the
+    sqrt(p) steps of trial division."""
+
+    def run(self, capsys, argv: str) -> tuple[int, str]:
+        start = time.perf_counter()
+        code = cli.main(argv.split())
+        assert time.perf_counter() - start < 1.0
+        return code, capsys.readouterr().out
+
+    def test_check_conditions(self, capsys):
+        code, out = self.run(capsys, "check-conditions --hstar 1,0,100000000000000000038 --json")
+        entries = {e["name"]: e for e in json.loads(out)["conditions"]}
+        assert code == 0
+        assert entries["prime_symmetry"] == {
+            "name": "prime_symmetry",
+            "status": "inconclusive",
+            "detail": {"p": 10**20 + 39, "valid_center": 4},
+        }
+
+    def test_gen_prop43(self, capsys):
+        code, out = self.run(capsys, "gen prop43 --k 3 --j 4 --p 100000000000000000039")
+        assert code == 0
+        assert json.loads(out)["name"] == "prop43_k3_j4_p100000000000000000039"
+
+    def test_past_the_proved_bound_exits_2(self, capsys, caplog):
+        code, out = self.run(capsys, "check-conditions --hstar 1,0,3317044064679887385961980")
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert (code, out) == (2, "")
+        assert errors == [
+            "primality test refused for a 82-bit number: "
+            "it is proved exact only below 3317044064679887385961981"
+        ]
 
 
 class TestCheckConditions:

@@ -410,6 +410,30 @@ def test_is_prime_matches_sieve():
     assert [n for n in range(-3, 2001) if is_prime(n)] == [n for n in range(2001) if flags[n]]
 
 
+# Bound below which Miller-Rabin on the prime bases 2..41 is proved exact.
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+@given(st.integers(2, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_large_values():
+    # Strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23.
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(10**20 + 39) and is_prime(2**61 - 1) and is_prime(1_000_003)
+    assert not is_prime((2**61 - 1) * 1_000_003)  # just below the bound
+
+
+@pytest.mark.parametrize("n", [MILLER_RABIN_BOUND, 10**4000])
+def test_is_prime_refuses_past_its_proved_bound(n):
+    with pytest.raises(InvalidParametersError, match="only below 3317044064679887385961981"):
+        is_prime(n)
+
+
 def not_realizable(h, name="lemma_hhh"):
     return report(h)[name].status == "not_realizable"
 

@@ -142,12 +142,34 @@ class TestRestrictInvariance:
         assert (record.status, record.detail) == ("pass", {})
 
 
+def oracle_records(doc: SimplexDocument, scan_cap: int = oracle.DEFAULT_SCAN_CAP) -> dict:
+    return {
+        r.invariant: (r.status, r.detail)
+        for r in records(doc, scan_cap)
+        if r.invariant in ("oracle-cross-validation", "heldout-count")
+    }
+
+
 class TestScanCapRecords:
+    """The oracle records skip for the scan cap alone, at any dimension."""
+
     def test_cap_hit_is_recorded_as_scan_cap(self):
-        out = records(SKEW, scan_cap=1)
-        skipped = {r.invariant: r.detail for r in out if r.status == "skip"}
-        assert skipped["oracle-cross-validation"] == {"reason": "scan cap"}
-        assert skipped["heldout-count"] == {"reason": "scan cap"}
+        assert oracle_records(SKEW, scan_cap=1) == {
+            "oracle-cross-validation": ("skip", {"reason": "scan cap"}),
+            "heldout-count": ("skip", {"reason": "scan cap"}),
+        }
+
+    def test_six_dimensional_join_passes_under_the_cap(self):
+        assert oracle_records(CORPUS_DOCS["join-delta23-point.json"]) == {
+            "oracle-cross-validation": ("pass", {"box": [1, 0, 0, 2], "oracle": [1, 0, 0, 2]}),
+            "heldout-count": ("pass", {}),
+        }
+
+    def test_eight_dimensional_simplex_meets_the_cap(self):
+        assert oracle_records(CORPUS_DOCS["remark44-k3.json"]) == {
+            "oracle-cross-validation": ("skip", {"reason": "scan cap"}),
+            "heldout-count": ("skip", {"reason": "scan cap"}),
+        }
 
 
 class TestGroupInvariants:
@@ -322,14 +344,14 @@ def change_row_one(rows, volume):
 class TestScanAgreement:
     JOIN = CORPUS_DOCS["join-seg2-seg3.json"]
 
-    def test_only_the_order_gates_the_scan(self):
+    def test_only_the_volume_cap_bounds_the_scan(self):
         # remark44-k3 has dimension 8 and order 3; the segment has order 201.
         high_dim = next(r for r in records(CORPUS_DOCS["remark44-k3.json"])
                         if r.invariant == "scan-enumeration-agreement")
         assert (high_dim.status, high_dim.detail) == ("pass", {"scanned": 3})
         segment = SimplexDocument(1, ((0,), (201,)))
         record = next(r for r in records(segment) if r.invariant == "scan-enumeration-agreement")
-        assert (record.status, record.detail) == ("skip", {"reason": "order above 200"})
+        assert (record.status, record.detail) == ("pass", {"scanned": 201})
 
     def test_untouched_scan_passes(self):
         record = scan_record(self.JOIN, lambda rows, volume: (rows, volume))
@@ -344,6 +366,11 @@ class TestScanAgreement:
 
     def test_wrong_denominator_fails(self):
         assert scan_record(self.JOIN, lambda rows, volume: (rows, 2 * volume)).status == "fail"
+
+    def test_denominator_not_a_multiple_of_the_exponent_fails(self):
+        # 7 // 6 == 1 would pass the rows unchanged if q | vol went unchecked.
+        record = scan_record(self.JOIN, lambda rows, volume: (rows, volume + 1))
+        assert (record.status, record.detail) == ("fail", {"scanned": 6})
 
     def test_missing_row_fails(self):
         record = scan_record(self.JOIN, lambda rows, volume: (rows[:-1], volume))
