@@ -32,7 +32,6 @@ from .io import (
     SimplexDocument,
     canonical_dumps,
     decode_int,
-    encode_int,
     load_simplex_document,
 )
 from .oracle import DEFAULT_SCAN_CAP, cross_validate
@@ -63,19 +62,15 @@ def _coords_strings(row: list[int], q: int) -> list[str]:
     return [str(Fraction(r, q)) for r in row]
 
 
-def _hstar_json(h: HStarVector) -> list:
-    return [encode_int(c) for c in h.coeffs]
-
-
 def _base_report(command: str, doc: SimplexDocument, order: int, h: HStarVector) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input": doc.to_json_dict(),
-        "hstar": _hstar_json(h),
+        "hstar": list(h.coeffs),
         "degree": h.degree,
         "volume": str(h.normalized_volume),
-        "box_group_order": encode_int(order),
+        "box_group_order": order,
     }
 
 
@@ -97,11 +92,11 @@ def _certificate_json(cert: ExtractionCertificate) -> dict:
         "strict": cert.strict,
         "window_ok": cert.window_ok,
         "hypothesis_met": cert.hypothesis_met,
-        "hstar": _hstar_json(cert.hstar),
+        "hstar": list(cert.hstar.coeffs),
         "support": list(cert.support),
         "face_selector": list(cert.face_selector),
-        "face_hstar": _hstar_json(cert.face_hstar),
-        "truncation": _hstar_json(cert.truncation),
+        "face_hstar": list(cert.face_hstar.coeffs),
+        "truncation": list(cert.truncation.coeffs),
         "lemma31_ok": cert.lemma31_ok,
         "subgroup_ok": cert.subgroup_ok,
         "support_bound_ok": cert.support_bound_ok,
@@ -125,7 +120,7 @@ def cmd_box_group(args) -> int:
     group = enumerate_box_group(doc.to_simplex(), volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
     report = _base_report("box-group", doc, group.order, h)
-    report["invariant_factors"] = [encode_int(f) for f in group.invariant_factors]
+    report["invariant_factors"] = list(group.invariant_factors)
     report["level_counts"] = {str(k): v for k, v in group.level_counts().items()}
     if group.order <= _ELEMENT_DUMP_LIMIT:
         report["elements"] = [_coords_strings(r, group.exponent) for r in group.rows().tolist()]
@@ -141,22 +136,25 @@ def cmd_ehrhart(args) -> int:
     group = enumerate_box_group(simplex, volume_cap=args.volume_cap)
     h = hstar_from_box_group(group)
     report = _base_report("ehrhart", doc, group.order, h)
-    report["n"] = encode_int(args.n)
-    report["count"] = encode_int(ehrhart_from_hstar(h, simplex.dimension, args.n))
+    report["n"] = args.n
+    report["count"] = ehrhart_from_hstar(h, simplex.dimension, args.n)
     _emit(report)
     return EXIT_OK
 
 
 def cmd_oracle_verify(args) -> int:
     doc = load_simplex_document(args.file)
-    cv = cross_validate(doc.to_simplex(), volume_cap=args.volume_cap, scan_cap=args.scan_cap)
-    report = _base_report("oracle-verify", doc, cv.box_hstar.normalized_volume, cv.box_hstar)
-    report["oracle_hstar"] = _hstar_json(cv.oracle_hstar)
+    simplex = doc.to_simplex()
+    group = enumerate_box_group(simplex, volume_cap=args.volume_cap)
+    h = hstar_from_box_group(group)
+    report = _base_report("oracle-verify", doc, group.order, h)
+    cv = cross_validate(simplex, h, scan_cap=args.scan_cap)
+    report["oracle_hstar"] = list(cv.oracle_hstar.coeffs)
     report["match"] = cv.match
     report["heldout_ok"] = cv.heldout_ok
     expected_ok = True
     if doc.expected_hstar is not None:
-        expected_ok = cv.box_hstar.coeffs == tuple(doc.expected_hstar)
+        expected_ok = h.coeffs == tuple(doc.expected_hstar)
         report["expected_ok"] = expected_ok
     _emit(report)
     if not cv.match or cv.heldout_ok is False or not expected_ok:
@@ -221,7 +219,7 @@ def cmd_check_conditions(args) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "command": "check-conditions",
-                "hstar": _hstar_json(h),
+                "hstar": list(h.coeffs),
                 "dim": args.dim,
                 "conditions": [
                     {"name": e.name, "status": e.status, "detail": e.detail}

@@ -71,9 +71,17 @@ def decode_int(value: Any) -> int:
     raise DocumentError(f"expected integer, got {_echo(value)}")
 
 
+def _encoded(obj: Any) -> Any:
+    if isinstance(obj, dict):
+        return {key: _encoded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encoded(value) for value in obj]
+    return encode_int(obj) if isinstance(obj, int) and not isinstance(obj, bool) else obj
+
+
 def canonical_dumps(obj: Any) -> str:
-    """Compact, field-order-preserving JSON with a trailing newline."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+    """Compact, field-order-preserving JSON with a trailing newline; ints via encode_int."""
+    return json.dumps(_encoded(obj), ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 exact enumeration, then convert counts to h* by the standard
 finite-difference transform.
 
-This module exists to cross-validate the group-enumeration path, so it
+This module checks the group path's h*, handed in by the caller, so it
 uses no Smith form and no weight group. A dilate is counted in the
 lower-triangular Hermite model of its simplex (`restrict_to_affine_lattice`),
 a unimodular change of coordinates that keeps lattice-point counts. There
@@ -26,9 +26,8 @@ from math import prod
 import numpy as np
 
 from . import linalg
-from .boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
 from .errors import InternalCheckError, ScanTooLargeError
-from .hstar import HStarVector, binomial, ehrhart_from_hstar, hstar_from_box_group
+from .hstar import HStarVector, binomial, ehrhart_from_hstar
 from .simplex import LatticeSimplex, restrict_to_affine_lattice
 
 DEFAULT_SCAN_CAP = 10**8
@@ -38,7 +37,6 @@ _INT64_SAFE = 1 << 62
 
 @dataclass(frozen=True)
 class CrossValidation:
-    box_hstar: HStarVector
     oracle_hstar: HStarVector
     match: bool
     heldout_ok: bool | None = None
@@ -204,18 +202,13 @@ def heldout_count_matches(
 
 
 def cross_validate(
-    simplex: LatticeSimplex,
-    volume_cap: int = DEFAULT_VOLUME_CAP,
-    scan_cap: int = DEFAULT_SCAN_CAP,
+    simplex: LatticeSimplex, h: HStarVector, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> CrossValidation:
-    """Group-enumeration h* against interpolation h*, plus the held-out count,
-    for any simplex; a lower-dimensional one's scan cap counts its model's box."""
-    group = enumerate_box_group(simplex, volume_cap=volume_cap)
-    box_h = hstar_from_box_group(group)
+    """The given h* against interpolation h*, and the held-out count against
+    it, for any simplex; a lower-dimensional one's cap counts its model's box."""
     oracle_h = hstar_by_interpolation(simplex, scan_cap)
-    match = box_h.coeffs == oracle_h.coeffs
     try:
-        heldout: bool | None = heldout_count_matches(simplex, box_h, scan_cap)
+        heldout: bool | None = heldout_count_matches(simplex, h, scan_cap)
     except ScanTooLargeError:
         heldout = None
-    return CrossValidation(box_h, oracle_h, match, heldout)
+    return CrossValidation(oracle_h, h.coeffs == oracle_h.coeffs, heldout)

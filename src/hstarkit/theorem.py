@@ -255,9 +255,9 @@ def condition_report(h: HStarVector, dim: int | None = None) -> tuple[ConditionE
       a prime volume then makes the weight group cyclic of prime order,
       whose nonzero elements all share one support, say of size c. Pairing
       each element with its negative gives the level symmetry
-      h_i = h_{c-i} for 0 < i < c. The first center c in [deg + 1, 2 deg]
-      with that symmetry is reported as ``valid_center`` (inconclusive);
-      with none, the vector is the h*-polynomial of no lattice polytope.
+      h_i = h_{c-i} for 0 < i < c. It pairs the least i0 >= 1 with h_i0 > 0
+      with the degree, so only c = deg + i0 is checked, in O(degree): it is
+      ``valid_center`` (inconclusive), or no lattice polytope has this h*.
     """
     if dim is not None and dim < h.degree:
         raise InvalidParametersError(f"dimension {dim} is below the degree {h.degree} of h*")
@@ -325,13 +325,12 @@ def condition_report(h: HStarVector, dim: int | None = None) -> tuple[ConditionE
             )
         )
 
-    # h_1 = 0 with a prime p rules out the point, whose p is 1.
-    deg = h.degree
+    # h_1 = 0 with a prime p rules out the point, whose p is 1: i0 = nonzero[1].
     if h1 != 0 or not is_prime(p):
         status, center = "not_applicable", None
     else:
-        centers = range(deg + 1, 2 * deg + 1)
-        center = next((c for c in centers if check_shifted_symmetric(h, c - 1)), None)
+        c = h.degree + nonzero[1]
+        center = c if check_shifted_symmetric(h, c - 1) else None
         status = "not_realizable" if center is None else "inconclusive"
     entries.append(ConditionEntry("prime_symmetry", status, {"p": p, "valid_center": center}))
     return tuple(entries)

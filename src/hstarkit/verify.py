@@ -155,8 +155,8 @@ def _instance_records(
     yield _ok(name, "permutation-invariance", h_rotated.coeffs == h.coeffs)
 
     try:
-        cv = oracle.cross_validate(simplex, volume_cap=max_volume, scan_cap=scan_cap)
-        detail = {"box": list(cv.box_hstar.coeffs), "oracle": list(cv.oracle_hstar.coeffs)}
+        cv = oracle.cross_validate(simplex, h, scan_cap=scan_cap)
+        detail = {"box": list(h.coeffs), "oracle": list(cv.oracle_hstar.coeffs)}
         yield _ok(name, "oracle-cross-validation", cv.match, detail)
         if cv.heldout_ok is None:
             yield _skip(name, "heldout-count", "scan cap")

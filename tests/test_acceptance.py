@@ -95,9 +95,10 @@ def test_criterion_4_oracle_equivalence_on_corpus(corpus_dir: Path):
         simplex = load_simplex_document(path).to_simplex()
         if simplex.dimension > 5 or normalized_volume(simplex) > 200:
             continue
-        cv = cross_validate(simplex)
+        h = hstar_from_box_group(enumerate_box_group(simplex))
+        cv = cross_validate(simplex, h)
         assert cv.match, path.name
-        assert heldout_count_matches(simplex, cv.box_hstar), path.name
+        assert heldout_count_matches(simplex, h), path.name
         checked.append(path.name)
     assert checked
     _report(4, f"oracle equivalence + held-out count on {len(checked)} corpus simplices")

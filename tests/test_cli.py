@@ -1020,7 +1020,7 @@ class TestTwentyOneDigitPrime:
         assert entries["prime_symmetry"] == {
             "name": "prime_symmetry",
             "status": "inconclusive",
-            "detail": {"p": 10**20 + 39, "valid_center": 4},
+            "detail": {"p": str(10**20 + 39), "valid_center": 4},
         }
 
     def test_gen_prop43(self, capsys):
@@ -1081,6 +1081,55 @@ class TestCheckConditions:
     def test_malformed_exit_code(self, run_cli):
         assert run_cli("check-conditions", "--hstar", "2,1").returncode == 2
         assert run_cli("check-conditions", "--hstar", "1,x").returncode == 2
+
+
+def strict_loads(text: str):
+    """JSON as a parser with 53-bit integers reads it: a larger integer
+    number is refused, so only its decimal string gets through."""
+    def parse_int(digits: str) -> int:
+        value = int(digits)
+        if abs(value) > 2**53:
+            raise ValueError(f"integer past 2**53: {digits}")
+        return value
+
+    return json.loads(text, parse_int=parse_int)
+
+
+class TestBigIntegerOutput:
+    """Every integer on stdout past 2**53 is a decimal string, wherever it sits."""
+
+    BIG = "100000000000000000000"
+
+    def run(self, capsys, argv: list[str]) -> tuple[int, list]:
+        code = cli.main(argv)
+        return code, [strict_loads(line) for line in capsys.readouterr().out.splitlines()]
+
+    def test_check_conditions(self, capsys):
+        code, (out,) = self.run(capsys, ["check-conditions", "--json", "--dim", self.BIG,
+                                         "--hstar", "1,0,100000000000000000038"])
+        entries = {e["name"]: e["detail"] for e in out["conditions"]}
+        assert code == 0 and out["dim"] == self.BIG
+        assert entries["degree2"]["h2"] == "100000000000000000038"
+        assert entries["prime_symmetry"]["p"] == "100000000000000000039"
+
+    def test_extract_face(self, capsys, tmp_path):
+        tri = write_doc(tmp_path, "t.json", UNIT_TRIANGLE_DOC)
+        code, (out,) = self.run(capsys, ["extract-face", str(tri), "--k", self.BIG])
+        assert code == 0 and out["certificate"]["k"] == self.BIG
+
+    def test_search(self, capsys):
+        code, hits = self.run(capsys, ["search", "--k", self.BIG, "--window", "weak",
+                                       "--max-order", "4", "--max-dim", "2"])
+        assert code == 0 and hits and all(hit["k"] == self.BIG for hit in hits)
+
+    def test_verify_suite(self, capsys, corpus_dir, tmp_path):
+        source = json.loads((corpus_dir / "tri-vol2.json").read_text())
+        source["expected_hstar"] = [1, self.BIG]
+        write_doc(tmp_path, "tri-big.json", source)
+        code, records = self.run(capsys, ["verify-suite", "--corpus", str(tmp_path)])
+        expected = next(r for r in records if r["invariant"] == "expected-hstar")
+        assert code == 4 and expected["status"] == "fail"
+        assert expected["detail"]["expected"] == [1, self.BIG]
 
 
 class TestVerifySuite:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hstarkit import boxgroup, hstar, linalg, oracle
 from hstarkit.errors import NotASimplexError, ScanTooLargeError, VolumeTooLargeError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
-from hstarkit.hstar import ehrhart_from_hstar, hstar_from_box_group, structural_facts
+from hstarkit.hstar import HStarVector, ehrhart_from_hstar, hstar_from_box_group, structural_facts
 from hstarkit.boxgroup import enumerate_box_group, enumerate_by_box_scan
 from hstarkit.io import load_simplex_document
 from hstarkit.oracle import (
@@ -106,7 +106,8 @@ class TestModelCache:
             oracle, "restrict_to_affine_lattice", wraps=restrict_to_affine_lattice
         ) as spy:
             # Dilates 1..6 of a full-dimensional 5-simplex share one model.
-            result = cross_validate(simplex)
+            h = hstar_from_box_group(enumerate_box_group(simplex))
+            result = cross_validate(simplex, h)
             assert result.match and result.heldout_ok
             assert spy.call_count == 1
             count_lattice_points(TRI_VOL2, 1)
@@ -114,7 +115,7 @@ class TestModelCache:
             # Clearing the scan cache, the only reset between benchmark
             # passes, also drops the models, as a fresh process would.
             oracle._scan.cache_clear()
-            assert count_lattice_points(simplex, 2) == ehrhart_from_hstar(result.box_hstar, 5, 2)
+            assert count_lattice_points(simplex, 2) == ehrhart_from_hstar(h, 5, 2)
             assert spy.call_count == 3
             assert oracle._model.cache_info().currsize == 1
 
@@ -412,30 +413,52 @@ class TestInterpolation:
                 assert count_lattice_points(s, n) == ehrhart_from_hstar(h, d, n)
 
 
+def group_cross_validation(simplex):
+    """cross_validate on the group path's h*, which the result must match."""
+    h = hstar_from_box_group(enumerate_box_group(simplex))
+    cv = cross_validate(simplex, h)
+    assert cv.oracle_hstar == h
+    return h, cv
+
+
 class TestCrossValidation:
     def test_unit(self):
-        cv = cross_validate(unit_simplex(2))
-        assert cv.match and cv.box_hstar.coeffs == (1,)
+        h, cv = group_cross_validation(unit_simplex(2))
+        assert cv.match and h.coeffs == (1,)
 
     def test_explicit_5dim(self):
-        cv = cross_validate(prop43_instance(3, 4))
-        assert cv.match and cv.box_hstar.coeffs == (1, 0, 2, 4, 2)
+        h, cv = group_cross_validation(prop43_instance(3, 4))
+        assert cv.match and h.coeffs == (1, 0, 2, 4, 2)
         assert cv.heldout_ok
 
     def test_remark44_k2(self):
-        cv = cross_validate(remark44_simplex(2))
-        assert cv.match and cv.box_hstar.coeffs == (1, 0, 1, 0, 1)
+        h, cv = group_cross_validation(remark44_simplex(2))
+        assert cv.match and h.coeffs == (1, 0, 1, 0, 1)
 
     def test_lower_dimensional_input_restricted(self):
         seg = from_vertices(2, [(0, 0), (3, 0)])
-        cv = cross_validate(seg)
-        assert cv.match and cv.box_hstar.coeffs == (1, 2)
+        h, cv = group_cross_validation(seg)
+        assert cv.match and h.coeffs == (1, 2)
+
+    def test_wrong_hstar_fails_both_checks(self):
+        # Same volume as the true (1, 0, 2, 4, 2), so only the counts tell.
+        simplex = prop43_instance(3, 4)
+        cv = cross_validate(simplex, HStarVector.of([1, 0, 2, 3, 3]))
+        assert cv.oracle_hstar.coeffs == (1, 0, 2, 4, 2)
+        assert (cv.match, cv.heldout_ok) == (False, False)
+
+    def test_heldout_skipped_past_the_scan_cap(self):
+        # Dilates 0..5 fit a cap that dilate 6 exceeds.
+        simplex = prop43_instance(3, 4)
+        h = hstar_from_box_group(enumerate_box_group(simplex))
+        cap = box_candidates(simplex, 5)
+        assert box_candidates(simplex, 6) > cap
+        cv = cross_validate(simplex, h, scan_cap=cap)
+        assert (cv.match, cv.heldout_ok) == (True, None)
 
     def test_heldout_detects_wrong_vector(self):
         h = hstar_from_box_group(enumerate_box_group(TRI_VOL2))
         assert heldout_count_matches(TRI_VOL2, h)
-        from hstarkit.hstar import HStarVector
-
         assert not heldout_count_matches(TRI_VOL2, HStarVector.of([1, 2]))
 
 
@@ -454,8 +477,8 @@ class TestAnySimplex:
         assert np.array_equal(group.rows(), model_group.rows())
         assert np.array_equal(group.heights, model_group.heights)
         assert extract_face(simplex, k) == extract_face(model, k)
-        assert cross_validate(simplex) == cross_validate(model)
         h = hstar_from_box_group(group)
+        assert cross_validate(simplex, h) == cross_validate(model, h)
         assert structural_facts(simplex, h) == structural_facts(model, h)
         for n in range(simplex.dimension + 3):
             assert count_lattice_points(simplex, n) == count_lattice_points(model, n)
@@ -514,7 +537,10 @@ class TestRouteIndependence:
         hstars = {name: hstar_from_box_group(enumerate_box_group(s)) for name, s in docs}
         oracle._scan.cache_clear()  # a cached count would not run its code
         reached = poison(monkeypatch, self.GROUP_PATH)
-        assert oracle.enumerate_box_group is not enumerate_box_group
+        # The oracle names nothing of the group path: it is handed h*.
+        for name in ("enumerate_box_group", "hstar_from_box_group", "BoxGroup",
+                     "smith_normal_form"):
+            assert not hasattr(oracle, name), name
         ran = set()
         for name, s in docs:
             h, d = hstars[name], s.dimension
@@ -523,6 +549,7 @@ class TestRouteIndependence:
                                    for n in range(d + 2)],
                 "interpolation": lambda: hstar_by_interpolation(s),
                 "heldout": lambda: heldout_count_matches(s, h),
+                "cross-validate": lambda: cross_validate(s, h),
                 "box-scan": lambda: enumerate_by_box_scan(s),
                 "structural-facts": lambda: structural_facts(s, h),
             }

@@ -506,6 +506,46 @@ class TestSymmetry:
     def test_hhh_shape_also_caught_by_obstruction(self):
         assert not_realizable(H([1, 0, 1, 3]), "prime_symmetry")
 
+    @staticmethod
+    def searched_center(h):
+        """The reference: the first center in [deg + 1, 2 deg] at which the
+        symmetry holds, each tried by an O(deg) check."""
+        centers = range(h.degree + 1, 2 * h.degree + 1)
+        return next((c for c in centers if check_shifted_symmetric(h, c - 1)), None)
+
+    def assert_center_matches_the_search(self, h):
+        v = report(h)["prime_symmetry"]
+        if v.status != "not_applicable":
+            assert v.detail["valid_center"] == self.searched_center(h), h.coeffs
+
+    def test_center_matches_the_search_exhaustively(self):
+        applicable = 0
+        for n in range(7):
+            for tail in itertools.product(range(4), repeat=n):
+                h = H((1, 0) + tail)
+                self.assert_center_matches_the_search(h)
+                applicable += is_prime(h.normalized_volume)
+        assert applicable >= 1000
+
+    @given(st.integers(0, 6), st.lists(st.integers(0, 9), min_size=1, max_size=8),
+           st.booleans(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_center_matches_the_search_on_symmetric_shapes(self, gap, half, odd, noise):
+        # Zeros up to i0 = gap + 2, then a palindrome: symmetric at deg + i0
+        # whenever h_{i0} > 0; `noise` breaks the symmetry at one end.
+        body = half + half[::-1][odd:]
+        body[-1] += noise
+        self.assert_center_matches_the_search(H([1, 0] + [0] * gap + body))
+
+    def test_center_of_a_long_vector_is_linear(self):
+        # h = 1 + 4 t^D, p = 5: i0 = D, so the one center is 2 D. The search
+        # tried D centers of O(D) each (1.9 s at D = 4000).
+        d = 10**5
+        start = time.perf_counter()
+        v = report(H([1] + [0] * (d - 1) + [4]))["prime_symmetry"]
+        assert time.perf_counter() - start < 1.0
+        assert (v.status, v.detail) == ("inconclusive", {"p": 5, "valid_center": 2 * d})
+
 
 class TestConditionReport:
     def test_names_and_order(self):
@@ -549,7 +589,7 @@ class TestConditionReport:
         assert (record.status, record.detail) == ("pass", {"center": supp})
         entries = {e.name: e for e in condition_report(h, dim=5)}
         assert entries["shifted_symmetric"].status == "holds"
-        # condition_report knows no group: it finds the center by search.
+        # condition_report knows no group: it computes the one possible center.
         sym = entries["prime_symmetry"]
         assert (sym.status, sym.detail["valid_center"]) == ("inconclusive", supp)
 
