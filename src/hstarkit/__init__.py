@@ -6,13 +6,7 @@ path counts lattice points in dilates by brute force and interpolates. The
 two must always agree, and the test suite holds the package to that.
 """
 
-from .boxgroup import (
-    BoxGroup,
-    BoxPoint,
-    add,
-    enumerate_box_group,
-    neg,
-)
+from .boxgroup import BoxGroup, enumerate_box_group
 from .errors import HstarkitError
 from .hstar import HStarVector, ehrhart_from_hstar, hstar_from_box_group, structural_facts
 from .linalg import det, hermite_normal_form, smith_normal_form, solve_rational
@@ -23,12 +17,10 @@ from . import families
 
 __all__ = [
     "BoxGroup",
-    "BoxPoint",
     "ExtractionCertificate",
     "HStarVector",
     "HstarkitError",
     "LatticeSimplex",
-    "add",
     "all_faces",
     "check_zero_window",
     "condition_report",
@@ -46,7 +38,6 @@ __all__ = [
     "homogenize",
     "hstar_by_interpolation",
     "hstar_from_box_group",
-    "neg",
     "normalized_volume",
     "restrict_to_affine_lattice",
     "smith_normal_form",

@@ -20,12 +20,9 @@ int64 keys as stay below ``INT64_LIMIT``. ``BoxGroup.rows`` gathers the
 residue rows of just the s elements a caller selects, one numerator over q
 per vertex, at O(s * (n+1)); no row is stored or cached.
 
-Iterating a group yields its elements as ``BoxPoint`` objects (reduced
-integer numerators over their own denominator, which keeps the group law in
-pure integer arithmetic; ``coords`` exposes the exact rationals), built
-from ``rows()`` on each iteration. ``add`` and ``neg`` are the group law on
-single elements, a public view: the package itself works on the residue
-columns and rows.
+The package works on the residue columns and rows alone. ``BoxPoint``,
+``add``, ``neg`` and ``BoxGroup.__iter__`` are an element-by-element view
+kept only for the benchmark in ``perfbench``, which still reads them.
 
 ``enumerate_by_box_scan`` is an independent second enumeration, used to
 check the first: no Smith form, no ``BoxGroup``. It reads the group off the
@@ -37,16 +34,13 @@ over vol = det H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatchError, InternalCheckError, NonIntegralHeightError, VolumeTooLargeError
-)
+from .errors import DimensionMismatchError, InternalCheckError, VolumeTooLargeError
 from .simplex import LatticeSimplex, homogenize, restrict_to_affine_lattice
 
 DEFAULT_VOLUME_CAP = 10**6
@@ -55,12 +49,14 @@ DEFAULT_VOLUME_CAP = 10**6
 INT64_LIMIT = 2**62
 
 
+# perfbench reads BoxPoint, add, neg and BoxGroup.__iter__ (its tracer test
+# adds two iterated elements through verify.add), and nothing else does;
+# they go once the benchmark stops reading them.
 @dataclass(frozen=True)
 class BoxPoint:
     """One fractional-weight tuple; coordinate i equals nums[i] / den.
 
     Stored reduced: den > 0 and gcd(den, *nums) == 1, each num in [0, den).
-    Points order by (height, coordinates), exactly.
     """
 
     nums: tuple[int, ...]
@@ -70,41 +66,14 @@ class BoxPoint:
         if self.den <= 0 or any(x < 0 or x >= self.den for x in self.nums):
             raise ValueError("numerators must lie in [0, den)")
 
-    def __lt__(self, other: "BoxPoint") -> bool:
-        return (self.height, self.coords) < (other.height, other.coords)
-
     @classmethod
     def from_scaled(cls, nums: Sequence[int], den: int) -> "BoxPoint":
         nums = tuple(x % den for x in nums)
         g = gcd(den, *nums) if nums else den
         return cls(nums=tuple(x // g for x in nums), den=den // g)
 
-    @classmethod
-    def zero(cls, length: int) -> "BoxPoint":
-        return cls(nums=(0,) * length, den=1)
-
     def __len__(self) -> int:
         return len(self.nums)
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
-
-    @property
-    def height(self) -> int:
-        total = sum(self.nums)
-        if total % self.den:
-            raise NonIntegralHeightError(
-                f"coordinate sum {total}/{self.den} is not an integer"
-            )
-        return total // self.den
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.nums) if x > 0)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
 
 def add(a: BoxPoint, b: BoxPoint) -> BoxPoint:
@@ -132,8 +101,7 @@ class BoxGroup:
     ``column_map[i]``. ``heights`` holds the element heights, so ``order``
     is their count. Elements are sorted by (height, coordinates) so that
     every downstream report is deterministic. ``rows`` gathers the
-    numerators of selected elements, one column per vertex; iterating the
-    group yields every element as a ``BoxPoint``, built from ``rows()``.
+    numerators of selected elements, one column per vertex.
     """
 
     invariant_factors: tuple[int, ...]
@@ -148,7 +116,6 @@ class BoxGroup:
         return self.columns[:, select].T.take(self.column_map, axis=1)
 
     def __iter__(self) -> Iterator[BoxPoint]:
-        # Unused in the package; perfbench's tracer test iterates a group.
         q = self.exponent
         return (BoxPoint.from_scaled(r, q) for r in self.rows().tolist())
 
@@ -258,7 +225,7 @@ def enumerate_box_group(
 
 
 def enumerate_by_box_scan(
-    simplex: LatticeSimplex, cap: int = DEFAULT_VOLUME_CAP
+    simplex: LatticeSimplex, volume_cap: int = DEFAULT_VOLUME_CAP
 ) -> tuple[np.ndarray, int]:
     """Debug oracle: the group read off coset representatives in the
     triangular Hermite model, with no Smith form and no ``BoxGroup``.
@@ -286,8 +253,8 @@ def enumerate_by_box_scan(
     n = model.dimension
     diagonal = [model.vertices[t + 1][t] for t in range(n)]
     volume = prod(diagonal)
-    if volume > cap:
-        raise VolumeTooLargeError(volume, cap, "box scan")
+    if volume > volume_cap:
+        raise VolumeTooLargeError(volume, volume_cap, "box scan")
     adj, _ = linalg.adjugate([[v[i] for v in model.vertices[1:]] for i in range(n)])
     dtype = np.int64 if n * volume * volume < INT64_LIMIT else object
     forms = np.array([[x % volume for x in row] for row in adj], dtype=dtype).reshape(n, n)

@@ -240,7 +240,7 @@ def cmd_check_conditions(args) -> int:
 
 
 def cmd_verify_suite(args) -> int:
-    records, ok = verify.run_suite(args.corpus, max_volume=args.max_volume, scan_cap=args.scan_cap)
+    records, ok = verify.run_suite(args.corpus, volume_cap=args.volume_cap, scan_cap=args.scan_cap)
     for record in records:
         _emit(record.to_json_dict())
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", help="run every invariant over a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--max-volume", type=_cap, default=DEFAULT_VOLUME_CAP)
+    add_caps(p)
     p.add_argument("--scan-cap", type=_cap, default=DEFAULT_SCAN_CAP)
     p.set_defaults(fn=cmd_verify_suite)
 

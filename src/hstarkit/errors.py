@@ -47,10 +47,6 @@ class HypothesisNotMetError(HstarkitError):
     """A checker's stated hypothesis fails for the given input."""
 
 
-class NonIntegralHeightError(HstarkitError):
-    """Coordinate sum of a fractional-weight tuple is not an integer."""
-
-
 class InvalidParametersError(HstarkitError):
     """Family generator called with parameters outside its documented range."""
 

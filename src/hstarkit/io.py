@@ -146,6 +146,11 @@ class SimplexDocument:
             if not isinstance(expected, list):
                 raise DocumentError("expected_hstar must be a list")
             expected = tuple(decode_int(x) for x in expected)
+            # The rule of HStarVector: a pin it breaks could never match.
+            if not expected or expected[0] != 1 or expected[-1] == 0 or min(expected) < 0:
+                raise DocumentError(
+                    "expected_hstar must start with 1 and have no negative entry or trailing zero"
+                )
         return cls(ambient, vertices, name, expected)
 
 

@@ -64,14 +64,14 @@ def _row_set(rows: np.ndarray) -> set[tuple[int, ...]]:
 
 
 def _instance_records(
-    name: str, doc: SimplexDocument, max_volume: int, scan_cap: int
+    name: str, doc: SimplexDocument, volume_cap: int, scan_cap: int
 ) -> Iterator[Record]:
     simplex = doc.to_simplex()
     volume = normalized_volume(simplex)
     try:
-        group = enumerate_box_group(simplex, volume_cap=max_volume)
+        group = enumerate_box_group(simplex, volume_cap=volume_cap)
     except VolumeTooLargeError:
-        yield _skip(name, "volume-order", f"volume {volume} above --max-volume")
+        yield _skip(name, "volume-order", f"volume {volume} above --volume-cap")
         return
     h = hstar_from_box_group(group)
 
@@ -135,7 +135,7 @@ def _instance_records(
         yield _skip(name, "group-axioms", f"order above {AXIOM_ORDER_GATE}")
 
     # O(order * n), bounded by the volume cap like the enumeration itself.
-    scanned, vol = enumerate_by_box_scan(simplex, cap=max_volume)
+    scanned, vol = enumerate_by_box_scan(simplex, volume_cap=volume_cap)
     # Both are sorted by (height, coordinates); scanned / vol == rows / q
     # row by row. Once q | vol, rows * (vol // q) has every entry below vol,
     # as scanned has, so the comparison is exact at any order.
@@ -147,11 +147,11 @@ def _instance_records(
     reversed_model = restrict_to_affine_lattice(
         LatticeSimplex(simplex.ambient_dim, simplex.vertices[::-1])
     )
-    h_reversed = hstar_from_box_group(enumerate_box_group(reversed_model, volume_cap=max_volume))
+    h_reversed = hstar_from_box_group(enumerate_box_group(reversed_model, volume_cap=volume_cap))
     yield _ok(name, "restrict-invariance", h_reversed.coeffs == h.coeffs)
 
     rotated = LatticeSimplex(simplex.ambient_dim, simplex.vertices[1:] + simplex.vertices[:1])
-    h_rotated = hstar_from_box_group(enumerate_box_group(rotated, volume_cap=max_volume))
+    h_rotated = hstar_from_box_group(enumerate_box_group(rotated, volume_cap=volume_cap))
     yield _ok(name, "permutation-invariance", h_rotated.coeffs == h.coeffs)
 
     try:
@@ -193,7 +193,7 @@ def _instance_records(
         face_rows: dict[LatticeSimplex, tuple[int, set[tuple[int, ...]]]] = {}
         for cols, face_simplex in all_faces(simplex):
             if face_simplex not in face_rows:
-                face_group = enumerate_box_group(face_simplex, volume_cap=max_volume)
+                face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
                 # A broken face group need not have an exponent dividing q.
                 m = lcm(q, face_group.exponent)
                 scaled = face_group.rows() * (m // face_group.exponent)
@@ -213,7 +213,7 @@ def _instance_records(
         for k in window_ks:
             # k >= 3 with a zero window: extract_face raises on any failed lemma.
             try:
-                extract_face(simplex, k, volume_cap=max_volume)
+                extract_face(simplex, k, volume_cap=volume_cap)
             except HstarkitError:
                 failures.append(k)
         yield _ok(name, "window-extraction", not failures, {"ks": window_ks, "failed": failures})
@@ -223,7 +223,7 @@ def _instance_records(
 
 def run_suite(
     corpus_dir: str | Path,
-    max_volume: int = DEFAULT_VOLUME_CAP,
+    volume_cap: int = DEFAULT_VOLUME_CAP,
     scan_cap: int = oracle.DEFAULT_SCAN_CAP,
 ) -> tuple[list[Record], bool]:
     """All records for all documents in the directory, sorted by filename."""
@@ -233,6 +233,6 @@ def run_suite(
     records: list[Record] = []
     for path in paths:
         doc = load_simplex_document(path)
-        records.extend(_instance_records(path.name, doc, max_volume, scan_cap))
+        records.extend(_instance_records(path.name, doc, volume_cap, scan_cap))
     ok = all(r.status != "fail" for r in records)
     return records, ok

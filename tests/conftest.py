@@ -43,11 +43,6 @@ def with_rows(group, rows, heights=None):
         group, columns=rows.T, column_map=tuple(range(rows.shape[1])), **changes)
 
 
-def as_rows(points, den):
-    """Points as numerator rows over den, a multiple of every point's den."""
-    return [[x * (den // p.den) for x in p.nums] for p in points]
-
-
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return REPO / "corpus"

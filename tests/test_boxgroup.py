@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -9,19 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import boxgroup, cli, linalg, theorem
-from hstarkit.boxgroup import (
-    BoxGroup,
-    BoxPoint,
-    add,
-    enumerate_box_group,
-    enumerate_by_box_scan,
-    neg,
-)
-from hstarkit.errors import (
-    DimensionMismatchError,
-    NonIntegralHeightError,
-    VolumeTooLargeError,
-)
+from hstarkit.boxgroup import BoxGroup, enumerate_box_group, enumerate_by_box_scan
+from hstarkit.errors import DimensionMismatchError, VolumeTooLargeError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import hstar_from_box_group
 from hstarkit.linalg import smith_normal_form
@@ -35,7 +25,7 @@ from hstarkit.simplex import (
     restrict_to_affine_lattice,
 )
 
-from conftest import as_rows
+from elements import add, as_rows, elements, height, neg, point, support, zero
 
 TRI_VOL2 = from_vertices(2, [(0, 0), (1, 0), (1, 2)])
 
@@ -44,44 +34,77 @@ def frac(a, b=1):
     return Fraction(a, b)
 
 
-def scan_points(simplex, cap=200):
+def scan_points(simplex, volume_cap=200):
     """The box scan's rows over their volume, as points."""
-    rows, volume = enumerate_by_box_scan(simplex, cap=cap)
-    return tuple(BoxPoint.from_scaled(r, volume) for r in rows.tolist())
+    rows, volume = enumerate_by_box_scan(simplex, volume_cap=volume_cap)
+    return tuple(point(r, volume) for r in rows.tolist())
+
+
+class TestElementReference:
+    def test_height_and_support(self):
+        p = point((0, 1, 1), 2)
+        assert height(p) == 1
+        assert support(p) == (1, 2)
+        z = zero(3)
+        assert height(z) == 0 and support(z) == ()
+
+    def test_non_integral_height_signals_corruption(self):
+        with pytest.raises(AssertionError, match="not an integer"):
+            height(point((1, 0), 2))
 
 
 class TestBoxPoint:
+    """The element view that perfbench still reads: ``from_scaled``,
+    ``nums``, ``den``, ``len``, ``add``, ``neg`` and group iteration."""
+
     def test_reduction_and_coords(self):
-        p = BoxPoint.from_scaled((0, 3, 3), 6)
-        assert p.den == 2 and p.nums == (0, 1, 1)
-        assert p.coords == (frac(0), frac(1, 2), frac(1, 2))
+        p = boxgroup.BoxPoint.from_scaled((0, 3, 9), 6)
+        assert p.den == 2 and p.nums == (0, 1, 1) and len(p) == 3
+        assert point(p.nums, p.den) == (frac(0), frac(1, 2), frac(1, 2))
+        zero_point = boxgroup.BoxPoint.from_scaled((0, 6), 6)
+        assert zero_point.den == 1 and zero_point.nums == (0, 0)
 
-    def test_height_and_support(self):
-        p = BoxPoint.from_scaled((0, 1, 1), 2)
-        assert p.height == 1
-        assert p.support == (1, 2)
-        assert len(p.support) == 2
-        z = BoxPoint.zero(3)
-        assert z.height == 0 and z.support == ()
-
-    def test_non_integral_height_signals_corruption(self):
-        with pytest.raises(NonIntegralHeightError):
-            BoxPoint.from_scaled((1, 0), 2).height
+    @pytest.mark.parametrize(
+        "nums, den", [((0, 2), 2), ((-1, 0), 2), ((), 0), ((0,), -1)],
+        ids=["num-at-den", "negative-num", "zero-den", "negative-den"],
+    )
+    def test_numerators_outside_the_denominator_are_refused(self, nums, den):
+        with pytest.raises(ValueError, match=r"numerators must lie in \[0, den\)"):
+            boxgroup.BoxPoint(nums, den)
 
     def test_add_and_neg(self):
-        a = BoxPoint.from_scaled((0, 1, 1), 2)
-        z = BoxPoint.zero(3)
-        assert add(a, z) == a
-        assert add(a, a) == z
-        assert neg(z) == z
-        assert neg(a) == a
-        b = BoxPoint.from_scaled((0, 1, 2), 3)
-        assert neg(b) == BoxPoint.from_scaled((0, 2, 1), 3)
-        assert neg(b).coords == (frac(0), frac(2, 3), frac(1, 3))
+        from_scaled = boxgroup.BoxPoint.from_scaled
+        a = from_scaled((0, 1, 1), 2)
+        z = from_scaled((0, 0, 0), 1)
+        assert boxgroup.add(a, z) == a
+        assert boxgroup.add(a, a) == z
+        assert boxgroup.neg(z) == z
+        assert boxgroup.neg(a) == a
+        b = from_scaled((0, 1, 2), 3)
+        assert boxgroup.neg(b) == from_scaled((0, 2, 1), 3)
 
     def test_length_mismatch(self):
+        from_scaled = boxgroup.BoxPoint.from_scaled
         with pytest.raises(DimensionMismatchError):
-            add(BoxPoint.zero(2), BoxPoint.zero(3))
+            boxgroup.add(from_scaled((0, 0), 1), from_scaled((0, 0, 0), 1))
+
+    @pytest.mark.parametrize(
+        "simplex", [unit_simplex(2), prop43_instance(3, 4), join(delta_cm(3, 2), delta_cm(1, 1))],
+        ids=["unit", "explicit5", "join"],
+    )
+    def test_iteration_and_group_law_match_the_reference(self, simplex):
+        group = enumerate_box_group(simplex)
+        points = list(group)
+        els = elements(group)
+
+        def exact(p):
+            return point(p.nums, p.den)
+
+        assert [exact(p) for p in points] == list(els)
+        for a, x in zip(points, els):
+            assert exact(boxgroup.neg(a)) == neg(x)
+            for b, y in zip(points, els):
+                assert exact(boxgroup.add(a, b)) == add(x, y)
 
 
 class TestEnumeration:
@@ -89,19 +112,19 @@ class TestEnumeration:
         for d in range(0, 5):
             g = enumerate_box_group(unit_simplex(d))
             assert g.order == 1
-            assert tuple(g) == (BoxPoint.zero(d + 1),)
+            assert elements(g) == (zero(d + 1),)
 
     def test_triangle_vol2(self):
         g = enumerate_box_group(TRI_VOL2)
         assert g.order == 2
-        nonzero = tuple(g)[1]
-        assert nonzero.coords == (frac(0), frac(1, 2), frac(1, 2))
-        assert nonzero.height == 1
+        nonzero = elements(g)[1]
+        assert nonzero == (frac(0), frac(1, 2), frac(1, 2))
+        assert height(nonzero) == 1
 
     def test_explicit_5dim(self):
         g = enumerate_box_group(prop43_instance(3, 4))
         assert g.order == 9
-        assert sorted(p.height for p in g) == [0, 2, 2, 3, 3, 3, 3, 4, 4]
+        assert sorted(height(p) for p in elements(g)) == [0, 2, 2, 3, 3, 3, 3, 4, 4]
         assert g.level_counts() == {0: 1, 2: 2, 3: 4, 4: 2}
 
     def test_remark44_levels(self):
@@ -112,13 +135,13 @@ class TestEnumeration:
         for c, m in [(1, 1), (2, 3), (3, 2), (5, 4)]:
             g = enumerate_box_group(delta_cm(c, m))
             assert g.order == c + 1
-            assert all(p.height == m for p in g if not p.is_zero())
+            assert all(height(p) == m for p in elements(g) if any(p))
 
     def test_elements_sorted_and_zero_first(self):
         g = enumerate_box_group(prop43_instance(3, 4))
-        els = tuple(g)
-        assert els[0] == BoxPoint.zero(len(g.column_map))
-        keys = [(p.height, p.coords) for p in els]
+        els = elements(g)
+        assert els[0] == zero(len(g.column_map))
+        keys = [(height(p), p) for p in els]
         assert keys == sorted(keys)
 
     def test_order_equals_volume(self):
@@ -131,7 +154,7 @@ class TestEnumeration:
         assert info.value.stage == "weight-group enumeration"
         assert str(info.value) == "weight-group enumeration: normalized volume 101 exceeds cap 50"
         with pytest.raises(VolumeTooLargeError) as info:
-            enumerate_by_box_scan(delta_cm(100, 1), cap=50)
+            enumerate_by_box_scan(delta_cm(100, 1), volume_cap=50)
         assert str(info.value) == "box scan: normalized volume 101 exceeds cap 50"
 
     def test_lower_dimensional_input_enumerates_its_model(self):
@@ -146,9 +169,8 @@ class TestEnumeration:
         assert not hasattr(g, "simplex")
 
     def test_inverses_exhaustive(self):
-        g = enumerate_box_group(prop43_instance(3, 4))
-        for p in g:
-            assert add(p, neg(p)).is_zero()
+        for p in elements(enumerate_box_group(prop43_instance(3, 4))):
+            assert add(p, neg(p)) == zero(len(p))
 
     def test_scan_oracle_agreement(self):
         for s in (
@@ -158,7 +180,7 @@ class TestEnumeration:
             remark44_simplex(2),
             join(delta_cm(1, 1), delta_cm(2, 1)),
         ):
-            assert scan_points(s) == tuple(enumerate_box_group(s))
+            assert scan_points(s) == elements(enumerate_box_group(s))
 
 
 def huge_unimodular_image(simplex):
@@ -307,19 +329,19 @@ class TestArrayRepresentation:
         assert_matches_reference(simplex)
         assert exact.rows().tolist() == fast.rows().tolist()
         assert exact.heights.tolist() == fast.heights.tolist()
-        assert tuple(exact) == tuple(fast)
+        assert elements(exact) == elements(fast)
         assert hstar_from_box_group(exact) == hstar_from_box_group(fast)
 
     def test_huge_image_keeps_the_elements(self):
         base = prop43_instance(3, 4)
-        assert tuple(enumerate_box_group(huge_unimodular_image(base))) == (
-            tuple(enumerate_box_group(base))
+        assert elements(enumerate_box_group(huge_unimodular_image(base))) == (
+            elements(enumerate_box_group(base))
         )
 
     def test_hstar_builds_no_points(self, gathered):
         g = enumerate_box_group(delta_cm(99999, 3))
         assert hstar_from_box_group(g).coeffs == (1, 0, 0, 99999)
-        # Elements are built only by iterating, which gathers the rows.
+        # h* is a count over the heights: no row is gathered.
         assert gathered == [] and not hasattr(g, "elements")
 
     @pytest.mark.parametrize(
@@ -373,9 +395,9 @@ class TestArrayRepresentation:
     )
     def test_low_subgroup_matches_element_filter(self, simplex):
         g = enumerate_box_group(simplex)
-        els = tuple(g)
+        els = elements(g)
         for k in range(1, 7):
-            low = [p for p in els if p.height <= k]
+            low = [p for p in els if height(p) <= k]
             assert g.rows(g.heights <= k).tolist() == as_rows(low, g.exponent)
 
     def test_level_counts_are_python_ints(self):
@@ -404,9 +426,9 @@ class TestGroupLaws:
     )
     def test_axioms_exhaustive(self, simplex):
         g = enumerate_box_group(simplex)
-        els = tuple(g)
+        els = elements(g)
         members = set(els)
-        assert BoxPoint.zero(len(g.column_map)) in members
+        assert zero(len(g.column_map)) in members
         for a in els:
             assert neg(a) in members
             for b in els:
@@ -424,8 +446,8 @@ class TestGroupLaws:
         ids=["explicit5", "d62", "r44k2"],
     )
     def test_support_height_identity(self, simplex):
-        for p in enumerate_box_group(simplex):
-            assert len(p.support) == p.height + neg(p).height
+        for p in elements(enumerate_box_group(simplex)):
+            assert len(support(p)) == height(p) + height(neg(p))
 
     @pytest.mark.parametrize(
         "simplex",
@@ -433,28 +455,27 @@ class TestGroupLaws:
         ids=["explicit5", "d53"],
     )
     def test_height_subadditive_and_step_bound(self, simplex):
-        els = tuple(enumerate_box_group(simplex))
+        els = elements(enumerate_box_group(simplex))
         for a in els:
             for b in els:
-                assert add(a, b).height <= a.height + b.height
+                assert height(add(a, b)) <= height(a) + height(b)
             prev = a
-            while not a.is_zero():
+            while any(a):
                 cur = add(prev, a)
-                assert cur.height <= prev.height + a.height
-                if cur.is_zero():
+                assert height(cur) <= height(prev) + height(a)
+                if not any(cur):
                     break
                 prev = cur
 
     def test_face_groups_are_supported_subsets(self):
         for s in (prop43_instance(3, 4), remark44_simplex(2)):
-            els = tuple(enumerate_box_group(s))
+            els = elements(enumerate_box_group(s))
             for sel, face_simplex in all_faces(s):
-                face_group = enumerate_box_group(face_simplex)
-                got = {p.coords for p in face_group}
+                got = set(elements(enumerate_box_group(face_simplex)))
                 want = {
-                    tuple(p.coords[i] for i in sel)
+                    tuple(p[i] for i in sel)
                     for p in els
-                    if set(p.support) <= set(sel)
+                    if set(support(p)) <= set(sel)
                 }
                 assert got == want
 
@@ -480,22 +501,22 @@ def test_random_simplices_group_matches_volume_and_scan(verts):
         return
     g = enumerate_box_group(s)
     assert g.order == vol
-    els = tuple(g)
+    els = elements(g)
     assert len(els) == vol
-    assert scan_points(s, cap=60) == els
+    assert scan_points(s, volume_cap=60) == els
     for p in els:
-        assert len(p.support) == p.height + neg(p).height
+        assert len(support(p)) == height(p) + height(neg(p))
 
 
-def reference_box_scan(simplex, cap=200):
+def reference_box_scan(simplex, volume_cap=200):
     """The earlier enumeration, kept as the differential reference: scan
     every lattice point of the bounding box of the homogenized vertex
     matrix and keep those whose weights adj(M) x / |det M| lie in [0, 1)."""
     matrix = homogenize(simplex)
     adj, det_m = linalg.adjugate(matrix)
     volume = abs(det_m)
-    if volume > cap:
-        raise VolumeTooLargeError(volume, cap, "box scan")
+    if volume > volume_cap:
+        raise VolumeTooLargeError(volume, volume_cap, "box scan")
     k = len(matrix)
     sign = 1 if det_m > 0 else -1
     rows = [[sign * adj[i][j] for j in range(k)] for i in range(k)]
@@ -506,25 +527,25 @@ def reference_box_scan(simplex, cap=200):
         los.append(sum(min(x, 0) for x in row))
         his.append(sum(max(x, 0) for x in row))
     found = []
-    point = [0] * k
+    lattice_point = [0] * k
 
     def scan(axis: int) -> None:
         if axis == k:
-            # weight_i = (rows[i] . point) / volume must lie in [0, 1)
+            # weight_i = (rows[i] . lattice_point) / volume must lie in [0, 1)
             nums = []
             for i in range(k):
-                w = sum(rows[i][j] * point[j] for j in range(k))
+                w = sum(rows[i][j] * lattice_point[j] for j in range(k))
                 if w < 0 or w >= volume:
                     return
                 nums.append(w)
-            found.append(BoxPoint.from_scaled(nums, volume))
+            found.append(point(nums, volume))
             return
         for val in range(los[axis], his[axis] + 1):
-            point[axis] = val
+            lattice_point[axis] = val
             scan(axis + 1)
 
     scan(0)
-    return tuple(sorted(found))
+    return tuple(sorted(found, key=lambda p: (height(p), p)))
 
 
 # Coordinate bounds per dimension that keep the reference's box below 20,000
@@ -570,7 +591,8 @@ JOIN_SEG2_SEG3 = from_vertices(3, [(0, 0, 0), (0, 2, 0), (1, 0, 0), (1, 0, 3)])
 
 def test_join_seg2_seg3_has_denominators_below_q():
     g = enumerate_box_group(JOIN_SEG2_SEG3)
-    assert g.exponent == 6 and {p.den for p in g} == {1, 2, 3, 6}
+    dens = {lcm(*(x.denominator for x in p)) for p in elements(g)}
+    assert g.exponent == 6 and dens == {1, 2, 3, 6}
 
 
 @given(st.one_of(full_dimensional_simplices(), lower_dimensional_simplices()), st.integers(1, 4))
@@ -581,12 +603,12 @@ def test_cli_coordinates_match_the_elements(s, k):
     # box-group prints every row of the group and extract-face every row of
     # L'; each must read as the reduced coordinates of its element.
     group = enumerate_box_group(s)
-    els = tuple(group)
+    els = elements(group)
     printed = [cli._coords_strings(r, group.exponent) for r in group.rows().tolist()]
-    assert printed == [[str(c) for c in p.coords] for p in els]
+    assert printed == [[str(c) for c in p] for p in els]
     cert = theorem.extract_face(s, k)
     printed = [cli._coords_strings(r, cert.exponent) for r in cert.lambda_prime.tolist()]
-    assert printed == [[str(c) for c in p.coords] for p in els if p.height <= k]
+    assert printed == [[str(c) for c in p] for p in els if height(p) <= k]
 
 
 class TestBoxScan:
@@ -610,7 +632,7 @@ class TestBoxScan:
         rows, volume = enumerate_by_box_scan(from_vertices(3, [(5, -1, 2)]))
         assert rows.tolist() == [[0]] and volume == 1
         for s in (prop43_instance(3, 4), NON_CYCLIC, huge_unimodular_image(prop43_instance(3, 4))):
-            assert scan_points(s) == tuple(enumerate_box_group(s))
+            assert scan_points(s) == elements(enumerate_box_group(s))
 
     def test_rows_are_read_only_over_the_volume(self):
         s = prop43_instance(3, 4)
@@ -633,10 +655,10 @@ class TestBoxScan:
         monkeypatch.setattr(linalg, "adjugate", spy("adjugate", adjugate))
         monkeypatch.setattr(np, "indices", spy("indices", indices))
         with pytest.raises(VolumeTooLargeError) as info:
-            enumerate_by_box_scan(delta_cm(10**5, 1), cap=200)
+            enumerate_by_box_scan(delta_cm(10**5, 1), volume_cap=200)
         assert str(info.value) == "box scan: normalized volume 100001 exceeds cap 200"
         assert calls == []
-        enumerate_by_box_scan(delta_cm(10, 1), cap=200)
+        enumerate_by_box_scan(delta_cm(10, 1), volume_cap=200)
         assert calls == ["adjugate", "indices"]
 
     @pytest.mark.parametrize(
@@ -659,7 +681,7 @@ class TestBoxScan:
         assert dtypes == [np.int64, object]
         assert exact.dtype == object and exact_volume == volume
         assert exact.tolist() == fast.tolist()
-        assert fast.tolist() == as_rows(enumerate_box_group(simplex), volume)
+        assert fast.tolist() == as_rows(elements(enumerate_box_group(simplex)), volume)
 
 
 class TestDistinctColumnEnumeration:

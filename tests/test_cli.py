@@ -214,9 +214,11 @@ JSON_VALUES = st.recursive(
 @st.composite
 def near_valid_documents(draw) -> str:
     """A valid document with one mutation: a field replaced, dropped or
-    added, a vertex or an entry replaced, or the text cut or edited."""
+    added, a vertex or an entry replaced, an integer list pinned as its
+    expected h*, or the text cut or edited."""
     doc = json.loads(json.dumps(draw(st.sampled_from([PROP43_DOC, UNIT_TRIANGLE_DOC]))))
-    kind = draw(st.sampled_from(["field", "drop", "add", "vertex", "entry", "cut", "edit"]))
+    kinds = ["field", "drop", "add", "vertex", "entry", "pin", "cut", "edit"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "field":
         doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
     elif kind == "drop":
@@ -232,6 +234,8 @@ def near_valid_documents(draw) -> str:
             | st.integers().map(str)
             | st.sampled_from(["1e3", " 7", "0x10", "-", *LOOSE_INTEGER_STRINGS])
         )
+    elif kind == "pin":
+        doc["expected_hstar"] = draw(st.lists(st.integers(-2, 3), max_size=5))
     text = json.dumps(doc)
     if kind == "cut":
         text = text[: draw(st.integers(0, len(text) - 1))]
@@ -381,7 +385,7 @@ class TestIntegerFlags:
     @pytest.mark.parametrize("template", [
         "hstar {tri} --volume-cap {v}",
         "oracle-verify {tri} --scan-cap {v}",
-        "verify-suite --corpus {corpus} --max-volume {v}",
+        "verify-suite --corpus {corpus} --volume-cap {v}",
         "verify-suite --corpus {corpus} --scan-cap {v}",
     ])
     def test_loose_cap_is_refused(self, run_main, template, form):
@@ -557,7 +561,7 @@ class TestReportCommands:
         "extract-face {path} --k 3 --volume-cap -2",
         "oracle-verify {path} --scan-cap -1",
         "oracle-verify {path} --volume-cap 0",
-        "verify-suite --corpus {corpus} --max-volume 0",
+        "verify-suite --corpus {corpus} --volume-cap 0",
         "verify-suite --corpus {corpus} --scan-cap 0",
     ])
     def test_cap_below_one_is_refused_while_parsing(self, run_cli, tmp_path, option):
@@ -619,6 +623,20 @@ class TestReportCommands:
         assert (res.returncode, res.stdout) == (2, "")
         assert len(res.stderr.splitlines()) == 1
         assert run_cli("verify-suite", "--corpus", str(tmp_path)).returncode == 2
+
+    @pytest.mark.parametrize("pin", [[1, 0], [], [2], [-1]], ids=str)
+    def test_malformed_expected_hstar_is_a_document_error(self, run_cli, tmp_path, pin):
+        # A computed h* starts with 1 and is trimmed, so such a pin could never
+        # match: the document is refused, not reported as a mismatch.
+        doc = {**UNIT_TRIANGLE_DOC, "expected_hstar": pin}
+        with pytest.raises(DocumentError, match="expected_hstar must start with 1"):
+            SimplexDocument.from_json_dict(doc)
+        path = write_doc(tmp_path, "pinned.json", doc)
+        res = run_cli("oracle-verify", str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert len(res.stderr.splitlines()) == 1
+        res = run_cli("verify-suite", "--corpus", str(tmp_path))
+        assert (res.returncode, res.stdout) == (2, "")
 
 
 # sha256 of `hstarkit box-group <doc>` stdout for every corpus document. The

@@ -2,9 +2,9 @@
 name that no longer resolves breaks traced benchmark runs, so it is checked
 here, reading the worker's tuples without importing or running it. So is
 every module attribute and certificate field the worker reads on its
-untraced passes. The benchmark's own tests also lean on a few anchors in
-the package, which are checked here too, since those tests are not run with
-this suite."""
+untraced passes. The benchmark's own tests, under ``perfbench/tests``,
+also lean on a few anchors in the package; they are checked here too, so
+that a failure names the anchor and not only the benchmark test that broke."""
 import ast
 import importlib
 from pathlib import Path
@@ -47,8 +47,9 @@ def test_anchors_of_the_benchmark_tests():
     # The wrong-h* test patches this exact line of a copied hstar.py.
     hstar = (REPO / "src" / "hstarkit" / "hstar.py").read_text(encoding="utf-8")
     assert "        out[h] = c\n" in hstar
-    # The tracer test calls boxgroup.add through verify's name for it, on
-    # elements got by iterating a group.
+    # The tracer test in perfbench/tests, which runs with this suite, calls
+    # boxgroup.add through verify's name for it, on elements got by
+    # iterating a group. It is why BoxPoint, add and iteration remain.
     assert verify.add is boxgroup.add
     elements = list(boxgroup.enumerate_box_group(families.delta_cm(2, 2)))
     assert len(elements) == 3 and all(isinstance(p, BoxPoint) for p in elements)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import oracle, theorem, verify
-from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, BoxPoint, add, enumerate_box_group, neg
+from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
 from hstarkit.errors import HypothesisNotMetError, InvalidParametersError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import HStarVector, hstar_from_box_group
@@ -24,7 +25,8 @@ from hstarkit.theorem import (
     is_prime,
 )
 
-from conftest import as_rows, with_rows
+from conftest import with_rows
+from elements import add, as_rows, elements, height, neg, support, zero
 
 H = HStarVector.of
 
@@ -92,9 +94,9 @@ class TestLowSubgroup:
 
     def test_delta_23_all_heights_three(self):
         g = enumerate_box_group(delta_cm(2, 3))
-        low = [p for p in g if p.height <= 3]
+        low = [p for p in elements(g) if height(p) <= 3]
         assert len(low) == len(g.rows(g.heights <= 3)) == 3
-        assert sorted(p.height for p in low) == [0, 3, 3]
+        assert sorted(height(p) for p in low) == [0, 3, 3]
 
 
 class TestSupportBound:
@@ -105,9 +107,9 @@ class TestSupportBound:
     def test_delta23_join_point(self):
         s = join(delta_cm(2, 3), unit_simplex(0))
         assert extract_face(s, 3).lemma31_ok
-        for p in enumerate_box_group(s):
-            if not p.is_zero():
-                assert p.height == 3 and len(p.support) == 6
+        for p in elements(enumerate_box_group(s)):
+            if any(p):
+                assert height(p) == 3 and len(support(p)) == 6
 
 
 class TestLowSubgroupVerdict:
@@ -147,31 +149,22 @@ class TestLemmaHelpersMatchElementLoops:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_support_bound(self, simplex, k):
         group = enumerate_box_group(simplex)
-        low = [p for p in group if p.height <= k]
+        low = [p for p in elements(group) if height(p) <= k]
         cert = extract_face(simplex, k)
         assert cert.lambda_prime.tolist() == as_rows(low, group.exponent)
-        assert cert.lemma31_ok == all(len(p.support) <= k + p.height for p in low)
+        assert cert.lemma31_ok == all(len(support(p)) <= k + height(p) for p in low)
 
     @pytest.mark.parametrize("simplex", LEMMA_SIMPLICES)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_low_subgroup_verdict(self, simplex, k):
         g = enumerate_box_group(simplex)
-        low = set(p for p in g if p.height <= k)
+        low = set(p for p in elements(g) if height(p) <= k)
         closed = all(add(a, b) in low for a in low for b in low)
-        supp = tuple(sorted({i for p in low for i in p.support}))
+        supp = tuple(sorted({i for p in low for i in support(p)}))
         cert = extract_face(simplex, k)
         assert cert.subgroup_ok == (closed and all(neg(a) in low for a in low))
         assert cert.support == supp
         assert cert.support_bound_ok == (len(supp) <= 4 * k - 1)
-
-
-def _generated(points, zero):
-    span = {zero}
-    while True:
-        grown = span | {add(a, g) for a in span for g in points}
-        if grown == span:
-            return span
-        span = grown
 
 
 CLOSURE_GROUPS = [
@@ -191,20 +184,35 @@ CLOSURE_GROUPS += [
 ]
 
 
-def _zero(group):
-    return BoxPoint.zero(len(group.column_map))
+@functools.cache
+def _group_law(group):
+    """The group law of the exact elements, on their indices in the group:
+    the identity's index, each element's inverse and each pair's sum."""
+    els = elements(group)
+    index = {p: i for i, p in enumerate(els)}
+    return (
+        index[zero(len(group.column_map))],
+        [index[neg(a)] for a in els],
+        [[index[add(a, b)] for b in els] for a in els],
+    )
 
 
-def _indices(group, points):
-    elements = tuple(group)
-    return {elements.index(p) for p in points}
+def _generated(picked, group):
+    """The span of the picked indices: each element found is added to every pick once."""
+    identity, _, sums = _group_law(group)
+    span = new = {identity}
+    while new:
+        new = {sums[a][g] for a in new for g in picked} - span
+        span |= new
+    return span
 
 
 def _zero_g_neg_g(group):
     """{0, g, -g} for the first nonzero g: closed under negation, and not
     under addition when g has order 5."""
-    g = next(p for p in group if not p.is_zero())
-    return _indices(group, {_zero(group), g, neg(g)})
+    identity, negs, _ = _group_law(group)
+    g = next(i for i in range(group.order) if i != identity)
+    return {identity, g, negs[g]}
 
 
 def test_closure_groups_cover_non_cyclic_and_object_rows():
@@ -232,8 +240,8 @@ def test_is_subgroup_sorts_once_per_generator(monkeypatch):
 )
 @example(CLOSURE_GROUPS[0], set(), False, Random(0))
 @example(CLOSURE_GROUPS[6], set(), False, Random(0))
-@example(CLOSURE_GROUPS[0], _indices(CLOSURE_GROUPS[0], {_zero(CLOSURE_GROUPS[0])}), False, Random(0))
-@example(CLOSURE_GROUPS[7], _indices(CLOSURE_GROUPS[7], {_zero(CLOSURE_GROUPS[7])}), False, Random(0))
+@example(CLOSURE_GROUPS[0], {_group_law(CLOSURE_GROUPS[0])[0]}, False, Random(0))
+@example(CLOSURE_GROUPS[7], {_group_law(CLOSURE_GROUPS[7])[0]}, False, Random(0))
 @example(CLOSURE_GROUPS[1], set(range(60)), False, Random(0))
 @example(CLOSURE_GROUPS[7], set(range(60)), False, Random(1))
 @example(CLOSURE_GROUPS[2], _zero_g_neg_g(CLOSURE_GROUPS[2]), False, Random(0))
@@ -241,17 +249,16 @@ def test_is_subgroup_sorts_once_per_generator(monkeypatch):
 @settings(max_examples=300, deadline=None)
 def test_is_subgroup_matches_pair_sweep(group, indices, generate, rng):
     # Indices past the order wrap, so a set of all 60 picks the whole group.
-    elements = tuple(group)
-    zero = _zero(group)
-    picked = {elements[i % group.order] for i in indices}
+    identity, negs, sums = _group_law(group)
+    picked = {i % group.order for i in indices}
     if generate:
-        picked = _generated(picked, zero)
-    rows = [i for i, p in enumerate(elements) if p in picked]
+        picked = _generated(picked, group)
+    rows = sorted(picked)
     rng.shuffle(rows)
     subgroup = (
-        zero in picked
-        and all(neg(a) in picked for a in picked)
-        and all(add(a, b) in picked for a in picked for b in picked)
+        identity in picked
+        and all(negs[a] in picked for a in picked)
+        and all(sums[a][b] in picked for a in picked for b in picked)
     )
     assert _is_subgroup(group.rows(rows), group) == subgroup
 
@@ -318,6 +325,8 @@ class TestExtractFace:
             cert.lambda_prime[0, 0] = 1
 
     def test_len_of_lambda_prime_builds_no_points(self, monkeypatch):
+        from hstarkit.boxgroup import BoxPoint
+
         built = []
         from_scaled = BoxPoint.from_scaled.__func__
 
@@ -578,7 +587,7 @@ class TestConditionReport:
         simplex = remark44_simplex(2)
         g = enumerate_box_group(simplex)
         h = hstar_from_box_group(g)
-        supp = len({i for p in g for i in p.support})
+        supp = len({i for p in elements(g) for i in support(p)})
         assert is_prime(g.order)
         assert check_shifted_symmetric(h, supp - 1)
         doc = SimplexDocument.from_simplex(simplex, name="remark44-k2")

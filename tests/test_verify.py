@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hstarkit import oracle, verify
 from hstarkit import simplex as simplex_module
 from hstarkit.verify import Record
-from hstarkit.boxgroup import BoxPoint, DEFAULT_VOLUME_CAP, add, enumerate_box_group, neg
+from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
 from hstarkit.errors import NotASimplexError
 from hstarkit.io import SimplexDocument, load_simplex_document
 from hstarkit.simplex import (
@@ -23,6 +23,7 @@ from hstarkit.simplex import (
 )
 
 from conftest import with_rows
+from elements import add, elements, height, neg, support, zero
 
 SKEW = SimplexDocument(3, ((1, 0, 2), (2, 3, 1), (0, 1, 5)), name="skew")
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -46,22 +47,22 @@ def group_verdicts(doc: SimplexDocument) -> dict:
 
 
 def reference_verdicts(doc: SimplexDocument) -> dict:
-    """The four group invariants computed element by element on ``BoxPoint``s
-    with ``add``/``neg``: the reference the residue-array checks must match."""
+    """The four group invariants computed element by element on exact
+    coordinate tuples: the reference the residue-array checks must match."""
     simplex = doc.to_simplex()
     group = enumerate_box_group(simplex)
-    els = tuple(group)
+    els = elements(group)
     members = set(els)
     out = {}
     if group.order <= verify.SUBGROUP_ORDER_GATE:
-        sub_ok = all(add(a, b).height <= a.height + b.height for a in els for b in els)
+        sub_ok = all(height(add(a, b)) <= height(a) + height(b) for a in els for b in els)
         step_ok = True
         for a in els:
             prev = a
-            while not a.is_zero():
+            while any(a):
                 cur = add(prev, a)
-                step_ok = step_ok and cur.height <= prev.height + a.height
-                if cur.is_zero():
+                step_ok = step_ok and height(cur) <= height(prev) + height(a)
+                if not any(cur):
                     break
                 prev = cur
         out["height-subadditivity"] = ("pass" if sub_ok else "fail", {})
@@ -71,8 +72,9 @@ def reference_verdicts(doc: SimplexDocument) -> dict:
         out["height-subadditivity"] = out["scalar-step-bound"] = ("skip", reason)
     if group.order <= verify.AXIOM_ORDER_GATE:
         closed = all(add(a, b) in members for a in els for b in els)
-        has_zero = BoxPoint.zero(simplex.n_vertices) in members
-        inverses = all(neg(a) in members and add(a, neg(a)).is_zero() for a in els)
+        identity = zero(simplex.n_vertices)
+        has_zero = identity in members
+        inverses = all(neg(a) in members and add(a, neg(a)) == identity for a in els)
         sample = els[:5]
         assoc = all(
             add(add(a, b), c) == add(a, add(b, c)) for a in sample for b in sample for c in sample
@@ -84,11 +86,11 @@ def reference_verdicts(doc: SimplexDocument) -> dict:
     if group.order <= verify.FACE_IDENTIFICATION_GATE and simplex.n_vertices <= verify.FACE_VERTEX_GATE:
         mismatch = None
         for sel, face_simplex in all_faces(simplex):
-            got = {p.coords for p in enumerate_box_group(face_simplex)}
+            got = set(elements(enumerate_box_group(face_simplex)))
             want = {
-                tuple(p.coords[i] for i in sel)
+                tuple(p[i] for i in sel)
                 for p in els
-                if set(p.support) <= set(sel)
+                if set(support(p)) <= set(sel)
             }
             if got != want:
                 mismatch = list(sel)
@@ -328,8 +330,8 @@ def scan_record(doc: SimplexDocument, edit) -> Record:
     (rows, volume) is replaced by ``edit(rows, volume)``."""
     scan = verify.enumerate_by_box_scan
 
-    def fake(simplex, cap):
-        return edit(*scan(simplex, cap=cap))
+    def fake(simplex, volume_cap):
+        return edit(*scan(simplex, volume_cap=volume_cap))
 
     with mock.patch.object(verify, "enumerate_by_box_scan", fake):
         return next(r for r in records(doc) if r.invariant == "scan-enumeration-agreement")
@@ -377,6 +379,8 @@ class TestScanAgreement:
         assert (record.status, record.detail) == ("fail", {"scanned": 5})
 
     def test_run_suite_builds_no_points(self, monkeypatch, corpus_dir):
+        from hstarkit.boxgroup import BoxPoint
+
         built = []
         post_init = BoxPoint.__post_init__
 
