@@ -13,6 +13,7 @@ import inspect
 import logging
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import families, verify
@@ -206,9 +207,10 @@ def _parse_hstar_arg(text: str) -> HStarVector:
         coeffs = [decode_int(part) for part in text.split(",")]
     except DocumentError as exc:
         raise DocumentError(f"not a comma-separated integer list: {text!r}") from exc
-    if not coeffs or coeffs[0] != 1 or any(c < 0 for c in coeffs):
-        raise DocumentError("coefficients must be nonnegative and start with 1")
-    return HStarVector.of(coeffs)
+    try:
+        return HStarVector.of(coeffs)
+    except ValueError as exc:
+        raise DocumentError("coefficients must be nonnegative and start with 1") from exc
 
 
 def cmd_check_conditions(args) -> int:
@@ -221,10 +223,7 @@ def cmd_check_conditions(args) -> int:
                 "command": "check-conditions",
                 "hstar": list(h.coeffs),
                 "dim": args.dim,
-                "conditions": [
-                    {"name": e.name, "status": e.status, "detail": e.detail}
-                    for e in entries
-                ],
+                "conditions": [asdict(e) for e in entries],
             }
         )
     else:
@@ -242,7 +241,7 @@ def cmd_check_conditions(args) -> int:
 def cmd_verify_suite(args) -> int:
     records, ok = verify.run_suite(args.corpus, volume_cap=args.volume_cap, scan_cap=args.scan_cap)
     for record in records:
-        _emit(record.to_json_dict())
+        _emit(asdict(record))
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -250,8 +249,18 @@ def cmd_search(args) -> int:
     hits = search_windows(args.k, args.window, args.max_order, args.max_dim, limit=args.limit)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for hit in hits:
-            out.write(canonical_dumps(hit.to_json_dict()))
+        for order, gen, cert in hits:
+            out.write(canonical_dumps({
+                "order": order,
+                "dim": len(gen) - 1,
+                "generator": list(gen),
+                "hstar": list(cert.hstar.coeffs),
+                "k": args.k,
+                "window": args.window,
+                "face_realizes_truncation": cert.hstar_match,
+                "face_hstar": list(cert.face_hstar.coeffs),
+                "face_selector": list(cert.face_selector),
+            }))
     finally:
         if args.out:
             out.close()

@@ -11,13 +11,6 @@ from .errors import InternalCheckError, ScanTooLargeError
 from .simplex import LatticeSimplex
 
 
-def binomial(a: int, b: int) -> int:
-    """C(a, b), defined as 0 whenever a < b or b < 0."""
-    if b < 0 or a < b:
-        return 0
-    return comb(a, b)
-
-
 @dataclass(frozen=True)
 class HStarVector:
     """Nonnegative integer coefficients h_0, h_1, ... with h_0 = 1.
@@ -80,7 +73,7 @@ def ehrhart_from_hstar(h: HStarVector, d: int, n: int) -> int:
         raise ValueError("dilation must be nonnegative")
     if h.degree > d:
         raise ValueError("h* has more coefficients than dimension + 1")
-    return sum(c * binomial(n + d - i, d) for i, c in enumerate(h.coeffs))
+    return sum(c * comb(n + d - i, d) for i, c in enumerate(h.coeffs))
 
 
 def structural_facts(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import DocumentError
+from .hstar import HStarVector
 from .simplex import LatticeSimplex, from_vertices
 
 SCHEMA_VERSION = "1"
@@ -91,6 +92,16 @@ class SimplexDocument:
     name: str | None = None
     expected_hstar: tuple[int, ...] | None = None
 
+    def __post_init__(self) -> None:
+        # The rule of HStarVector: a pin it breaks could never match.
+        try:
+            if self.expected_hstar is not None:
+                HStarVector(self.expected_hstar)
+        except ValueError as exc:
+            raise DocumentError(
+                "expected_hstar must start with 1 and have no negative entry or trailing zero"
+            ) from exc
+
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
         if self.name is not None:
@@ -146,11 +157,6 @@ class SimplexDocument:
             if not isinstance(expected, list):
                 raise DocumentError("expected_hstar must be a list")
             expected = tuple(decode_int(x) for x in expected)
-            # The rule of HStarVector: a pin it breaks could never match.
-            if not expected or expected[0] != 1 or expected[-1] == 0 or min(expected) < 0:
-                raise DocumentError(
-                    "expected_hstar must start with 1 and have no negative entry or trailing zero"
-                )
         return cls(ambient, vertices, name, expected)
 
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
 from . import linalg
 from .errors import InternalCheckError, ScanTooLargeError
-from .hstar import HStarVector, binomial, ehrhart_from_hstar
+from .hstar import HStarVector, ehrhart_from_hstar
 from .simplex import LatticeSimplex, restrict_to_affine_lattice
 
 DEFAULT_SCAN_CAP = 10**8
@@ -182,7 +182,7 @@ def hstar_by_interpolation(
     d = simplex.dimension
     counts = [count_lattice_points(simplex, n, scan_cap) for n in range(d + 1)]
     coeffs = [
-        sum((-1) ** i * binomial(d + 1, i) * counts[j - i] for i in range(j + 1))
+        sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
         for j in range(d + 1)
     ]
     if any(c < 0 for c in coeffs):

@@ -12,7 +12,6 @@ emits instances, never claims answers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 from math import gcd
 from typing import Iterator
@@ -22,38 +21,11 @@ import numpy as np
 from . import linalg
 from .boxgroup import enumerate_box_group
 from .errors import InternalCheckError, InvalidParametersError
-from .hstar import HStarVector
 from .simplex import LatticeSimplex, from_vertices
-from .theorem import extract_face
+from .theorem import ExtractionCertificate, extract_face
 
 MAX_ORDER = 10**4
 MAX_DIM = 20
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    order: int
-    dim: int
-    generator: tuple[int, ...]
-    hstar: HStarVector
-    k: int
-    window: str
-    face_realizes_truncation: bool
-    face_hstar: HStarVector
-    face_selector: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "dim": self.dim,
-            "generator": list(self.generator),
-            "hstar": list(self.hstar.coeffs),
-            "k": self.k,
-            "window": self.window,
-            "face_realizes_truncation": self.face_realizes_truncation,
-            "face_hstar": list(self.face_hstar.coeffs),
-            "face_selector": list(self.face_selector),
-        }
 
 
 def _multiples(generator: tuple[int, ...], q: int) -> np.ndarray:
@@ -135,11 +107,12 @@ def search_windows(
     max_order: int,
     max_dim: int,
     limit: int | None = None,
-) -> Iterator[SearchHit]:
-    """All canonical cyclic instances matching the window, in deterministic
-    order (group order, then dimension, then lexicographic generator), at
-    most ``limit`` of them. The parameters are checked on the call, before
-    the first hit is asked for."""
+) -> Iterator[tuple[int, tuple[int, ...], ExtractionCertificate]]:
+    """(order, generator, certificate) of every canonical cyclic instance
+    matching the window, in deterministic order (group order, then
+    dimension, then lexicographic generator), at most ``limit`` of them.
+    The certificate is ``extract_face`` at k of the realized simplex. The
+    parameters are checked on the call, before the first hit is asked for."""
     if window not in ("weak", "strong"):
         raise InvalidParametersError("window must be weak or strong")
     if k < 1:
@@ -151,20 +124,4 @@ def search_windows(
     if limit is not None and limit < 0:
         raise InvalidParametersError("limit must be >= 0")
     generators = islice(_window_generators(k, window, max_order, max_dim), limit)
-
-    def hits() -> Iterator[SearchHit]:
-        for q, gen in generators:
-            cert = extract_face(realize_cyclic_group(gen, q), k)
-            yield SearchHit(
-                order=q,
-                dim=len(gen) - 1,
-                generator=gen,
-                hstar=cert.hstar,
-                k=k,
-                window=window,
-                face_realizes_truncation=cert.hstar_match,
-                face_hstar=cert.face_hstar,
-                face_selector=cert.face_selector,
-            )
-
-    return hits()
+    return ((q, gen, extract_face(realize_cyclic_group(gen, q), k)) for q, gen in generators)

@@ -24,7 +24,7 @@ from .boxgroup import add  # noqa: F401 - unused here; perfbench's tracer test c
 from .errors import HstarkitError, ScanTooLargeError, VolumeTooLargeError
 from .hstar import hstar_from_box_group, structural_facts
 from .io import SimplexDocument, load_simplex_document
-from .simplex import LatticeSimplex, all_faces, normalized_volume, restrict_to_affine_lattice
+from .simplex import LatticeSimplex, all_faces, restrict_to_affine_lattice
 from .theorem import check_shifted_symmetric, check_zero_window, extract_face, is_prime
 
 SUBGROUP_ORDER_GATE = 500
@@ -39,14 +39,6 @@ class Record:
     invariant: str
     status: str  # "pass" | "fail" | "skip"
     detail: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "invariant": self.invariant,
-            "status": self.status,
-            "detail": self.detail,
-        }
 
 
 def _ok(instance: str, invariant: str, ok: bool, detail: dict | None = None) -> Record:
@@ -67,12 +59,13 @@ def _instance_records(
     name: str, doc: SimplexDocument, volume_cap: int, scan_cap: int
 ) -> Iterator[Record]:
     simplex = doc.to_simplex()
-    volume = normalized_volume(simplex)
     try:
         group = enumerate_box_group(simplex, volume_cap=volume_cap)
-    except VolumeTooLargeError:
-        yield _skip(name, "volume-order", f"volume {volume} above --volume-cap")
+    except VolumeTooLargeError as exc:
+        yield _skip(name, "volume-order", f"volume {exc.volume} above --volume-cap")
         return
+    # The scan's Hermite volume is the one the Smith order is checked against.
+    scanned, volume = enumerate_by_box_scan(simplex, volume_cap=volume_cap)
     h = hstar_from_box_group(group)
 
     yield _ok(name, "volume-order", group.order == volume, {"order": group.order, "volume": volume})
@@ -134,13 +127,11 @@ def _instance_records(
     else:
         yield _skip(name, "group-axioms", f"order above {AXIOM_ORDER_GATE}")
 
-    # O(order * n), bounded by the volume cap like the enumeration itself.
-    scanned, vol = enumerate_by_box_scan(simplex, volume_cap=volume_cap)
-    # Both are sorted by (height, coordinates); scanned / vol == rows / q
-    # row by row. Once q | vol, rows * (vol // q) has every entry below vol,
-    # as scanned has, so the comparison is exact at any order.
-    agree = scanned.shape == rows.shape and vol % q == 0
-    agree = agree and bool((scanned == rows * (vol // q)).all())
+    # Both are sorted by (height, coordinates); scanned / volume == rows / q
+    # row by row. Once q | volume, rows * (volume // q) has every entry below
+    # volume, as scanned has, so the comparison is exact at any order.
+    agree = scanned.shape == rows.shape and volume % q == 0
+    agree = agree and bool((scanned == rows * (volume // q)).all())
     yield _ok(name, "scan-enumeration-agreement", agree, {"scanned": len(scanned)})
 
     # The model of the vertex-reversed simplex is a second, independent Hermite form.

@@ -135,6 +135,17 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             SimplexDocument.from_json_dict({**UNIT_TRIANGLE_DOC, "extra": 1})
 
+    @pytest.mark.parametrize("pin", [(1, 0), (), (2,)], ids=str)
+    def test_malformed_pin_refused_when_built_in_code(self, pin):
+        # Every way in applies the rule, so no document can be written that
+        # the parser would refuse.
+        with pytest.raises(DocumentError, match="expected_hstar must start with 1"):
+            SimplexDocument.from_simplex(families.unit_simplex(2), expected_hstar=pin)
+
+    def test_pin_built_in_code_round_trips(self):
+        doc = SimplexDocument.from_simplex(families.unit_simplex(2), expected_hstar=(1,))
+        assert parse_simplex_document(canonical_dumps(doc.to_json_dict())) == doc
+
     def test_schema_version_required(self):
         bad = dict(UNIT_TRIANGLE_DOC)
         del bad["schema_version"]

@@ -10,7 +10,6 @@ from hstarkit.errors import InternalCheckError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import (
     HStarVector,
-    binomial,
     ehrhart_from_hstar,
     hstar_from_box_group,
     structural_facts,
@@ -88,12 +87,6 @@ class TestFromGroup:
 
 
 class TestEhrhartEvaluation:
-    def test_binomial_total(self):
-        assert binomial(5, 2) == 10
-        assert binomial(2, 5) == 0
-        assert binomial(-1, 0) == 0
-        assert binomial(3, -1) == 0
-
     def test_unit_triangle(self):
         assert ehrhart_from_hstar(HStarVector.of([1]), 2, 3) == 10
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
 from hstarkit.errors import InvalidParametersError, VolumeTooLargeError
-from hstarkit.search import _window_generators, realize_cyclic_group
+from hstarkit.search import _window_generators, realize_cyclic_group, search_windows
+from hstarkit.theorem import extract_face
 
 
 @st.composite
@@ -103,3 +104,24 @@ class TestWindowGenerators:
     def test_matches_brute_force_reference(self, k, window):
         assert list(_window_generators(k, window, 10, 4)) == reference_window_generators(
             k, window, 10, 4)
+
+
+class TestSearchWindows:
+    def test_hits_are_extraction_certificates(self):
+        hits = list(search_windows(2, "weak", 6, 3))
+        assert [(q, gen) for q, gen, _ in hits] == list(_window_generators(2, "weak", 6, 3))
+        for q, gen, cert in hits:
+            assert cert == extract_face(realize_cyclic_group(gen, q), 2)
+
+    def test_limit_cuts_the_hits(self):
+        assert len(list(search_windows(2, "weak", 6, 3, limit=2))) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [(2, "odd", 6, 3), (0, "weak", 6, 3), (2, "weak", 0, 3), (2, "weak", 6, 21),
+         (2, "weak", 6, 3, -1)],
+        ids=["window", "k", "max_order", "max_dim", "limit"],
+    )
+    def test_parameters_checked_on_the_call(self, args):
+        with pytest.raises(InvalidParametersError):
+            search_windows(*args)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import linalg, simplex
+from hstarkit import linalg
 from hstarkit.errors import (
     DimensionMismatchError,
     NotASimplexError,

@@ -1,8 +1,9 @@
 """No module imports a name it never uses.
 
 Every module of the package except ``__init__.py`` (which imports to
-re-export) and every script is parsed with ``ast``; an imported name that
-appears nowhere else as a name is a stale import left behind by a refactor.
+re-export), every script and every test module is parsed with ``ast``; an
+imported name that appears nowhere else as a name is a stale import left
+behind by a refactor.
 """
 import ast
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p for p in (REPO / "src" / "hstarkit").glob("*.py") if p.name != "__init__.py"
-) + sorted((REPO / "scripts").glob("*.py"))
+) + sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "tests").glob("*.py"))
 # (module file, name) pairs imported on purpose without a use:
 # perfbench's tracer test reaches boxgroup.add through verify.
 ALLOWED = {("verify.py", "add")}

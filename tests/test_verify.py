@@ -4,7 +4,6 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
