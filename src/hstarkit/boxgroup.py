@@ -41,12 +41,10 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, InternalCheckError, VolumeTooLargeError
+from .linalg import INT64_LIMIT
 from .simplex import LatticeSimplex, homogenize, restrict_to_affine_lattice
 
 DEFAULT_VOLUME_CAP = 10**6
-# int64 residue arithmetic is used only while every intermediate value stays
-# below this bound; beyond it the same code runs on Python integers.
-INT64_LIMIT = 2**62
 
 
 # perfbench reads BoxPoint, add, neg and BoxGroup.__iter__ (its tracer test

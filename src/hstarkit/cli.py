@@ -3,8 +3,8 @@
 Standard output carries report payloads only; diagnostics go to standard
 error, with verbosity controlled by HSTARKIT_LOG (error, warn, info,
 debug). Exit codes: 0 success, 2 parse or parameter error, 3 cap exceeded,
-4 verification mismatch or internal check failure, 5 hypothesis not met in
-strict mode.
+4 verification mismatch or internal check failure, 5 hypothesis not met
+under extract-face --strict.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import families, verify
-from .boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
+from .boxgroup import DEFAULT_VOLUME_CAP, BoxGroup, enumerate_box_group
 from .errors import (
     DocumentError,
     HstarkitError,
@@ -37,6 +37,7 @@ from .io import (
 )
 from .oracle import DEFAULT_SCAN_CAP, cross_validate
 from .search import search_windows
+from .simplex import LatticeSimplex
 from .theorem import ExtractionCertificate, condition_report, extract_face
 
 log = logging.getLogger("hstarkit")
@@ -63,16 +64,23 @@ def _coords_strings(row: list[int], q: int) -> list[str]:
     return [str(Fraction(r, q)) for r in row]
 
 
-def _base_report(command: str, doc: SimplexDocument, order: int, h: HStarVector) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": doc.to_json_dict(),
-        "hstar": list(h.coeffs),
-        "degree": h.degree,
-        "volume": str(h.normalized_volume),
-        "box_group_order": order,
-    }
+def _open(args) -> tuple[SimplexDocument, LatticeSimplex, dict]:
+    """The document named by ``args.file``, its simplex and the report head
+    every single-document command writes."""
+    doc = load_simplex_document(args.file)
+    head = {"schema_version": SCHEMA_VERSION, "command": args.command, "input": doc.to_json_dict()}
+    return doc, doc.to_simplex(), head
+
+
+def _group_report(args) -> tuple[SimplexDocument, LatticeSimplex, BoxGroup, HStarVector, dict]:
+    """``_open`` with the simplex's weight group and h*, which the report
+    head then carries."""
+    doc, simplex, report = _open(args)
+    group = enumerate_box_group(simplex, volume_cap=args.volume_cap)
+    h = hstar_from_box_group(group)
+    report.update(hstar=list(h.coeffs), degree=h.degree, volume=str(h.normalized_volume),
+                  box_group_order=group.order)
+    return doc, simplex, group, h, report
 
 
 def _cap(text: str) -> int:
@@ -87,10 +95,10 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(canonical_dumps(payload))
 
 
-def _certificate_json(cert: ExtractionCertificate) -> dict:
+def _certificate_json(cert: ExtractionCertificate, strict: bool) -> dict:
     out = {
         "k": cert.k,
-        "strict": cert.strict,
+        "strict": strict,
         "window_ok": cert.window_ok,
         "hypothesis_met": cert.hypothesis_met,
         "hstar": list(cert.hstar.coeffs),
@@ -109,18 +117,12 @@ def _certificate_json(cert: ExtractionCertificate) -> dict:
 
 
 def cmd_hstar(args) -> int:
-    doc = load_simplex_document(args.file)
-    group = enumerate_box_group(doc.to_simplex(), volume_cap=args.volume_cap)
-    h = hstar_from_box_group(group)
-    _emit(_base_report("hstar", doc, group.order, h))
+    _emit(_group_report(args)[-1])
     return EXIT_OK
 
 
 def cmd_box_group(args) -> int:
-    doc = load_simplex_document(args.file)
-    group = enumerate_box_group(doc.to_simplex(), volume_cap=args.volume_cap)
-    h = hstar_from_box_group(group)
-    report = _base_report("box-group", doc, group.order, h)
+    _, _, group, _, report = _group_report(args)
     report["invariant_factors"] = list(group.invariant_factors)
     report["level_counts"] = {str(k): v for k, v in group.level_counts().items()}
     if group.order <= _ELEMENT_DUMP_LIMIT:
@@ -132,27 +134,17 @@ def cmd_box_group(args) -> int:
 def cmd_ehrhart(args) -> int:
     if args.n < 0:
         raise InvalidParametersError(f"dilation --n must be nonnegative, got {args.n}")
-    doc = load_simplex_document(args.file)
-    simplex = doc.to_simplex()
-    group = enumerate_box_group(simplex, volume_cap=args.volume_cap)
-    h = hstar_from_box_group(group)
-    report = _base_report("ehrhart", doc, group.order, h)
-    report["n"] = args.n
-    report["count"] = ehrhart_from_hstar(h, simplex.dimension, args.n)
+    _, simplex, _, h, report = _group_report(args)
+    report.update(n=args.n, count=ehrhart_from_hstar(h, simplex.dimension, args.n))
     _emit(report)
     return EXIT_OK
 
 
 def cmd_oracle_verify(args) -> int:
-    doc = load_simplex_document(args.file)
-    simplex = doc.to_simplex()
-    group = enumerate_box_group(simplex, volume_cap=args.volume_cap)
-    h = hstar_from_box_group(group)
-    report = _base_report("oracle-verify", doc, group.order, h)
+    doc, simplex, _, h, report = _group_report(args)
     cv = cross_validate(simplex, h, scan_cap=args.scan_cap)
-    report["oracle_hstar"] = list(cv.oracle_hstar.coeffs)
-    report["match"] = cv.match
-    report["heldout_ok"] = cv.heldout_ok
+    report.update(oracle_hstar=list(cv.oracle_hstar.coeffs), match=cv.match,
+                  heldout_ok=cv.heldout_ok)
     expected_ok = True
     if doc.expected_hstar is not None:
         expected_ok = h.coeffs == tuple(doc.expected_hstar)
@@ -164,16 +156,27 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_extract_face(args) -> int:
-    doc = load_simplex_document(args.file)
-    cert = extract_face(doc.to_simplex(), args.k, strict=args.strict, volume_cap=args.volume_cap)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "extract-face",
-        "input": doc.to_json_dict(),
-        "certificate": _certificate_json(cert),
-    }
+    _, simplex, report = _open(args)
+    cert = extract_face(simplex, args.k, args.volume_cap)
+    if args.strict and not cert.hypothesis_met:
+        raise HypothesisNotMetError(
+            f"k={args.k} with h*={cert.hstar.coeffs}: zero window "
+            f"{'holds but k < 3' if cert.window_ok else 'fails'}"
+        )
+    report["certificate"] = _certificate_json(cert, args.strict)
     _emit(report)
     return EXIT_OK
+
+
+# The single-document commands: each reads the document `file` under
+# --volume-cap, and build_parser adds each one's own flags after these.
+_SINGLE_DOCUMENT = {
+    "hstar": (cmd_hstar, "h* via the weight-group path"),
+    "box-group": (cmd_box_group, "full weight group with level counts"),
+    "ehrhart": (cmd_ehrhart, "lattice-point count of a dilate"),
+    "oracle-verify": (cmd_oracle_verify, "group path against counting oracle"),
+    "extract-face": (cmd_extract_face, "face extraction certificate"),
+}
 
 
 # gen family -> (constructor, its integer flags in call order, default
@@ -278,36 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--volume-cap", type=_cap, default=DEFAULT_VOLUME_CAP,
                        help="largest group order that will be enumerated")
 
-    p = sub.add_parser("hstar", help="h* via the weight-group path")
-    p.add_argument("file")
-    add_caps(p)
-    p.set_defaults(fn=cmd_hstar)
-
-    p = sub.add_parser("box-group", help="full weight group with level counts")
-    p.add_argument("file")
-    add_caps(p)
-    p.set_defaults(fn=cmd_box_group)
-
-    p = sub.add_parser("ehrhart", help="lattice-point count of a dilate")
-    p.add_argument("file")
-    p.add_argument("--n", type=decode_int, required=True)
-    add_caps(p)
-    p.set_defaults(fn=cmd_ehrhart)
-
-    p = sub.add_parser("oracle-verify", help="group path against counting oracle")
-    p.add_argument("file")
-    add_caps(p)
-    p.add_argument("--scan-cap", type=_cap, default=DEFAULT_SCAN_CAP,
-                   help="largest bounding-box candidate count for scans")
-    p.set_defaults(fn=cmd_oracle_verify)
-
-    p = sub.add_parser("extract-face", help="face extraction certificate")
-    p.add_argument("file")
-    p.add_argument("--k", type=decode_int, required=True)
-    p.add_argument("--strict", action="store_true",
-                   help="enforce stated hypotheses instead of reporting")
-    add_caps(p)
-    p.set_defaults(fn=cmd_extract_face)
+    single = {}
+    for name, (fn, text) in _SINGLE_DOCUMENT.items():
+        p = single[name] = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        add_caps(p)
+        p.set_defaults(fn=fn)
+    single["ehrhart"].add_argument("--n", type=decode_int, required=True)
+    single["oracle-verify"].add_argument("--scan-cap", type=_cap, default=DEFAULT_SCAN_CAP,
+                                         help="largest bounding-box candidate count for scans")
+    single["extract-face"].add_argument("--k", type=decode_int, required=True)
+    single["extract-face"].add_argument("--strict", action="store_true",
+                                        help="exit 5 unless the zero window holds and k >= 3")
 
     p = sub.add_parser("gen", help="generate a family instance document")
     fam_sub = p.add_subparsers(dest="family", required=True)

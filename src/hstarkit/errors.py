@@ -44,7 +44,8 @@ class TooManyFacesError(HstarkitError):
 
 
 class HypothesisNotMetError(HstarkitError):
-    """A checker's stated hypothesis fails for the given input."""
+    """The face extraction's hypothesis (zero window, k >= 3) fails; raised
+    only by the command line, under ``extract-face --strict``."""
 
 
 class InvalidParametersError(HstarkitError):

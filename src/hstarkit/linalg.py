@@ -28,6 +28,10 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
+# The package's numpy code runs on int64 only while every intermediate value
+# stays below this bound; beyond it the same code runs on Python integers.
+INT64_LIMIT = 2**62
+
 
 def _checked(rows: Sequence[Sequence[int]], square: bool = False) -> int:
     """The column count of ``rows``, 0 for no rows; raises

@@ -28,11 +28,11 @@ import numpy as np
 from . import linalg
 from .errors import InternalCheckError, ScanTooLargeError
 from .hstar import HStarVector, ehrhart_from_hstar
+from .linalg import INT64_LIMIT
 from .simplex import LatticeSimplex, restrict_to_affine_lattice
 
 DEFAULT_SCAN_CAP = 10**8
 _CHUNK = 1 << 19
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _scan(simplex: LatticeSimplex, n: int, scan_cap: int) -> tuple[int, int]:
     # most _CHUNK * wide. Below 2**62 that makes int64 exact.
     bound = n * max(sum(abs(a) * r for a, r in zip(row, spread)) for row in forms)
     wide = 2 * (bound + 2 * total + 2) + 1
-    dtype = np.int64 if _CHUNK * wide < _INT64_SAFE else object
+    dtype = np.int64 if _CHUNK * wide < INT64_LIMIT else object
     # Integer forms are > 0 exactly where they are >= 1.
     return _count_lifts(forms, total, 0, dtype), _count_lifts(forms, total, 1, dtype)
 

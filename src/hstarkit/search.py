@@ -12,6 +12,7 @@ emits instances, never claims answers.
 """
 from __future__ import annotations
 
+import sys
 from itertools import combinations_with_replacement, islice
 from math import gcd
 from typing import Iterator
@@ -123,5 +124,7 @@ def search_windows(
         raise InvalidParametersError(f"max dim must be in 1..{MAX_DIM}")
     if limit is not None and limit < 0:
         raise InvalidParametersError("limit must be >= 0")
-    generators = islice(_window_generators(k, window, max_order, max_dim), limit)
+    # islice takes no stop past sys.maxsize, which no search could reach.
+    stop = None if limit is None else min(limit, sys.maxsize)
+    generators = islice(_window_generators(k, window, max_order, max_dim), stop)
     return ((q, gen, extract_face(realize_cyclic_group(gen, q), k)) for q, gen in generators)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .boxgroup import DEFAULT_VOLUME_CAP, BoxGroup, enumerate_box_group
-from .errors import HypothesisNotMetError, InternalCheckError, InvalidParametersError
+from .errors import InternalCheckError, InvalidParametersError
 from .hstar import HStarVector, hstar_from_box_group
 from .simplex import LatticeSimplex, face
 
@@ -95,7 +95,6 @@ class ExtractionCertificate:
     """
 
     k: int
-    strict: bool
     window_ok: bool
     hypothesis_met: bool
     hstar: HStarVector
@@ -120,18 +119,14 @@ class ExtractionCertificate:
 
 
 def extract_face(
-    simplex: LatticeSimplex,
-    k: int,
-    strict: bool = False,
-    volume_cap: int = DEFAULT_VOLUME_CAP,
+    simplex: LatticeSimplex, k: int, volume_cap: int = DEFAULT_VOLUME_CAP
 ) -> ExtractionCertificate:
     """Extract the face spanned by the support of the height-<=k elements.
 
-    In strict mode the zero window and k >= 3 are enforced up front. In
-    permissive mode the construction always runs and the certificate simply
-    records which verdicts hold; with the hypothesis met, any failing
-    verdict is raised as an internal error since the construction is then
-    guaranteed to work.
+    The construction always runs, and the certificate records which
+    verdicts hold; whether a failed hypothesis should stop a run is the
+    caller's choice. With the hypothesis met, any failing verdict is raised
+    as an internal error since the construction is then guaranteed to work.
 
     An empty support (only the zero element has height <= k) selects the
     single first vertex, whose h*-polynomial is 1; that agrees with the
@@ -143,11 +138,6 @@ def extract_face(
     h = hstar_from_box_group(group)
     window_ok = check_zero_window(h, k)
     hypothesis_met = window_ok and k >= 3
-    if strict and not hypothesis_met:
-        raise HypothesisNotMetError(
-            f"k={k} with h*={h.coeffs}: zero window "
-            f"{'holds but k < 3' if window_ok else 'fails'}"
-        )
     low = group.heights <= k
     low_rows = group.rows(low)
     low_rows.flags.writeable = False
@@ -166,7 +156,6 @@ def extract_face(
     hstar_match = face_h.coeffs == truncation.coeffs
     certificate = ExtractionCertificate(
         k=k,
-        strict=strict,
         window_ok=window_ok,
         hypothesis_met=hypothesis_met,
         hstar=h,

@@ -99,6 +99,14 @@ INTEGER_FLAGS = {
     "search --limit": ("search --k 2 --window weak --max-order 4 --max-dim 3 --limit {v}", "1"),
 }
 
+# Every cap flag in a canonical invocation; {corpus} is a directory holding
+# just the unit triangle document.
+CAP_TEMPLATES = [
+    "hstar {tri} --volume-cap {v}",
+    "oracle-verify {tri} --scan-cap {v}",
+    "verify-suite --corpus {corpus} --volume-cap {v}",
+    "verify-suite --corpus {corpus} --scan-cap {v}",
+]
 
 
 def integer_flag_argv(template: str, value: str, **paths) -> list[str]:
@@ -393,18 +401,23 @@ class TestIntegerFlags:
         assert (code, out, errors) == (2, "", [f"not an integer string: {loose!r}"])
 
     @pytest.mark.parametrize("form", list(LOOSE_FORMS))
-    @pytest.mark.parametrize("template", [
-        "hstar {tri} --volume-cap {v}",
-        "oracle-verify {tri} --scan-cap {v}",
-        "verify-suite --corpus {corpus} --volume-cap {v}",
-        "verify-suite --corpus {corpus} --scan-cap {v}",
-    ])
+    @pytest.mark.parametrize("template", CAP_TEMPLATES)
     def test_loose_cap_is_refused(self, run_main, template, form):
         # A cap reads its value like every other integer flag: one error line.
         loose = LOOSE_FORMS[form]("50")
         code, out, err, errors = run_main(template, loose)
         assert (code, out, errors) == (2, "", [f"not an integer string: {loose!r}"])
         assert "usage:" not in err
+
+    @pytest.mark.parametrize("value", ["100000000000000000000", "-1"])
+    @pytest.mark.parametrize(
+        "template", [template for template, _ in INTEGER_FLAGS.values()] + CAP_TEMPLATES,
+        ids=list(INTEGER_FLAGS) + CAP_TEMPLATES)
+    def test_extreme_value_exits_cleanly(self, run_main, template, value):
+        # A value past sys.maxsize, or below every range, is an answer or a
+        # refusal (exit 0, 2 or 3), never an escaped exception.
+        code, _, _, _ = run_main(template, value)
+        assert code in (0, 2, 3)
 
     @pytest.mark.parametrize("value", ["1000000000000", "100000000000000000000"])
     @pytest.mark.parametrize("template", [
@@ -739,10 +752,174 @@ EXTRACT_FACE_STDOUT_SHA256 = {
 }
 
 
+# sha256 of `hstarkit extract-face <doc> --k k --strict` stdout, the message
+# it logs at ERROR ("" for none) and its exit code, for every corpus document
+# and k = 1, 2, 3. Exit 5 (empty stdout) is --strict refusing a certificate
+# whose hypothesis, zero window and k >= 3, fails.
+EXTRACT_FACE_STRICT = {
+    ("delta-cm-c1-m1.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 1): zero window holds but k < 3", 5),
+    ("delta-cm-c1-m1.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 1): zero window holds but k < 3", 5),
+    ("delta-cm-c1-m1.json", 3): (
+        "2ea8c914d54191f7a1594209a4d1b981bf3af134d8804e7c226e339688d63e36",
+        "", 0),
+    ("delta-cm-c2-m2.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 2): zero window fails", 5),
+    ("delta-cm-c2-m2.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 2): zero window holds but k < 3", 5),
+    ("delta-cm-c2-m2.json", 3): (
+        "4dacdd09b0f5433e1143619dcd1e6a095a216681a22136fc9c48e3def3ea4aa7",
+        "", 0),
+    ("delta-cm-c2-m3.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 0, 2): zero window holds but k < 3", 5),
+    ("delta-cm-c2-m3.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 0, 2): zero window fails", 5),
+    ("delta-cm-c2-m3.json", 3): (
+        "4928fc728294afeddfcc3051e1ab5c769466648d9355770bb29194cd67e1c9d6",
+        "", 0),
+    ("delta-cm-c9-m2.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 9): zero window fails", 5),
+    ("delta-cm-c9-m2.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 9): zero window holds but k < 3", 5),
+    ("delta-cm-c9-m2.json", 3): (
+        "94b6c6c563d64202d08208957a1cc6255d146d9a99038d81215521370a5ac6cd",
+        "", 0),
+    ("join-delta23-delta17.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 0, 2, 0, 0, 0, 1, 0, 0, 2): zero window holds but k < 3", 5),
+    ("join-delta23-delta17.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 0, 2, 0, 0, 0, 1, 0, 0, 2): zero window fails", 5),
+    ("join-delta23-delta17.json", 3): (
+        "72b805193708bd652ae0bb6a5f2054a73a7994ac833a120eebdd1756c5ee7025",
+        "", 0),
+    ("join-delta23-point.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 0, 2): zero window holds but k < 3", 5),
+    ("join-delta23-point.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 0, 2): zero window fails", 5),
+    ("join-delta23-point.json", 3): (
+        "bcf793f5b4aae20f21847f15547812359f3917ecd91867ee0bed6b8151c17a78",
+        "", 0),
+    ("join-seg2-seg3.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 3, 2): zero window fails", 5),
+    ("join-seg2-seg3.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 3, 2): zero window holds but k < 3", 5),
+    ("join-seg2-seg3.json", 3): (
+        "c3068229bccf237aabbdb7fa939883e4bdb8fa2c0dd59a9d581aa2bed4e36268",
+        "", 0),
+    ("prop43-k3-j4.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 2, 4, 2): zero window fails", 5),
+    ("prop43-k3-j4.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 2, 4, 2): zero window fails", 5),
+    ("prop43-k3-j4.json", 3): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=3 with h*=(1, 0, 2, 4, 2): zero window fails", 5),
+    ("prop43-k3-j5-p5.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 1, 3, 0, 3): zero window fails", 5),
+    ("prop43-k3-j5-p5.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 1, 3, 0, 3): zero window fails", 5),
+    ("prop43-k3-j5-p5.json", 3): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=3 with h*=(1, 0, 1, 3, 0, 3): zero window fails", 5),
+    ("prop43-k4-j5-p5.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 1, 3, 0, 3): zero window fails", 5),
+    ("prop43-k4-j5-p5.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 1, 3, 0, 3): zero window fails", 5),
+    ("prop43-k4-j5-p5.json", 3): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=3 with h*=(1, 0, 1, 3, 0, 3): zero window fails", 5),
+    ("remark44-k2.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 1, 0, 1): zero window fails", 5),
+    ("remark44-k2.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 1, 0, 1): zero window fails", 5),
+    ("remark44-k2.json", 3): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=3 with h*=(1, 0, 1, 0, 1): zero window fails", 5),
+    ("remark44-k3.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 0, 0, 1, 0, 0, 1): zero window holds but k < 3", 5),
+    ("remark44-k3.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 0, 0, 1, 0, 0, 1): zero window fails", 5),
+    ("remark44-k3.json", 3): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=3 with h*=(1, 0, 0, 1, 0, 0, 1): zero window fails", 5),
+    ("tri-scott-71.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 7, 1): zero window fails", 5),
+    ("tri-scott-71.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 7, 1): zero window holds but k < 3", 5),
+    ("tri-scott-71.json", 3): (
+        "2c706f9a078950d9264733e6f99d62e40d38ac52ceb441a5567ef40013a5de64",
+        "", 0),
+    ("tri-vol2.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1, 1): zero window holds but k < 3", 5),
+    ("tri-vol2.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1, 1): zero window holds but k < 3", 5),
+    ("tri-vol2.json", 3): (
+        "29550c38a7cf45fed92eb3263708d8449a86c1b8434ab10005a03107d35dd07e",
+        "", 0),
+    ("unit-d4.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1,): zero window holds but k < 3", 5),
+    ("unit-d4.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1,): zero window holds but k < 3", 5),
+    ("unit-d4.json", 3): (
+        "032817dcd180f7ed3541b8a32d448ac7cbc8654cb01be30d2882bfb6f6f0f4a8",
+        "", 0),
+    ("unit-triangle.json", 1): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=1 with h*=(1,): zero window holds but k < 3", 5),
+    ("unit-triangle.json", 2): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "k=2 with h*=(1,): zero window holds but k < 3", 5),
+    ("unit-triangle.json", 3): (
+        "33f99277a189461ce2b5c9faf5c32a1bc7f43726bd6e5609711943a58ac7ee0a",
+        "", 0),
+}
+
+
 class TestExtractFaceGolden:
     def test_pins_cover_the_corpus(self, corpus_dir):
         names = sorted(p.name for p in corpus_dir.glob("*.json"))
         assert sorted(EXTRACT_FACE_STDOUT_SHA256) == [(n, k) for n in names for k in (1, 2, 3)]
+        assert sorted(EXTRACT_FACE_STRICT) == sorted(EXTRACT_FACE_STDOUT_SHA256)
+
+    @pytest.mark.parametrize("name,k", sorted(EXTRACT_FACE_STRICT))
+    def test_strict_stdout_stderr_and_exit_code(self, run_cli, corpus_dir, name, k):
+        res = run_cli("extract-face", str(corpus_dir / name), "--k", str(k), "--strict")
+        digest = hashlib.sha256(res.stdout.encode("utf-8")).hexdigest()
+        err = res.stderr.removeprefix("ERROR hstarkit: ").removesuffix("\n")
+        assert (digest, err, res.returncode) == EXTRACT_FACE_STRICT[(name, k)]
+        if res.returncode == 0:
+            # A certificate --strict lets through differs only in its "strict" key.
+            plain = res.stdout.replace('"strict":true', '"strict":false', 1).encode("utf-8")
+            assert hashlib.sha256(plain).hexdigest() == EXTRACT_FACE_STDOUT_SHA256[(name, k)]
 
     @pytest.mark.parametrize("name,k", sorted(EXTRACT_FACE_STDOUT_SHA256))
     def test_stdout_bytes(self, run_cli, corpus_dir, name, k):
@@ -895,7 +1072,36 @@ class TestExtractFaceCommand:
         res = run_cli(
             "extract-face", str(corpus_dir / "remark44-k2.json"), "--k", "2", "--strict"
         )
-        assert res.returncode == 5
+        assert (res.returncode, res.stdout) == (5, "")
+        assert res.stderr == "ERROR hstarkit: k=2 with h*=(1, 0, 1, 0, 1): zero window fails\n"
+
+    def test_strict_refuses_when_window_fails(self, run_cli, corpus_dir):
+        res = run_cli(
+            "extract-face", str(corpus_dir / "prop43-k3-j4.json"), "--k", "3", "--strict"
+        )
+        assert (res.returncode, res.stdout) == (5, "")
+        assert res.stderr == "ERROR hstarkit: k=3 with h*=(1, 0, 2, 4, 2): zero window fails\n"
+
+    def test_strict_refuses_k_below_3(self, run_cli, corpus_dir):
+        res = run_cli(
+            "extract-face", str(corpus_dir / "unit-triangle.json"), "--k", "2", "--strict"
+        )
+        assert (res.returncode, res.stdout) == (5, "")
+        assert res.stderr.endswith(": zero window holds but k < 3\n")
+
+    def test_strict_passes_when_window_holds(self, run_cli, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text(run_cli("gen", "delta_cm", "--c", "4", "--m", "3").stdout)
+        res = run_cli("extract-face", str(path), "--k", "3", "--strict")
+        assert (res.returncode, res.stderr) == (0, "")
+        cert = json.loads(res.stdout)["certificate"]
+        assert cert["strict"] is True and cert["hypothesis_met"] and cert["hstar_match"]
+
+    def test_only_the_command_line_raises_hypothesis_not_met(self):
+        package = Path(cli.__file__).parent
+        raisers = [p.name for p in sorted(package.glob("*.py"))
+                   if "raise HypothesisNotMetError" in p.read_text(encoding="utf-8")]
+        assert raisers == ["cli.py"]
 
     def test_unit_simplex_single_vertex(self, run_cli, tmp_path):
         doc = {"schema_version": "1", "ambient_dim": 3,
@@ -1179,6 +1385,19 @@ class TestVerifySuite:
         lines = [json.loads(line) for line in res.stdout.splitlines()]
         bad = [r for r in lines if r["status"] == "fail"]
         assert bad and bad[0]["invariant"] == "expected-hstar"
+
+    @pytest.mark.parametrize("text,error", [
+        ('{"schema_version":"1","ambient_dim":2,"vertices":[[0,0],[1,1],[2,2]]}',
+         "zbad.json: vertices are affinely dependent"),
+        ('{"schema_version":"1",', "zbad.json: invalid JSON: "),
+    ])
+    def test_stopping_document_is_named(self, run_cli, corpus_dir, tmp_path, text, error):
+        (tmp_path / "unit-triangle.json").write_text((corpus_dir / "unit-triangle.json").read_text())
+        (tmp_path / "zbad.json").write_text(text)
+        res = run_cli("verify-suite", "--corpus", str(tmp_path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith(f"ERROR hstarkit: {error}")
+        assert len(res.stderr.splitlines()) == 1
 
     def test_empty_dir_exit_code(self, run_cli, tmp_path):
         assert run_cli("verify-suite", "--corpus", str(tmp_path)).returncode == 2

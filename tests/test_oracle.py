@@ -281,7 +281,7 @@ class TestLineKernel:
     def test_int64_and_object_runs_agree(self, simplex, n):
         assume(simplex.ambient_dim > 0)
         fast, fast_dtypes = scan_dtypes(simplex, n)
-        with mock.patch.object(oracle, "_INT64_SAFE", 0):
+        with mock.patch.object(oracle, "INT64_LIMIT", 0):
             exact, exact_dtypes = scan_dtypes(simplex, n)
         assert fast_dtypes == [np.int64] * 2 and exact_dtypes == [object] * 2
         assert fast == exact

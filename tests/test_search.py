@@ -116,6 +116,11 @@ class TestSearchWindows:
     def test_limit_cuts_the_hits(self):
         assert len(list(search_windows(2, "weak", 6, 3, limit=2))) == 2
 
+    def test_limit_past_maxsize_is_no_limit(self):
+        # itertools.islice refuses a stop past sys.maxsize; no search gets there.
+        every = list(search_windows(2, "weak", 5, 2))
+        assert list(search_windows(2, "weak", 5, 2, limit=10**20)) == every
+
     @pytest.mark.parametrize(
         "args",
         [(2, "odd", 6, 3), (0, "weak", 6, 3), (2, "weak", 0, 3), (2, "weak", 6, 21),

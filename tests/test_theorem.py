@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import inspect
 import itertools
 import math
 import time
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from hstarkit import oracle, theorem, verify
 from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
-from hstarkit.errors import HypothesisNotMetError, InvalidParametersError
+from hstarkit.errors import InvalidParametersError
 from hstarkit.families import delta_cm, join, prop43_instance, remark44_simplex, unit_simplex
 from hstarkit.hstar import HStarVector, hstar_from_box_group
-from hstarkit.io import SimplexDocument, canonical_dumps
+from hstarkit.io import canonical_dumps
 from hstarkit.theorem import (
     _is_subgroup,
     check_shifted_symmetric,
@@ -292,15 +293,14 @@ class TestExtractFace:
         assert cert.face_hstar.coeffs == (1, 0, 1, 0, 1)
         assert cert.truncation.coeffs == (1, 0, 1)
 
-    def test_strict_raises_when_window_fails(self):
-        with pytest.raises(HypothesisNotMetError):
-            extract_face(remark44_simplex(2), 2, strict=True)
-        with pytest.raises(HypothesisNotMetError):
-            extract_face(prop43_instance(3, 4), 3, strict=True)
-
-    def test_strict_passes_when_window_holds(self):
-        cert = extract_face(delta_cm(4, 3), 3, strict=True)
-        assert cert.hstar_match
+    def test_one_mode_refusal_is_the_callers(self):
+        # Whether a failed hypothesis stops a run is decided by the caller
+        # (the command line's --strict), never by the construction.
+        assert list(inspect.signature(extract_face).parameters) == ["simplex", "k", "volume_cap"]
+        assert "strict" not in {f.name for f in dataclasses.fields(theorem.ExtractionCertificate)}
+        assert not hasattr(theorem, "HypothesisNotMetError")
+        cert = extract_face(prop43_instance(3, 4), 3, 10**4)
+        assert not cert.window_ok and not cert.hypothesis_met
 
     def test_window_beyond_degree_returns_whole_simplex(self):
         s = remark44_simplex(2)
@@ -590,9 +590,8 @@ class TestConditionReport:
         supp = len({i for p in elements(g) for i in support(p)})
         assert is_prime(g.order)
         assert check_shifted_symmetric(h, supp - 1)
-        doc = SimplexDocument.from_simplex(simplex, name="remark44-k2")
         records = verify._instance_records(
-            "remark44-k2", doc, DEFAULT_VOLUME_CAP, oracle.DEFAULT_SCAN_CAP
+            "remark44-k2", simplex, None, DEFAULT_VOLUME_CAP, oracle.DEFAULT_SCAN_CAP
         )
         record = next(r for r in records if r.invariant == "prime-volume-symmetry")
         assert (record.status, record.detail) == ("pass", {"center": supp})

@@ -36,7 +36,8 @@ GROUP_INVARIANTS = (
 
 
 def records(doc: SimplexDocument, scan_cap: int = oracle.DEFAULT_SCAN_CAP) -> list:
-    return list(verify._instance_records("doc.json", doc, DEFAULT_VOLUME_CAP, scan_cap))
+    return list(verify._instance_records(
+        "doc.json", doc.to_simplex(), doc.expected_hstar, DEFAULT_VOLUME_CAP, scan_cap))
 
 
 def group_verdicts(doc: SimplexDocument) -> dict:
