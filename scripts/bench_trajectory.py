@@ -29,15 +29,24 @@ median of those runs is that seed's `wall_s`; a run whose exit code is not
 `wall_s` and whether that side ran first in its repeat, under "repeats".
 Their statistics go under "extras": "change", and with --parent also
 "parent" and "change_lower".
+
+Every run writes and reads bytecode only in a directory of its checkout's
+own outside the tree, emptied when this script starts and removed when it
+ends (PYTHONPYCACHEPREFIX; PYTHONDONTWRITEBYTECODE is dropped), so both
+sides start from the same bytecode state and neither reads stale
+`__pycache__` files of its tree.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -121,11 +130,26 @@ def lower_counts(parent: dict[str, list[dict]], change: dict[str, list[dict]]) -
     return out
 
 
+def pycache_dir(root: Path) -> Path:
+    """Where the runs in a checkout write and read bytecode: outside the
+    tree, one directory per checkout and invocation of this script."""
+    digest = hashlib.sha256(str(root).encode()).hexdigest()[:12]
+    return Path(tempfile.gettempdir()) / f"bench-pycache-{os.getpid()}-{digest}"
+
+
+def checkout_env(root: Path, **extra: str) -> dict[str, str]:
+    """The environment of a run in a checkout: bytecode is written, and only
+    to its pycache_dir."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache_dir(root)), **extra)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
 def run_benchmark(workload: str, seed: int, seconds: int, root: Path = REPO) -> dict:
     res = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True, cwd=root,
+        capture_output=True, text=True, cwd=root, env=checkout_env(root),
     )
     if not res.stdout.strip():
         raise RuntimeError(f"{workload} seed {seed} printed nothing: {res.stderr[-2000:]}")
@@ -135,7 +159,7 @@ def run_benchmark(workload: str, seed: int, seconds: int, root: Path = REPO) -> 
 def time_extra(name: str, seed: int, root: Path = REPO) -> dict:
     """Wall time of one run of an EXTRAS command in a checkout, shaped like
     a parsed benchmark run; a nonzero exit code makes it a failed run."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = checkout_env(root, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
     res = subprocess.run([sys.executable, *EXTRAS[name]], capture_output=True, cwd=root, env=env)
     wall = time.perf_counter() - start
@@ -172,6 +196,18 @@ def main(argv: list[str] | None = None) -> int:
     if not args.out.is_dir():
         ap.error(f"--out {args.out} is not a directory")
 
+    roots = [REPO, args.parent.resolve()] if args.parent else [REPO]
+    for root in roots:
+        shutil.rmtree(pycache_dir(root), ignore_errors=True)
+    try:
+        return run_sides(args)
+    finally:
+        for root in roots:
+            shutil.rmtree(pycache_dir(root), ignore_errors=True)
+
+
+def run_sides(args: argparse.Namespace) -> int:
+    """The runs of every side, seed and workload, and the trajectory file."""
     sides = ["parent", "change"] if args.parent else ["change"]
     runs: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}
     extras: dict[str, dict[str, list[dict]]] = {side: {} for side in sides}

@@ -33,7 +33,7 @@ from .io import (
     SimplexDocument,
     canonical_dumps,
     decode_int,
-    load_simplex_document,
+    load_simplex,
 )
 from .oracle import DEFAULT_SCAN_CAP, cross_validate
 from .search import search_windows
@@ -67,9 +67,9 @@ def _coords_strings(row: list[int], q: int) -> list[str]:
 def _open(args) -> tuple[SimplexDocument, LatticeSimplex, dict]:
     """The document named by ``args.file``, its simplex and the report head
     every single-document command writes."""
-    doc = load_simplex_document(args.file)
+    doc, simplex = load_simplex(args.file)
     head = {"schema_version": SCHEMA_VERSION, "command": args.command, "input": doc.to_json_dict()}
-    return doc, doc.to_simplex(), head
+    return doc, simplex, head
 
 
 def _group_report(args) -> tuple[SimplexDocument, LatticeSimplex, BoxGroup, HStarVector, dict]:
@@ -193,8 +193,7 @@ _GEN_FAMILIES = {
 
 def cmd_gen(args) -> int:
     if args.family == "join":
-        left = load_simplex_document(args.left).to_simplex()
-        right = load_simplex_document(args.right).to_simplex()
+        left, right = (load_simplex(path)[1] for path in (args.left, args.right))
         simplex, name = families.join(left, right), "join"
     else:
         make, flags, template = _GEN_FAMILIES[args.family]

@@ -2,6 +2,7 @@
 quantities, and the classical structural facts as executable checks."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -30,7 +31,7 @@ class HStarVector:
 
     @classmethod
     def of(cls, coeffs: Sequence[int]) -> "HStarVector":
-        c = list(int(x) for x in coeffs)
+        c = list(map(operator.index, coeffs))
         while len(c) > 1 and c[-1] == 0:
             c.pop()
         return cls(tuple(c))

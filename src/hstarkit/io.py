@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import DocumentError
+from .errors import DocumentError, HstarkitError
 from .hstar import HStarVector
 from .simplex import LatticeSimplex, from_vertices
 
@@ -184,8 +184,17 @@ def load_simplex_document(path) -> SimplexDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:  # no error here names the file: load_simplex does
+        raise DocumentError(f"cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DocumentError(f"{path} is not UTF-8: {exc}") from exc
+        raise DocumentError(f"not UTF-8: {exc}") from exc
     return parse_simplex_document(text)
+
+
+def load_simplex(path, name: str | None = None) -> tuple[SimplexDocument, LatticeSimplex]:
+    """The document at ``path`` and its simplex; each error starts with ``name`` or the path."""
+    try:
+        doc = load_simplex_document(path)
+        return doc, doc.to_simplex()
+    except HstarkitError as exc:
+        raise DocumentError(f"{name or path}: {exc}") from exc

@@ -12,6 +12,7 @@ in which vertices were given.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
@@ -52,7 +53,7 @@ def from_vertices(ambient_dim: int, vertex_list: Sequence[Sequence[int]]) -> Lat
     """Validate and build a simplex; rejects affinely dependent vertex lists."""
     if not vertex_list:
         raise NotASimplexError("empty vertex list")
-    verts = tuple(tuple(int(x) for x in v) for v in vertex_list)
+    verts = tuple(tuple(map(operator.index, v)) for v in vertex_list)
     for v in verts:
         if len(v) != ambient_dim:
             raise DimensionMismatchError(

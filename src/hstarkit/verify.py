@@ -21,9 +21,9 @@ import numpy as np
 from . import oracle
 from .boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group, enumerate_by_box_scan
 from .boxgroup import add  # noqa: F401 - unused here; perfbench's tracer test calls verify.add
-from .errors import DocumentError, HstarkitError, ScanTooLargeError, VolumeTooLargeError
+from .errors import HstarkitError, ScanTooLargeError, VolumeTooLargeError
 from .hstar import hstar_from_box_group, structural_facts
-from .io import load_simplex_document
+from .io import load_simplex
 from .simplex import LatticeSimplex, all_faces, restrict_to_affine_lattice
 from .theorem import check_shifted_symmetric, check_zero_window, extract_face, is_prime
 
@@ -224,11 +224,7 @@ def run_suite(
         raise HstarkitError(f"no *.json documents in {corpus_dir}")
     records: list[Record] = []
     for path in paths:
-        try:
-            doc = load_simplex_document(path)
-            simplex = doc.to_simplex()
-        except HstarkitError as exc:
-            raise DocumentError(f"{path.name}: {exc}") from exc
+        doc, simplex = load_simplex(path, path.name)
         records.extend(
             _instance_records(path.name, simplex, doc.expected_hstar, volume_cap, scan_cap))
     ok = all(r.status != "fail" for r in records)

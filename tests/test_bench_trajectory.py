@@ -260,3 +260,35 @@ def test_extra_runs_keep_every_repeat_and_which_side_ran_first(tmp_path, monkeyp
         assert [run["seed"] for run in change] == [11, 12]
     assert set(report["workloads"]["hstar-large"]["runs"][0]) == {
         "seed", "failed", "attempted", "metrics"}
+
+
+def test_every_run_writes_bytecode_only_to_its_checkouts_fresh_directory(tmp_path, monkeypatch):
+    parent = (tmp_path / "parent").resolve()
+    stale = bench.pycache_dir(parent) / "stale.pyc"
+    stale.parent.mkdir()
+    stale.write_bytes(b"")
+    seen = []
+
+    def fake_subprocess_run(argv, cwd, env, **kwargs):
+        seen.append((cwd, env))
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert not (cache / "stale.pyc").exists()
+        cache.mkdir(exist_ok=True)  # as the interpreter does when it writes bytecode
+        stdout = canned_stdout(11, 1.0) if argv[1].endswith("run.py") else ""
+        return subprocess.CompletedProcess(argv, returncode=0, stdout=stdout)
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench.subprocess, "run", fake_subprocess_run)
+    code = bench.main(["--label", "t", "--seeds", "11", "--seconds", "30",
+                       "--workloads", "hstar-large", "--parent", str(parent),
+                       "--out", str(tmp_path)])
+    assert code == 0
+    # Per side: one benchmark run and every repeat of every extra.
+    assert len(seen) == 2 * (1 + len(bench.EXTRAS) * bench.EXTRA_REPEATS)
+    assert all("PYTHONDONTWRITEBYTECODE" not in env for _, env in seen)
+    for root in (bench.REPO, parent):
+        caches = {env["PYTHONPYCACHEPREFIX"] for cwd, env in seen if cwd == root}
+        assert caches == {str(bench.pycache_dir(root))}
+        assert not bench.pycache_dir(root).is_relative_to(root)
+        assert not bench.pycache_dir(root).exists()  # removed once the file is written
+    assert bench.pycache_dir(bench.REPO) != bench.pycache_dir(parent)

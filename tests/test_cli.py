@@ -1399,6 +1399,23 @@ class TestVerifySuite:
         assert res.stderr.startswith(f"ERROR hstarkit: {error}")
         assert len(res.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("kind, reason", [("not-utf8", "not UTF-8: "),
+                                              ("directory", "cannot read: ")])
+    def test_unreadable_file_is_named_once(self, run_cli, corpus_dir, tmp_path, kind, reason):
+        (tmp_path / "unit-triangle.json").write_text((corpus_dir / "unit-triangle.json").read_text())
+        bad = tmp_path / "x.json"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"schema_version":"1","name":"\xff"}')
+        for argv, name in [(("verify-suite", "--corpus", str(tmp_path)), "x.json"),
+                           (("hstar", str(bad)), str(bad)),
+                           (("gen", "join", "--left", str(bad), "--right", str(bad)), str(bad))]:
+            res = run_cli(*argv)
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr.startswith(f"ERROR hstarkit: {name}: {reason}")
+            assert res.stderr.count("x.json") == 1 and len(res.stderr.splitlines()) == 1
+
     def test_empty_dir_exit_code(self, run_cli, tmp_path):
         assert run_cli("verify-suite", "--corpus", str(tmp_path)).returncode == 2
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,15 @@ class TestVector:
         assert h.coeffs == (1, 1)
         with pytest.raises(ValueError):
             HStarVector((1, 1, 0))
+
+    @pytest.mark.parametrize("coeffs", [[1, 0.5], [1, 2.0], [1, "2"]], ids=str)
+    def test_non_integer_coefficient_is_refused_not_truncated(self, coeffs):
+        with pytest.raises(TypeError):
+            HStarVector.of(coeffs)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        h = HStarVector.of(np.array([1, 2, 0], dtype=np.int64))
+        assert h.coeffs == (1, 2) and all(type(c) is int for c in h.coeffs)
 
     def test_degree_and_volume(self):
         assert HStarVector.of([1]).degree == 0

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 from math import gcd
 
@@ -6,9 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hstarkit import boxgroup, search
 from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
-from hstarkit.errors import InvalidParametersError, VolumeTooLargeError
+from hstarkit.errors import (
+    InternalCheckError,
+    InvalidParametersError,
+    NotASimplexError,
+    VolumeTooLargeError,
+)
 from hstarkit.search import _window_generators, realize_cyclic_group, search_windows
+from hstarkit.linalg import adjugate
+from hstarkit.simplex import from_vertices, normalized_volume
 from hstarkit.theorem import extract_face
 
 
@@ -70,10 +79,113 @@ class TestRealizeCyclicGroup:
     def test_order_one_is_the_unit_segment(self):
         assert realize_cyclic_group((0, 0), 1).vertices == ((0,), (1,))
 
-    def test_volume_cap_checked_before_listing_the_group(self):
+    def test_realizes_past_the_volume_cap(self):
+        # The certificate lists no group, so the cap is the enumeration's alone.
         q = DEFAULT_VOLUME_CAP + 1
+        simplex = realize_cyclic_group((1, q - 1), q)
+        assert normalized_volume(simplex) == q
         with pytest.raises(VolumeTooLargeError):
-            realize_cyclic_group((1, q - 1), q)
+            enumerate_box_group(simplex)
+
+
+def realized_mutant(monkeypatch, generator, q, mutate):
+    """The simplex realize_cyclic_group builds when ``mutate`` rewrites its
+    vertex list, and whether its certificate raised."""
+    built = []
+
+    def mutated(dim, verts):
+        built.append(from_vertices(dim, mutate([list(v) for v in verts])))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "from_vertices", mutated)
+        try:
+            realize_cyclic_group(generator, q)
+        except InternalCheckError:
+            return built[0], True
+    return built[0], False
+
+
+def realizes(simplex, generator, q):
+    """The reference: whether the simplex's listed group is <generator/q>."""
+    group = enumerate_box_group(simplex)
+    multiples = np.arange(q)[:, None] * np.array(generator, dtype=np.int64) % q
+    return group.order == group.exponent == q and sorted(
+        map(tuple, group.rows().tolist())) == sorted(map(tuple, multiples.tolist()))
+
+
+def shift_vertex(i, j, delta):
+    def mutate(verts):
+        verts[i][j] += delta
+        return verts
+    return mutate
+
+
+class TestCertificate:
+    """realize_cyclic_group's certificate (normalized volume q, generator a
+    weight tuple) against the group listed by enumerate_box_group."""
+
+    @pytest.mark.parametrize("generator, q", [((1, 2, 3), 6), ((2, 3, 4, 5), 7)])
+    def test_permuted_vertices_keep_the_volume_but_raise(self, monkeypatch, generator, q):
+        # A volume check alone would pass these: only membership catches them.
+        simplex, raised = realized_mutant(
+            monkeypatch, generator, q, lambda verts: verts[:1] + verts[:0:-1])
+        assert normalized_volume(simplex) == q
+        assert raised and not realizes(simplex, generator, q)
+
+    @pytest.mark.parametrize("generator, q", [((1, 2, 3), 6), ((2, 3, 4, 5), 7)])
+    def test_shift_by_q_keeps_membership_but_raises(self, monkeypatch, generator, q):
+        # A membership check alone would pass these: only the volume catches them.
+        simplex, raised = realized_mutant(monkeypatch, generator, q, shift_vertex(1, 0, q))
+        assert normalized_volume(simplex) != q
+        assert raised and not realizes(simplex, generator, q)
+
+    def test_perturbed_adjugate_raises(self, monkeypatch):
+        def perturbed(rows):
+            adj, det = adjugate(rows)
+            adj[0][0] += det
+            return adj, det
+
+        monkeypatch.setattr(search.linalg, "adjugate", perturbed)
+        with pytest.raises(InternalCheckError, match="wrong weight group"):
+            realize_cyclic_group((1, 2, 3), 6)
+
+    @given(cyclic_generators(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_listed_group_on_vertex_mutants(self, case, data):
+        generator, q = case
+        n = len(generator) - 1
+        assume(n >= 1)
+        i = data.draw(st.integers(0, n), label="vertex")
+        j = data.draw(st.integers(0, n - 1), label="coordinate")
+        delta = data.draw(st.sampled_from([-q, -2, -1, 1, 2, q]), label="delta")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            try:
+                simplex, raised = realized_mutant(
+                    monkeypatch, generator, q, shift_vertex(i, j, delta))
+            except NotASimplexError:
+                assume(False)
+        assert raised == (not realizes(simplex, generator, q))
+
+    def test_search_lists_each_hit_twice(self, monkeypatch):
+        # Both listings are extract_face's: the input's group and the face's.
+        calls = []
+        original = boxgroup.enumerate_box_group
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("hstarkit") and getattr(
+                    module, "enumerate_box_group", None) is original:
+                monkeypatch.setattr(module, "enumerate_box_group", spy)
+        hits = list(search_windows(2, "strong", 24, 4))
+        assert (len(hits), len(calls)) == (261, 522)
+        calls.clear()
+        for q, gen, _ in hits:
+            realize_cyclic_group(gen, q)
+        assert calls == []
 
 
 def reference_window_generators(k, window, max_order, max_dim):

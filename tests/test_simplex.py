@@ -88,6 +88,20 @@ class TestConstruction:
         with pytest.raises(NotASimplexError):
             from_vertices(2, [])
 
+    @pytest.mark.parametrize("dim, verts", [
+        (2, [(0, 0), (1.7, 0), (0, 1)]),
+        (2, [(0, 0), (1.0, 0), (0, 1)]),
+        (1, [("0",), (" 3 ",)]),
+    ], ids=["float", "integral-float", "string"])
+    def test_non_integer_entry_is_refused_not_truncated(self, dim, verts):
+        with pytest.raises(TypeError):
+            from_vertices(dim, verts)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        s = from_vertices(2, list(np.array([[0, 0], [1, 0], [0, 2]], dtype=np.int64)))
+        assert s.vertices == ((0, 0), (1, 0), (0, 2))
+        assert all(type(x) is int for v in s.vertices for x in v)
+
 
 class TestHomogenize:
     @pytest.mark.parametrize(
