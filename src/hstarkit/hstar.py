@@ -22,6 +22,8 @@ class HStarVector:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # As in ``of``: a float or string coefficient raises TypeError.
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("leading coefficient must be 1")
         if any(c < 0 for c in self.coeffs):

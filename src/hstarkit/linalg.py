@@ -16,7 +16,8 @@ alone, and a pivot of +-1 skips the divisibility scan. The Hermite form
 is one elimination over rows that may carry extra entries:
 ``hermite_normal_form`` appends identity rows to get its transform U, and
 the triangular simplex model and the cyclic realization pass bare rows
-and build no transform.
+and build no transform. ``hermite_column`` is its one column step, which
+the face sweep of ``simplex.all_faces`` also takes, one per face.
 Determinants, ranks, solves and adjugates all come from one fraction-free
 (Bareiss) elimination.
 """
@@ -53,39 +54,53 @@ def hermite_rows(a: list[list[int]], n: int) -> None:
     Entries past column n ride along: every swap, negation and subtraction
     applies to the whole row, so rows that start as [M_i | e_i] end as
     [H_i | U_i]. Pivots are assigned bottom-up while sweeping columns right
-    to left; each pivot is the entry of least absolute value, made positive,
-    and the entries below it are reduced to [0, pivot).
+    to left, one ``hermite_column`` step per column.
     """
-    m = len(a)
-    pivot_row = m - 1
+    pivot_row = len(a) - 1
     for col in range(n - 1, -1, -1):
         if pivot_row < 0:
             break
-        if not any(a[i][col] for i in range(pivot_row + 1)):
-            continue
-        while True:
-            best = min(
-                (i for i in range(pivot_row + 1) if a[i][col]), key=lambda i: abs(a[i][col])
-            )
-            a[best], a[pivot_row] = a[pivot_row], a[best]
-            if a[pivot_row][col] < 0:
-                a[pivot_row] = [-x for x in a[pivot_row]]
-            prow = a[pivot_row]
-            pivot = prow[col]
-            cleared = True
-            for i in range(pivot_row):
-                q = a[i][col] // pivot
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], prow)]
-                if a[i][col]:
-                    cleared = False
-            if cleared:
-                break
-        for i in range(pivot_row + 1, m):
+        if hermite_column(a, col, pivot_row):
+            pivot_row -= 1
+
+
+def hermite_column(a: list[list[int]], col: int, pivot_row: int) -> bool:
+    """One column step of ``hermite_rows``: make a[pivot_row][col] the
+    pivot of column ``col`` and return True, or return False, changing
+    nothing, when rows 0..pivot_row are zero in that column.
+
+    The pivot is the entry of least absolute value, made positive; the
+    entries above it are cleared and those below it reduced to [0, pivot).
+    Every operation is chosen from column ``col`` alone, and a changed row
+    is replaced by a new list, never edited in place. So a shallow copy of
+    ``a`` taken before the step is left as it was, and entries in other
+    columns never change which operations run.
+    """
+    if not any(a[i][col] for i in range(pivot_row + 1)):
+        return False
+    while True:
+        best = min(
+            (i for i in range(pivot_row + 1) if a[i][col]), key=lambda i: abs(a[i][col])
+        )
+        a[best], a[pivot_row] = a[pivot_row], a[best]
+        if a[pivot_row][col] < 0:
+            a[pivot_row] = [-x for x in a[pivot_row]]
+        prow = a[pivot_row]
+        pivot = prow[col]
+        cleared = True
+        for i in range(pivot_row):
             q = a[i][col] // pivot
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], prow)]
-        pivot_row -= 1
+            if a[i][col]:
+                cleared = False
+        if cleared:
+            break
+    for i in range(pivot_row + 1, len(a)):
+        q = a[i][col] // pivot
+        if q:
+            a[i] = [x - q * y for x, y in zip(a[i], prow)]
+    return True
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -25,7 +25,7 @@ from .errors import (
     TooManyFacesError,
 )
 
-MAX_FACE_VERTICES = 24
+MAX_FACE_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class LatticeSimplex:
 
 def from_vertices(ambient_dim: int, vertex_list: Sequence[Sequence[int]]) -> LatticeSimplex:
     """Validate and build a simplex; rejects affinely dependent vertex lists."""
-    if not vertex_list:
+    if not len(vertex_list):  # not bool(): a numpy array has no truth value
         raise NotASimplexError("empty vertex list")
     verts = tuple(tuple(map(operator.index, v)) for v in vertex_list)
     for v in verts:
@@ -125,13 +125,46 @@ def face(simplex: LatticeSimplex, indices: Iterable[int]) -> LatticeSimplex:
 
 def all_faces(simplex: LatticeSimplex) -> Iterator[tuple[tuple[int, ...], LatticeSimplex]]:
     """All nonempty faces with their index tuples, ordered by vertex count
-    then lexicographically."""
+    then lexicographically; each model equals ``face(simplex, indices)``.
+
+    The model of face (b, j_1, ..., j_s) is the Hermite form of the edges
+    v_j - v_b, pivoted on j_s down to j_1. ``linalg.hermite_column`` picks
+    each step from its own column and replaces rows without editing them,
+    so the elimination of j_s, ..., j_2 over the edges to every later
+    vertex is the state of the parent face (b, j_2, ..., j_s), and a face
+    costs one column step on a shallow copy of that state. States are kept
+    for one vertex count at a time, each until its last child: at most
+    about C(k, k/2) of them for k vertices. MAX_FACE_VERTICES bounds that,
+    and the 2^k - 1 faces, before any state is built.
+    """
     k = simplex.n_vertices
     if k > MAX_FACE_VERTICES:
-        raise TooManyFacesError(f"{k} vertices would give 2^{k}-1 faces")
-    for size in range(1, k + 1):
+        raise TooManyFacesError(
+            f"{k} vertices would give 2^{k}-1 faces; at most {MAX_FACE_VERTICES} vertices")
+    big_d, verts = simplex.ambient_dim, simplex.vertices
+    # The state of a face based at vertex b holds its edges to vertices
+    # b+1..k-1: column j - b - 1 is vertex j. The children of a face add a
+    # vertex between b and its second vertex, so a face with no vertex
+    # there keeps no state.
+    states = {}
+    for b, base in enumerate(verts):
+        yield (b,), LatticeSimplex(0, ((),))
+        states[(b,)] = [[v[i] - base[i] for v in verts[b + 1 :]] for i in range(big_d)]
+    for size in range(2, k + 1):
+        parents, states = states, {}
+        n = size - 1
         for combo in combinations(range(k), size):
-            yield combo, face(simplex, combo)
+            b, j = combo[:2]
+            parent = combo[:1] + combo[2:]
+            last_child = j + 1 == (combo[2] if size > 2 else k)
+            state = list(parents.pop(parent) if last_child else parents[parent])
+            if not linalg.hermite_column(state, j - b - 1, big_d - n):
+                raise NotASimplexError("vertices are affinely dependent")
+            tri = state[big_d - n :]
+            yield combo, LatticeSimplex(
+                n, ((0,) * n,) + tuple(tuple(row[c - b - 1] for row in tri) for c in combo[1:]))
+            if j > b + 1:
+                states[combo] = state
 
 
 def normalized_volume(simplex: LatticeSimplex) -> int:

@@ -4,10 +4,12 @@ One record per (instance, invariant): status pass, fail, or skip (skips are
 capacity gates, never verdicts). Records come out in a fixed order so two
 runs over the same corpus are byte-identical.
 
-Face-group identification builds every face's model and compares it with
-the input group's elements supported on that face. The group of a model
-is enumerated once per instance, however many faces share the model; no
-result is kept from one instance to the next.
+Face-group identification takes every face's model from the shared
+Hermite sweep of ``simplex.all_faces`` and compares the model's group with
+the input group's elements supported on that face, as two lists in the
+groups' canonical order. The group of a model is enumerated once per
+instance, however many faces share the model; no result is kept from one
+instance to the next.
 """
 from __future__ import annotations
 
@@ -177,20 +179,29 @@ def _instance_records(
         # Bit i of bits[e] is set when element e is nonzero at vertex i, so a
         # face holds the elements with no bit outside its own. One int64 bit
         # per vertex is exact up to 62 vertices; FACE_VERTEX_GATE keeps 9.
-        bits = support @ (1 << np.arange(simplex.n_vertices))
+        bits = (support @ (1 << np.arange(simplex.n_vertices))).tolist()
+        row_list = rows.tolist()
         # Faces with one model share its group, which is a function of the
         # model alone: each distinct model is enumerated once per instance.
-        face_rows: dict[LatticeSimplex, tuple[int, set[tuple[int, ...]]]] = {}
+        face_rows: dict[LatticeSimplex, tuple[int, list[list[int]]]] = {}
         for cols, face_simplex in all_faces(simplex):
             if face_simplex not in face_rows:
                 face_group = enumerate_box_group(face_simplex, volume_cap=volume_cap)
                 # A broken face group need not have an exponent dividing q.
                 m = lcm(q, face_group.exponent)
                 scaled = face_group.rows() * (m // face_group.exponent)
-                face_rows[face_simplex] = m, _row_set(scaled)
-            m, got = face_rows[face_simplex]
-            inside = rows[(bits & ~sum(1 << c for c in cols)) == 0][:, cols]
-            if got != _row_set(inside * (m // q)):
+                face_rows[face_simplex] = m // q, scaled.tolist()
+            scale, got = face_rows[face_simplex]
+            outside = ~sum(1 << c for c in cols)
+            inside = [
+                [r[c] * scale for c in cols] for r, b in zip(row_list, bits) if not b & outside
+            ]
+            # Both lists are sorted by (height, coordinates): an element that
+            # vanishes off the face has the same height, and the same place
+            # among such elements, on the face's vertices as on all of them.
+            # List equality implies set equality, so the check is no weaker
+            # than comparing sets, and for a true group the two agree.
+            if got != inside:
                 mismatch = list(cols)
                 break
         yield _ok(name, "face-group-identification", mismatch is None, {"first_mismatch": mismatch})

@@ -45,6 +45,15 @@ class TestVector:
         h = HStarVector.of(np.array([1, 2, 0], dtype=np.int64))
         assert h.coeffs == (1, 2) and all(type(c) is int for c in h.coeffs)
 
+    @pytest.mark.parametrize("coeffs", [(1, 0.5), (1, 2.0), (1.0,)], ids=str)
+    def test_constructor_refuses_what_of_refuses(self, coeffs):
+        with pytest.raises(TypeError):
+            HStarVector(coeffs)
+
+    def test_constructor_reads_numpy_integers_as_ints(self):
+        h = HStarVector(tuple(np.array([1, 2], dtype=np.int64)))
+        assert h.coeffs == (1, 2) and all(type(c) is int for c in h.coeffs)
+
     def test_degree_and_volume(self):
         assert HStarVector.of([1]).degree == 0
         assert HStarVector.of([1]).normalized_volume == 1

@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import linalg
@@ -101,6 +101,15 @@ class TestConstruction:
         s = from_vertices(2, list(np.array([[0, 0], [1, 0], [0, 2]], dtype=np.int64)))
         assert s.vertices == ((0, 0), (1, 0), (0, 2))
         assert all(type(x) is int for v in s.vertices for x in v)
+
+    def test_numpy_vertex_array_is_read(self):
+        s = from_vertices(2, np.array([[0, 0], [1, 0], [0, 1]]))
+        assert s == from_vertices(2, [(0, 0), (1, 0), (0, 1)])
+        assert all(type(x) is int for v in s.vertices for x in v)
+
+    def test_empty_numpy_vertex_array_rejected(self):
+        with pytest.raises(NotASimplexError, match="^empty vertex list$"):
+            from_vertices(2, np.zeros((0, 2), dtype=np.int64))
 
 
 class TestHomogenize:
@@ -302,8 +311,8 @@ class TestFaces:
                 face(unit_simplex(2), indices)
 
     def test_face_blowup_guard(self):
-        with pytest.raises(TooManyFacesError):
-            next(all_faces(unit_simplex(24)))
+        with pytest.raises(TooManyFacesError, match="^17 vertices would give 2"):
+            next(all_faces(unit_simplex(16)))
 
 
 def _unimodular_images():
@@ -334,6 +343,67 @@ def _unimodular_images():
         return s, image
 
     return build()
+
+
+def _faces_until_dependent(faces) -> list:
+    """The (indices, model) pairs that ``faces`` yields, then "dependent"
+    if it stops on NotASimplexError."""
+    out = []
+    try:
+        out.extend(faces)
+    except NotASimplexError:
+        out.append("dependent")
+    return out
+
+
+def _face_by_face(s: LatticeSimplex):
+    """The reference for ``all_faces``: one elimination per face."""
+    for size in range(1, s.n_vertices + 1):
+        for combo in combinations(range(s.n_vertices), size):
+            yield combo, face(s, combo)
+
+
+def _is_hermite_model(f: LatticeSimplex) -> bool:
+    """The origin and the columns of a lower-triangular H with positive
+    diagonal, each column reduced to [0, H_tt) below its pivot."""
+    n = f.dimension
+    h = [[v[i] for v in f.vertices[1:]] for i in range(n)]
+    return f.vertices[0] == (0,) * n and all(
+        h[t][t] > 0
+        and not any(h[i][t] for i in range(t))
+        and all(0 <= h[i][t] < h[t][t] for i in range(t + 1, n))
+        for t in range(n)
+    )
+
+
+class TestFaceSweep:
+    """``all_faces`` takes one Hermite column step per face from its
+    parent's state; ``face`` runs each face's elimination on its own. Both
+    must give the same faces, in the same order, and stop at the same
+    affinely dependent face. The models' Hermite shape is checked apart,
+    since the two share ``linalg.hermite_column``."""
+
+    @given(edge_simplices())
+    @example((LatticeSimplex(3, ((5, 6, 7),)), [[]] * 3))
+    @example((LatticeSimplex(2, ((1, 1), (3, -1))), [[2], [-2]]))
+    @example((LatticeSimplex(1, ((0,), (0,))), [[0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_matches_face_by_face(self, case):
+        s, _ = case
+        got = _faces_until_dependent(all_faces(s))
+        assert got == _faces_until_dependent(_face_by_face(s))
+        assert all(_is_hermite_model(item[1]) for item in got if item != "dependent")
+
+    @given(_unimodular_images())
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_face_by_face_on_huge_coordinates(self, pair):
+        _, image = pair
+        got = list(all_faces(image))
+        assert got == list(_face_by_face(image))
+        assert all(_is_hermite_model(f) for _, f in got)
+
+    def test_sixteen_vertices_are_allowed(self):
+        assert next(all_faces(unit_simplex(15))) == ((0,), LatticeSimplex(0, ((),)))
 
 
 class TestCanonicalModel:

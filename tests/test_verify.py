@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hstarkit import oracle, verify
+from hstarkit import linalg, oracle, verify
 from hstarkit import simplex as simplex_module
 from hstarkit.verify import Record
 from hstarkit.boxgroup import DEFAULT_VOLUME_CAP, enumerate_box_group
@@ -266,32 +267,39 @@ class TestFaceModelReuse:
 
     def test_each_model_is_enumerated_once(self, monkeypatch, tmp_path):
         (tmp_path / self.K3).write_bytes((CORPUS / self.K3).read_bytes())
-        faces = list(all_faces(CORPUS_DOCS[self.K3].to_simplex()))
+        k3 = CORPUS_DOCS[self.K3].to_simplex()
+        faces = list(all_faces(k3))
         models = {f for _, f in faces}
-        enumerated, built = [], []
-        real_enumerate, real_face = verify.enumerate_box_group, simplex_module.face
+        enumerated, steps = [], []
+        real_enumerate, real_column = verify.enumerate_box_group, linalg.hermite_column
 
         def spy_enumerate(simplex, volume_cap):
             enumerated.append(simplex)
             return real_enumerate(simplex, volume_cap=volume_cap)
 
-        def spy_face(simplex, indices):
-            built.append(tuple(indices))
-            return real_face(simplex, indices)
+        def spy_column(a, col, pivot_row):
+            steps.append(pivot_row)
+            return real_column(a, col, pivot_row)
 
         monkeypatch.setattr(verify, "enumerate_box_group", spy_enumerate)
-        monkeypatch.setattr(simplex_module, "face", spy_face)
+        # Only the column steps that the simplex module takes itself, the
+        # face sweep's, reach the spy; hermite_rows keeps its own.
+        sweep_linalg = SimpleNamespace(**{**vars(linalg), "hermite_column": spy_column})
+        monkeypatch.setattr(simplex_module, "linalg", sweep_linalg)
         assert len(faces) == 511 and len(models) == 9
         for _ in range(2):  # nothing is kept from one run to the next
             enumerated.clear()
-            built.clear()
+            steps.clear()
             out, ok = verify.run_suite(tmp_path)
             record = next(r for r in out if r.invariant == "face-group-identification")
             assert ok and record.status == "pass"
             # The input's group, the reversed model's and the rotated
             # input's come first; then one enumeration per distinct model.
             assert len(enumerated) == 3 + 9 and set(enumerated[3:]) == models
-            assert built == [cols for cols, _ in faces]
+            # One column step per face of two or more vertices, in face
+            # order: a face of s vertices pivots at row ambient_dim - s + 1.
+            assert len(steps) == 502
+            assert steps == [k3.ambient_dim - len(cols) + 1 for cols, _ in faces[9:]]
 
     def test_corrupted_shared_model_fails_at_its_first_face(self):
         doc = CORPUS_DOCS[self.K3]
