@@ -1,6 +1,9 @@
 """Independent brute-force route to h*: count lattice points in dilates by
-exact enumeration, then convert counts to h* by the standard
-finite-difference transform.
+exact enumeration, then convert counts to h* by finite differences.
+
+With m = floor(d/2), h*_0..h*_m come from the closure counts of dilates
+0..m, and h*_{m+1}..h*_d from the interior counts of dilates 1..d-m by
+Ehrhart-Macdonald reciprocity, so no dilate past ceil(d/2) is counted.
 
 This module checks the group path's h*, handed in by the caller, so it
 uses no Smith form and no weight group. A dilate is counted in the
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalCheckError, ScanTooLargeError
-from .hstar import HStarVector, ehrhart_from_hstar
+from .hstar import HStarVector
 from .linalg import INT64_LIMIT
 from .simplex import LatticeSimplex, restrict_to_affine_lattice
 
@@ -43,44 +46,34 @@ class CrossValidation:
 
 
 @lru_cache(maxsize=4096)
-def _scan(simplex: LatticeSimplex, n: int, scan_cap: int) -> tuple[int, int]:
-    """(closure count, interior count) of the n-th dilate of any simplex,
-    counted in its Hermite model. The cap counts the candidates of the
-    input's box, or for a lower-dimensional input of its model's box, which
-    is [0, n * spread_j] on axis j since H has no negative entry.
-
-    The model is built once per simplex, not once per dilate. A cleared
-    scan cache starts cold: its next miss empties the model cache as well,
-    so ``_scan.cache_clear()`` resets both.
+def _scan(simplex: LatticeSimplex, n: int, s: int) -> int:
+    """Lattice points of the n-th dilate (n >= 1) of any simplex, counted in
+    its Hermite model: the closure for s = 0, the interior for s = 1. The
+    caller checks the scan cap.
     """
-    if not _scan.cache_info().currsize:
-        _model.cache_clear()
-    box = ([max(col) - min(col) for col in zip(*simplex.vertices)]
-           if simplex.is_full_dimensional else _model(simplex)[2])
-    candidates = prod(n * b + 1 for b in box)
-    if candidates > scan_cap:
-        raise ScanTooLargeError(candidates, scan_cap, f"oracle scan of dilate {n}")
-    forms, det_h, spread = _model(simplex)
+    forms, det_h, unit_bound, _ = _model(simplex)
     if not forms:
-        return 1, int(n > 0)
+        return 1  # a point is its every dilate and its own interior
     total = n * det_h
     # Every kept row lies in the projection of the dilate, where
-    # |x_j| <= n * max |v_j| and so every partial form is at most `bound`;
-    # the sum of the fixed forms is in [0, total]. Interval ends and their
-    # numerators are then at most bound + 2 * total + 2, and widths at most
-    # `wide`. A block holds at most _CHUNK rows, so its widths sum to at
-    # most _CHUNK * wide. Below 2**62 that makes int64 exact.
-    bound = n * max(sum(abs(a) * r for a, r in zip(row, spread)) for row in forms)
-    wide = 2 * (bound + 2 * total + 2) + 1
+    # |x_j| <= n * max |v_j| and so every partial form is at most
+    # bound = n * unit_bound; the sum of the fixed forms is in [0, total].
+    # Interval ends and their numerators are then at most
+    # bound + 2 * total + 2, and widths at most `wide`. A block holds at
+    # most _CHUNK rows, so its widths sum to at most _CHUNK * wide. Below
+    # 2**62 that makes int64 exact.
+    wide = 2 * (n * unit_bound + 2 * total + 2) + 1
     dtype = np.int64 if _CHUNK * wide < INT64_LIMIT else object
     # Integer forms are > 0 exactly where they are >= 1.
-    return _count_lifts(forms, total, 0, dtype), _count_lifts(forms, total, 1, dtype)
+    return _count_lifts(forms, total, s, dtype)
 
 
 @lru_cache(maxsize=256)
-def _model(simplex: LatticeSimplex) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-    """The barycentric forms of the simplex's Hermite model, det H, and the
-    largest absolute vertex coordinate of the model on each axis.
+def _model(
+    simplex: LatticeSimplex,
+) -> tuple[tuple[tuple[int, ...], ...], int, int, tuple[int, ...]]:
+    """The barycentric forms of the simplex's Hermite model, det H, the
+    largest partial form at dilate 1, and the box widths the scan cap counts.
 
     A point of the model is H lambda for the weights lambda_1..lambda_d of
     the vertices after the origin, so row c of adj H is the form
@@ -88,14 +81,23 @@ def _model(simplex: LatticeSimplex) -> tuple[tuple[tuple[int, ...], ...], int, t
     (total - sum_c F_c) / det_h. adj H is lower triangular with diagonal
     det_h / H_cc > 0, since the Hermite diagonal is positive. A point model
     (d = 0) has no forms.
+
+    The box is the input's own when it is full-dimensional and the model's
+    otherwise, which is [0, spread_j] on axis j since H has no negative
+    entry; at dilate n it is n times as wide. The partial-form bound is
+    max_c sum_j |F_cj| * spread_j, with spread_j the model's largest
+    absolute coordinate on axis j; at dilate n it is n times as large.
     """
     model = restrict_to_affine_lattice(simplex)
+    boxed = simplex if simplex.is_full_dimensional else model
+    box = tuple(max(col) - min(col) for col in zip(*boxed.vertices))
     d = model.dimension
     if d == 0:
-        return (), 1, ()
+        return (), 1, 0, box
     adj, det_h = linalg.adjugate([[v[i] for v in model.vertices[1:]] for i in range(d)])
-    spread = tuple(max(abs(v[j]) for v in model.vertices) for j in range(d))
-    return tuple(map(tuple, adj)), det_h, spread
+    spread = [max(abs(v[j]) for v in model.vertices) for j in range(d)]
+    unit_bound = max(sum(abs(a) * r for a, r in zip(row, spread)) for row in adj)
+    return tuple(map(tuple, adj)), det_h, unit_bound, box
 
 
 def _count_lifts(forms, total: int, s: int, dtype) -> int:
@@ -148,43 +150,66 @@ def _expand(first, widths, limit: int):
         yield rows, first[rows] + (np.arange(lo, hi) - starts[rows]).astype(first.dtype)
 
 
+def _count(simplex: LatticeSimplex, n: int, s: int, scan_cap: int) -> int:
+    """The closure (s = 0) or interior (s = 1) count of the n-th dilate,
+    after checking the scan cap.
+
+    The model is built once per simplex, not once per dilate. A cleared
+    scan cache starts cold: while it is empty the model cache is emptied as
+    well, so ``_scan.cache_clear()`` resets both.
+    """
+    if n < 0:
+        raise ValueError("dilation must be nonnegative")
+    if n == 0:
+        return 1 - s
+    if not _scan.cache_info().currsize:
+        _model.cache_clear()
+    candidates = prod(n * b + 1 for b in _model(simplex)[3])
+    if candidates > scan_cap:
+        raise ScanTooLargeError(candidates, scan_cap, f"oracle scan of dilate {n}")
+    return _scan(simplex, n, s)
+
+
 def count_lattice_points(
     simplex: LatticeSimplex, n: int, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> int:
     """|nS| over the lattice, by scan; membership is exact barycentric
     nonnegativity."""
-    if n < 0:
-        raise ValueError("dilation must be nonnegative")
-    if n == 0:
-        return 1
-    return _scan(simplex, n, scan_cap)[0]
+    return _count(simplex, n, 0, scan_cap)
 
 
 def count_interior_points(
     simplex: LatticeSimplex, n: int, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> int:
     """Lattice points of the n-th dilate with all barycentric weights > 0."""
-    if n < 0:
-        raise ValueError("dilation must be nonnegative")
-    if n == 0:
-        return 0
-    return _scan(simplex, n, scan_cap)[1]
+    return _count(simplex, n, 1, scan_cap)
 
 
 def hstar_by_interpolation(
     simplex: LatticeSimplex, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> HStarVector:
-    """h* from the counts E(0..d) alone: h_j = sum_i (-1)^i C(d+1, i) E(j-i).
+    """h* from the closure counts E(0..m) and the interior counts L°(0..d-m),
+    m = floor(d/2):
 
-    Uses exactly d+1 counts; E(d+1) is deliberately left out so it can serve
-    as a held-out consistency check.
+        h_j = sum_{i<=j} (-1)^i C(d+1, i) E(j-i)                for j <= m,
+        h_{d+1-j} = sum_{i<=j} (-1)^i C(d+1, i) L°(j-i)         for 1 <= j <= d-m,
+
+    the second by Ehrhart-Macdonald reciprocity, with L°(0) = 0. No dilate
+    past ceil(d/2) is counted, and the interior count of the next dilate is
+    left out so that it can serve as the held-out check. The top dilate is
+    counted first: its box is the largest, so a cap that any dilate exceeds
+    refuses before anything is scanned.
     """
     d = simplex.dimension
-    counts = [count_lattice_points(simplex, n, scan_cap) for n in range(d + 1)]
-    coeffs = [
-        sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
-        for j in range(d + 1)
-    ]
+    m = d // 2
+    interior = [count_interior_points(simplex, n, scan_cap) for n in range(d - m, -1, -1)][::-1]
+    closure = [count_lattice_points(simplex, n, scan_cap) for n in range(m + 1)]
+
+    def difference(counts: list[int], j: int) -> int:
+        return sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+
+    coeffs = [difference(closure, j) for j in range(m + 1)]
+    coeffs += [difference(interior, d + 1 - j) for j in range(m + 1, d + 1)]
     if any(c < 0 for c in coeffs):
         raise InternalCheckError(f"negative interpolated coefficient: {coeffs}")
     return HStarVector.of(coeffs)
@@ -193,19 +218,24 @@ def hstar_by_interpolation(
 def heldout_count_matches(
     simplex: LatticeSimplex, h: HStarVector, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> bool:
-    """Direct count at dilation d+1 (outside the interpolation range) against
-    the value the h*-vector predicts."""
+    """The interior count of dilate n = d - floor(d/2) + 1, the first that
+    the interpolation leaves out, against sum_i h_i C(n-1+i, d), the value
+    the h*-vector predicts by reciprocity. An h* of degree above d is wrong
+    for a d-simplex, so it fails with nothing counted."""
     d = simplex.dimension
-    return count_lattice_points(simplex, d + 1, scan_cap) == ehrhart_from_hstar(
-        h, d, d + 1
-    )
+    if h.degree > d:
+        return False
+    n = d - d // 2 + 1
+    predicted = sum(c * comb(n - 1 + i, d) for i, c in enumerate(h.coeffs))
+    return count_interior_points(simplex, n, scan_cap) == predicted
 
 
 def cross_validate(
     simplex: LatticeSimplex, h: HStarVector, scan_cap: int = DEFAULT_SCAN_CAP
 ) -> CrossValidation:
     """The given h* against interpolation h*, and the held-out count against
-    it, for any simplex; a lower-dimensional one's cap counts its model's box."""
+    it, for any simplex; a lower-dimensional one's cap counts its model's box.
+    ``heldout_ok`` is None when the held-out dilate alone exceeds the cap."""
     oracle_h = hstar_by_interpolation(simplex, scan_cap)
     try:
         heldout: bool | None = heldout_count_matches(simplex, h, scan_cap)

@@ -1,11 +1,11 @@
 import sys
 from itertools import combinations, product as iter_product
-from math import prod
+from math import comb, prod
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hstarkit import boxgroup, hstar, linalg, oracle
@@ -105,7 +105,7 @@ class TestModelCache:
         with mock.patch.object(
             oracle, "restrict_to_affine_lattice", wraps=restrict_to_affine_lattice
         ) as spy:
-            # Dilates 1..6 of a full-dimensional 5-simplex share one model.
+            # Every dilate of a full-dimensional 5-simplex shares one model.
             h = hstar_from_box_group(enumerate_box_group(simplex))
             result = cross_validate(simplex, h)
             assert result.match and result.heldout_ok
@@ -154,18 +154,17 @@ def box_candidates(simplex: LatticeSimplex, n: int) -> int:
     return prod(n * (max(col) - min(col)) + 1 for col in zip(*simplex.vertices))
 
 
-def scan_dtypes(
-    simplex: LatticeSimplex, n: int, scan_cap: int = oracle.DEFAULT_SCAN_CAP
-) -> tuple[tuple[int, int], list]:
-    """Counts by the project-and-lift kernel, with the dtype of every kernel
-    call (one for the closure, one for the interior)."""
+def scan_dtypes(simplex: LatticeSimplex, n: int) -> tuple[tuple[int, int], list]:
+    """Counts by the project-and-lift kernel, uncapped and uncached, with the
+    dtype of every kernel call (one for the closure, one for the interior)."""
     with mock.patch.object(oracle, "_count_lifts", wraps=oracle._count_lifts) as spy:
-        counts = oracle._scan.__wrapped__(simplex, n, scan_cap)
+        counts = scan(simplex, n)
     return counts, [c.args[-1] for c in spy.call_args_list]
 
 
 def scan(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
-    return oracle._scan.__wrapped__(simplex, n, oracle.DEFAULT_SCAN_CAP)
+    """(closure, interior) counts of the n-th dilate, uncapped and uncached."""
+    return oracle._scan.__wrapped__(simplex, n, 0), oracle._scan.__wrapped__(simplex, n, 1)
 
 
 def brute_force_counts_embedded(simplex: LatticeSimplex, n: int) -> tuple[int, int]:
@@ -304,12 +303,14 @@ class TestLineKernel:
     def test_large_forms_run_on_python_integers(self):
         # The n-th dilate of the triangle 0, e_1, b e_2 has twice the area
         # n^2 b and n + n + n b boundary points; Pick's theorem gives the
-        # interior.
-        b = 2**62
-        tri = from_vertices(2, [(0, 0), (1, 0), (0, b)])
-        for n in (1, 2, 3):
-            counts, dtypes = scan_dtypes(tri, n, scan_cap=10**30)
-            assert dtypes == [object] * 2
+        # interior. The overflow bound is proved per unit dilate and scaled
+        # by n, so at b = 2**43 // 11 dilate 1 still runs on int64.
+        cases = [(2**62, n, object) for n in (1, 2, 3)]
+        cases += [(2**43 // 11, 1, np.int64), (2**43 // 11, 2, object)]
+        for b, n, dtype in cases:
+            tri = from_vertices(2, [(0, 0), (1, 0), (0, b)])
+            counts, dtypes = scan_dtypes(tri, n)
+            assert dtypes == [dtype] * 2
             boundary = 2 * n + n * b
             interior = (n * n * b - boundary) // 2 + 1
             assert counts == (interior + boundary, interior)
@@ -319,7 +320,7 @@ class TestLineKernel:
         tri = from_vertices(2, [(0, 0), (7, 0), (-3, 2)])
         adj, _ = linalg.adjugate(homogenize(tri))
         assert 0 in [row[0] for row in adj]
-        assert oracle._scan.__wrapped__(tri, 2, 10**8) == brute_force_counts(tri, 2)
+        assert scan(tri, 2) == brute_force_counts(tri, 2)
 
     @given(unimodular_images(), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -413,6 +414,67 @@ class TestInterpolation:
                 assert count_lattice_points(s, n) == ehrhart_from_hstar(h, d, n)
 
 
+def full_range_interpolation(simplex: LatticeSimplex) -> tuple[int, ...]:
+    """h* from the closure counts E(0..d) alone, h_j = sum_i (-1)^i C(d+1, i)
+    E(j-i): the transform before the reciprocity split, kept as its
+    reference."""
+    d = simplex.dimension
+    counts = [count_lattice_points(simplex, n) for n in range(d + 1)]
+    return HStarVector.of([
+        sum((-1) ** i * comb(d + 1, i) * counts[j - i] for i in range(j + 1))
+        for j in range(d + 1)
+    ]).coeffs
+
+
+class TestReciprocitySplit:
+    @given(st.one_of(random_simplices(), corner_simplices(), embedded_simplices()))
+    @example(unit_simplex(0))
+    @example(from_vertices(1, [(2,), (-3,)]))
+    @example(from_vertices(3, [(0, 0, 0), (1, 2, 2), (2, 1, 0)]))
+    @example(prop43_instance(3, 4))
+    @example(delta_cm(2, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_range_transform(self, simplex):
+        assume(box_candidates(simplex, simplex.dimension) <= 50_000)
+        assert hstar_by_interpolation(simplex).coeffs == full_range_interpolation(simplex)
+
+    @pytest.mark.parametrize("d", range(8))
+    def test_counts_half_the_dilates_top_first_and_holds_one_out(self, d):
+        # Closure counts of dilates 0..m and interior counts of dilates
+        # 0..d-m, the top one first; the held-out count is the interior
+        # count of the next dilate, which the split never reads.
+        simplex, m = unit_simplex(d), d // 2
+        with mock.patch.object(oracle, "_count", wraps=oracle._count) as spy:
+            h = hstar_by_interpolation(simplex)
+            split = [c.args[1:3] for c in spy.call_args_list]
+            spy.reset_mock()
+            assert heldout_count_matches(simplex, h)
+            heldout = [c.args[1:3] for c in spy.call_args_list]
+        assert split[0] == (d - m, 1)
+        assert sorted(split) == sorted([(n, 0) for n in range(m + 1)]
+                                       + [(n, 1) for n in range(d - m + 1)])
+        assert heldout == [(d - m + 1, 1)]
+
+    def test_a_capped_top_dilate_scans_nothing(self, corpus_dir):
+        simplex = load_simplex_document(corpus_dir / "prop43-k3-j5-p5.json").to_simplex()
+        h = hstar_from_box_group(enumerate_box_group(simplex))
+        oracle._scan.cache_clear()
+        with mock.patch.object(oracle, "_count_lifts", wraps=oracle._count_lifts) as spy:
+            with pytest.raises(ScanTooLargeError) as info:
+                cross_validate(simplex, h)
+        assert (simplex.dimension, info.value.stage) == (9, "oracle scan of dilate 5")
+        assert spy.call_count == 0
+
+    def test_fourteen_dimensions_with_the_cap_lifted(self):
+        # The split counts dilates up to 8 of this 14-simplex; the
+        # full-range transform counted up to 15 and took about 300 times as long.
+        simplex = remark44_simplex(5)
+        h = hstar_from_box_group(enumerate_box_group(simplex))
+        cv = cross_validate(simplex, h, scan_cap=10**40)
+        assert simplex.dimension == 14
+        assert (cv.oracle_hstar, cv.match, cv.heldout_ok) == (h, True, True)
+
+
 def group_cross_validation(simplex):
     """cross_validate on the group path's h*, which the result must match."""
     h = hstar_from_box_group(enumerate_box_group(simplex))
@@ -448,11 +510,12 @@ class TestCrossValidation:
         assert (cv.match, cv.heldout_ok) == (False, False)
 
     def test_heldout_skipped_past_the_scan_cap(self):
-        # Dilates 0..5 fit a cap that dilate 6 exceeds.
+        # The interpolation's dilates 0..3 fit a cap that the held-out
+        # dilate 4 exceeds.
         simplex = prop43_instance(3, 4)
         h = hstar_from_box_group(enumerate_box_group(simplex))
-        cap = box_candidates(simplex, 5)
-        assert box_candidates(simplex, 6) > cap
+        cap = box_candidates(simplex, 3)
+        assert box_candidates(simplex, 4) > cap
         cv = cross_validate(simplex, h, scan_cap=cap)
         assert (cv.match, cv.heldout_ok) == (True, None)
 
@@ -460,6 +523,17 @@ class TestCrossValidation:
         h = hstar_from_box_group(enumerate_box_group(TRI_VOL2))
         assert heldout_count_matches(TRI_VOL2, h)
         assert not heldout_count_matches(TRI_VOL2, HStarVector.of([1, 2]))
+
+    def test_degree_above_dimension_fails_both_checks(self):
+        cv = cross_validate(unit_simplex(2), HStarVector.of([1, 0, 0, 0, 5]))
+        assert cv.oracle_hstar.coeffs == (1,)
+        assert (cv.match, cv.heldout_ok) == (False, False)
+        # (1, 0, 2) predicts the held-out count 7 of the segment [0, 4],
+        # interior count of dilate 2, yet no 1-simplex has that h*.
+        segment = from_vertices(1, [(0,), (4,)])
+        assert count_interior_points(segment, 2) == 1 * 1 + 2 * 3 == 7
+        cv = cross_validate(segment, HStarVector.of([1, 0, 2]))
+        assert (cv.oracle_hstar.coeffs, cv.match, cv.heldout_ok) == ((1, 3), False, False)
 
 
 class TestAnySimplex:

@@ -169,7 +169,14 @@ class TestScanCapRecords:
         }
 
     def test_eight_dimensional_simplex_meets_the_cap(self):
+        # The interpolation's top dilate 4 fits the default cap; the
+        # held-out dilate 5 does not. Nine dimensions exceed it at dilate 5.
+        h = [1, 0, 0, 1, 0, 0, 1]
         assert oracle_records(CORPUS_DOCS["remark44-k3.json"]) == {
+            "oracle-cross-validation": ("pass", {"box": h, "oracle": h}),
+            "heldout-count": ("skip", {"reason": "scan cap"}),
+        }
+        assert oracle_records(CORPUS_DOCS["prop43-k3-j5-p5.json"]) == {
             "oracle-cross-validation": ("skip", {"reason": "scan cap"}),
             "heldout-count": ("skip", {"reason": "scan cap"}),
         }
