@@ -4,6 +4,15 @@ One record per (instance, invariant): status pass, fail, or skip (skips are
 capacity gates, never verdicts). Records come out in a fixed order so two
 runs over the same corpus are byte-identical.
 
+The group checks cost O(order * n) and have no order gate. The rows are
+the whole group when they are distinct, each is a weight tuple
+(rows @ [vertices | 1] = 0 mod q with residues in [0, q)), and their count
+is the box scan's Hermite volume: closure, zero and inverses follow, and
+associativity holds by construction. Heights are subadditive by the carry
+identity h(a) + h(b) - h(a+b) = #{i : a_i + b_i >= q} >= 0, which holds
+once every residue lies in [0, q) and every stored height is its row sum
+over q; at b = (j-1)a it bounds each scalar step h(ja) <= h((j-1)a) + h(a).
+
 Face-group identification takes every face's model from the shared
 Hermite sweep of ``simplex.all_faces`` and compares the model's group with
 the input group's elements supported on that face, as two lists in the
@@ -26,13 +35,12 @@ from .boxgroup import add  # noqa: F401 - unused here; perfbench's tracer test c
 from .errors import HstarkitError, ScanTooLargeError, VolumeTooLargeError
 from .hstar import hstar_from_box_group, structural_facts
 from .io import load_simplex
+from .linalg import INT64_LIMIT
 from .simplex import LatticeSimplex, all_faces, restrict_to_affine_lattice
 from .theorem import check_shifted_symmetric, check_zero_window, extract_face, is_prime
 
-SUBGROUP_ORDER_GATE = 500
-AXIOM_ORDER_GATE = 200
-FACE_IDENTIFICATION_GATE = 200
 FACE_VERTEX_GATE = 9
+CARRY_IDENTITY = "h(a) + h(b) - h(a+b) = #{i : a_i + b_i >= q}"
 
 
 @dataclass(frozen=True)
@@ -88,45 +96,25 @@ def _instance_records(
     bad = int((support.sum(axis=1) != heights + neg_heights).sum())
     yield _ok(name, "support-height-identity", not bad, {"violations": bad})
 
-    # Within these gates q <= 500, so the residues are int64. Each temporary
-    # holds at most order * (n+1) entries: one operand is looped over.
-    if group.order <= SUBGROUP_ORDER_GATE:
-        sub_ok = all(
-            (((a + rows) % q).sum(axis=1) // q <= ha + heights).all()
-            for a, ha in zip(rows, heights)
-        )
-        # `multiple` runs through j * rows for j = 1..q-1; multiples past the
-        # order of a repeat earlier checks or hold trivially.
-        step_ok = True
-        multiple, multiple_heights = rows, heights
-        for _ in range(q - 2):
-            multiple = (multiple + rows) % q
-            next_heights = multiple.sum(axis=1) // q
-            if (next_heights > multiple_heights + heights).any():
-                step_ok = False
-                break
-            multiple_heights = next_heights
-        yield _ok(name, "height-subadditivity", sub_ok)
-        yield _ok(name, "scalar-step-bound", step_ok)
-    else:
-        yield _skip(name, "height-subadditivity", f"order above {SUBGROUP_ORDER_GATE}")
-        yield _skip(name, "scalar-step-bound", f"order above {SUBGROUP_ORDER_GATE}")
+    # One check proves both height bounds by the carry identity.
+    in_range = bool(((rows >= 0) & (rows < q)).all())
+    carries = in_range and bool((rows.sum(axis=1) == heights * q).all())
+    yield _ok(name, "height-subadditivity", carries, {"by": CARRY_IDENTITY})
+    yield _ok(name, "scalar-step-bound", carries, {"by": CARRY_IDENTITY + " at b = (j-1)a"})
 
-    if group.order <= AXIOM_ORDER_GATE:
-        members = _row_set(rows)
-        closed = all(_row_set((a + rows) % q) <= members for a in rows)
-        has_zero = (0,) * rows.shape[1] in members
-        inverses = _row_set(-rows % q) <= members
-        x, y, z = rows[:5, None, None], rows[None, :5, None], rows[None, None, :5]
-        assoc = bool((((x + y) % q + z) % q == (x + (y + z) % q) % q).all())
-        yield _ok(
-            name,
-            "group-axioms",
-            closed and has_zero and inverses and assoc,
-            {"closed": closed, "zero": has_zero, "inverses": inverses, "assoc_sampled": assoc},
-        )
-    else:
-        yield _skip(name, "group-axioms", f"order above {AXIOM_ORDER_GATE}")
+    # Vertex coordinates are reduced mod q in Python first: with residues in
+    # [0, q), every entry of the product is below (n+1) * q * q.
+    dtype = np.int64 if simplex.n_vertices * q * q < INT64_LIMIT else object
+    lifted = np.array([[x % q for x in v] + [1] for v in simplex.vertices], dtype=dtype)
+    distinct = len(_row_set(rows)) == group.order
+    weight_tuples = in_range and not np.count_nonzero(rows.astype(dtype, copy=False) @ lifted % q)
+    order_is_volume = group.order == volume
+    yield _ok(
+        name,
+        "group-axioms",
+        distinct and weight_tuples and order_is_volume,
+        {"distinct": distinct, "weight_tuples": weight_tuples, "order_is_volume": order_is_volume},
+    )
 
     # Both are sorted by (height, coordinates); scanned / volume == rows / q
     # row by row. Once q | volume, rows * (volume // q) has every entry below
@@ -174,7 +162,7 @@ def _instance_records(
     else:
         yield _skip(name, "prime-volume-symmetry", "volume not prime")
 
-    if group.order <= FACE_IDENTIFICATION_GATE and simplex.n_vertices <= FACE_VERTEX_GATE:
+    if simplex.n_vertices <= FACE_VERTEX_GATE:
         mismatch = None
         # Bit i of bits[e] is set when element e is nonzero at vertex i, so a
         # face holds the elements with no bit outside its own. One int64 bit
@@ -206,7 +194,8 @@ def _instance_records(
                 break
         yield _ok(name, "face-group-identification", mismatch is None, {"first_mismatch": mismatch})
     else:
-        yield _skip(name, "face-group-identification", "order or vertex count above gate")
+        reason = f"{simplex.n_vertices} vertices above FACE_VERTEX_GATE = {FACE_VERTEX_GATE}"
+        yield _skip(name, "face-group-identification", reason)
 
     window_ks = [k for k in range(3, max(4, h.degree + 2)) if check_zero_window(h, k)]
     if window_ks:

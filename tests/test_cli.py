@@ -954,7 +954,7 @@ ORACLE_VERIFY_STDOUT_SHA256 = {
 
 # sha256 of `hstarkit verify-suite --corpus corpus` stdout (exit 0): every
 # record of every invariant, oracle counts included.
-VERIFY_SUITE_STDOUT_SHA256 = "b37b2fdf00941e39a8d306c8f769d6b27f6ffd2a2f1dad88a042090eb1267ad7"
+VERIFY_SUITE_STDOUT_SHA256 = "0b846ccb985adf89b3bd0ff6aa6517d913d0753087ff65016aeee581b9e98e54"
 
 
 class TestOracleGolden:

@@ -24,6 +24,7 @@ from hstarkit.simplex import (
 
 from conftest import with_rows
 from elements import add, elements, height, neg, support, zero
+from test_cli import LOWER_DIMENSIONAL_DOCS
 
 SKEW = SimplexDocument(3, ((1, 0, 2), (2, 3, 1), (0, 1, 5)), name="skew")
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -48,43 +49,32 @@ def group_verdicts(doc: SimplexDocument) -> dict:
 
 
 def reference_verdicts(doc: SimplexDocument) -> dict:
-    """The four group invariants computed element by element on exact
-    coordinate tuples: the reference the residue-array checks must match."""
+    """The statuses of the four group invariants, and the first face
+    mismatch, computed element by element on exact coordinate tuples: the
+    reference the residue-array certificates must match."""
     simplex = doc.to_simplex()
     group = enumerate_box_group(simplex)
     els = elements(group)
     members = set(els)
-    out = {}
-    if group.order <= verify.SUBGROUP_ORDER_GATE:
-        sub_ok = all(height(add(a, b)) <= height(a) + height(b) for a in els for b in els)
-        step_ok = True
-        for a in els:
-            prev = a
-            while any(a):
-                cur = add(prev, a)
-                step_ok = step_ok and height(cur) <= height(prev) + height(a)
-                if not any(cur):
-                    break
-                prev = cur
-        out["height-subadditivity"] = ("pass" if sub_ok else "fail", {})
-        out["scalar-step-bound"] = ("pass" if step_ok else "fail", {})
-    else:
-        reason = {"reason": f"order above {verify.SUBGROUP_ORDER_GATE}"}
-        out["height-subadditivity"] = out["scalar-step-bound"] = ("skip", reason)
-    if group.order <= verify.AXIOM_ORDER_GATE:
-        closed = all(add(a, b) in members for a in els for b in els)
-        identity = zero(simplex.n_vertices)
-        has_zero = identity in members
-        inverses = all(neg(a) in members and add(a, neg(a)) == identity for a in els)
-        sample = els[:5]
-        assoc = all(
-            add(add(a, b), c) == add(a, add(b, c)) for a in sample for b in sample for c in sample
-        )
-        detail = {"closed": closed, "zero": has_zero, "inverses": inverses, "assoc_sampled": assoc}
-        out["group-axioms"] = ("pass" if all(detail.values()) else "fail", detail)
-    else:
-        out["group-axioms"] = ("skip", {"reason": f"order above {verify.AXIOM_ORDER_GATE}"})
-    if group.order <= verify.FACE_IDENTIFICATION_GATE and simplex.n_vertices <= verify.FACE_VERTEX_GATE:
+    sub_ok = all(height(add(a, b)) <= height(a) + height(b) for a in els for b in els)
+    step_ok = True
+    for a in els:
+        prev = a
+        while any(a):
+            cur = add(prev, a)
+            step_ok = step_ok and height(cur) <= height(prev) + height(a)
+            if not any(cur):
+                break
+            prev = cur
+    closed = all(add(a, b) in members for a in els for b in els)
+    identity = zero(simplex.n_vertices)
+    inverses = all(neg(a) in members and add(a, neg(a)) == identity for a in els)
+    out = {
+        "height-subadditivity": "pass" if sub_ok else "fail",
+        "scalar-step-bound": "pass" if step_ok else "fail",
+        "group-axioms": "pass" if closed and identity in members and inverses else "fail",
+    }
+    if simplex.n_vertices <= verify.FACE_VERTEX_GATE:
         mismatch = None
         for sel, face_simplex in all_faces(simplex):
             got = set(elements(enumerate_box_group(face_simplex)))
@@ -96,11 +86,20 @@ def reference_verdicts(doc: SimplexDocument) -> dict:
             if got != want:
                 mismatch = list(sel)
                 break
-        status = "pass" if mismatch is None else "fail"
-        out["face-group-identification"] = (status, {"first_mismatch": mismatch})
+        out["face-group-identification"] = "pass" if mismatch is None else "fail"
+        out["first_mismatch"] = mismatch
     else:
-        reason = {"reason": "order or vertex count above gate"}
-        out["face-group-identification"] = ("skip", reason)
+        out["face-group-identification"] = "skip"
+    return out
+
+
+def certified_verdicts(doc: SimplexDocument) -> dict:
+    """verify's verdicts in the form of ``reference_verdicts``."""
+    verdicts = group_verdicts(doc)
+    out = {inv: status for inv, (status, _) in verdicts.items()}
+    status, detail = verdicts["face-group-identification"]
+    if status != "skip":
+        out["first_mismatch"] = detail["first_mismatch"]
     return out
 
 
@@ -200,7 +199,7 @@ class TestGroupInvariants:
             assume(False)
         assume(normalized_volume(simplex) <= 60)
         doc = SimplexDocument.from_simplex(simplex)
-        assert group_verdicts(doc) == reference_verdicts(doc)
+        assert certified_verdicts(doc) == reference_verdicts(doc)
 
     @given(st.sampled_from(sorted(CORPUS_DOCS)).flatmap(
         lambda name: st.tuples(
@@ -212,7 +211,22 @@ class TestGroupInvariants:
         name, perm = case
         doc = CORPUS_DOCS[name]
         doc = SimplexDocument(doc.ambient_dim, tuple(doc.vertices[i] for i in perm))
-        assert group_verdicts(doc) == reference_verdicts(doc)
+        assert certified_verdicts(doc) == reference_verdicts(doc)
+
+    def test_order_past_the_old_pair_sweeps_is_certified(self):
+        # Order 1001: the O(order^2) sweeps these certificates replace
+        # skipped all four records above order 200 or 500.
+        out = group_verdicts(SimplexDocument(1, ((0,), (1001,))))
+        assert {inv: status for inv, (status, _) in out.items()} == dict.fromkeys(
+            GROUP_INVARIANTS, "pass")
+
+    def test_sixty_digit_image_passes_group_axioms(self, monkeypatch):
+        dim, verts = LOWER_DIMENSIONAL_DOCS["prop43-k3-j4-in-z7"]
+        doc = SimplexDocument(dim, tuple(map(tuple, verts)))
+        certified = ("pass", {"distinct": True, "weight_tuples": True, "order_is_volume": True})
+        assert group_verdicts(doc)["group-axioms"] == certified
+        monkeypatch.setattr(verify, "INT64_LIMIT", 0)  # the object path
+        assert group_verdicts(doc)["group-axioms"] == certified
 
 
 @input_group_edit
@@ -224,6 +238,34 @@ def drop_row_one(residues, heights, q):
 def lower_an_order_two_height(residues, heights, q):
     i = next(i for i, r in enumerate(residues) if r.any() and not (2 * r % q).any())
     heights[i] -= 1
+    return residues, heights
+
+
+@input_group_edit
+def raise_the_last_height(residues, heights, q):
+    heights[-1] += 1
+    return residues, heights
+
+
+@input_group_edit
+def carry_q_between_two_residues(residues, heights, q):
+    i = residues.tolist().index([3, 3, 0, 0])
+    residues[i] = 3 + q, 3 - q, 0, 0  # the same row sum and height
+    return residues, heights
+
+
+@input_group_edit
+def copy_row_one_over_row_two(residues, heights, q):
+    residues[2], heights[2] = residues[1], heights[1]
+    return residues, heights
+
+
+@input_group_edit
+def move_half_of_an_edge_element(residues, heights, q):
+    # (1/2, 1/2, 0, 0) -> (1/2, 0, 0, 1/2) in the join: the row sum is still
+    # q, but (v_0 + v_3) / 2 = (1/2, 0, 3/2) is not a lattice point.
+    i = residues.tolist().index([3, 3, 0, 0])
+    residues[i] = 3, 0, 0, 3
     return residues, heights
 
 
@@ -245,15 +287,52 @@ class TestTamperedGroup:
     JOIN = CORPUS_DOCS["join-seg2-seg3.json"]  # Z/2 on vertices 0, 1 times Z/3 on 2, 3
 
     def test_dropped_row_breaks_closure_and_inverses(self):
+        # Distinct weight tuples, one fewer than the Hermite volume.
         assert tampered_verdicts(self.JOIN, drop_row_one)["group-axioms"] == (
             "fail",
-            {"closed": False, "zero": True, "inverses": False, "assoc_sampled": True},
+            {"distinct": True, "weight_tuples": True, "order_is_volume": False},
         )
+
+    def test_duplicated_row_breaks_distinctness(self):
+        out = tampered_verdicts(self.JOIN, copy_row_one_over_row_two)
+        assert out["group-axioms"] == (
+            "fail",
+            {"distinct": False, "weight_tuples": True, "order_is_volume": True},
+        )
+
+    def test_row_outside_the_group_breaks_membership(self):
+        out = tampered_verdicts(self.JOIN, move_half_of_an_edge_element)
+        assert out["group-axioms"] == (
+            "fail",
+            {"distinct": True, "weight_tuples": False, "order_is_volume": True},
+        )
+        # Its residues and height are consistent: only membership sees it.
+        assert out["height-subadditivity"][0] == out["scalar-step-bound"][0] == "pass"
 
     def test_lowered_height_breaks_both_height_bounds(self):
         doc = CORPUS_DOCS["delta-cm-c9-m2.json"]  # cyclic of order 10, h* = 1 + 9t^2
         out = tampered_verdicts(doc, lower_an_order_two_height)
         assert out["height-subadditivity"][0] == out["scalar-step-bound"][0] == "fail"
+
+    def test_raised_height_breaks_both_height_bounds(self):
+        # Every nonzero element has height 2, so a 3 still meets every pair
+        # bound h(a+b) <= h(a) + h(b); it is not the row sum over q.
+        doc = CORPUS_DOCS["delta-cm-c9-m2.json"]
+        out = tampered_verdicts(doc, raise_the_last_height)
+        assert out["height-subadditivity"][0] == out["scalar-step-bound"][0] == "fail"
+
+    def test_residue_outside_zero_to_q_breaks_both_height_bounds(self):
+        # The carry identity needs every residue in [0, q); a row with the
+        # right sum and an out-of-range pair of entries does not count.
+        out = tampered_verdicts(self.JOIN, carry_q_between_two_residues)
+        assert out["height-subadditivity"][0] == out["scalar-step-bound"][0] == "fail"
+        assert out["group-axioms"][1]["weight_tuples"] is False
+
+    def test_faces_hold_only_their_supported_elements(self):
+        # Every proper face of the join holds fewer elements than the join:
+        # a selection that ignored the support bits fails at face (0,).
+        assert group_verdicts(self.JOIN)["face-group-identification"] == (
+            "pass", {"first_mismatch": None})
 
     def test_altered_row_inside_a_face_breaks_face_identification(self):
         out = tampered_verdicts(self.JOIN, negate_a_row_inside_a_face)
